@@ -15,6 +15,7 @@ from .errors import InvalidInput
 from .polys import Polynomial
 from .rationals import (RationalFunction, _partial_fraction_full,
                         _up_antidifference, substitute_linear)
+from .shifts import _unit_shift
 
 
 def shift_equivalent(b, b2, i):
@@ -91,12 +92,6 @@ class ReductionResult:
 
     summed_part: RationalFunction
     remainder: RationalFunction
-
-
-def _unit_shift(f, i, step):
-    offsets = [0] * len(f.vars)
-    offsets[i] = step
-    return f.shifted(tuple(offsets))
 
 
 def _reduce_structured(f, i):

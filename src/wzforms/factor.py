@@ -4,6 +4,7 @@ The heavy lifting (Zassenhaus / Wang) is delegated to sympy; everything in
 and out is converted through exact integer term maps, re-normalized to this
 package's canonical factor form (integer-primitive, positive graded-lex
 leading coefficient, deterministic order) and verified by recombination.
+The same conversion carries the gcd fallback of :mod:`wzforms.polys`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ def _symbols(names):
     return out
 
 
+def _to_sympy(terms, vars):
+    """sympy Poly over ZZ with the given integer term map."""
+    return sympy.Poly.from_dict(terms, *_symbols(vars), domain=sympy.ZZ)
+
+
+def _from_sympy(spoly, vars):
+    """Polynomial with the terms of a sympy Poly over ZZ."""
+    return Polynomial(vars, {tuple(int(e) for e in exps): Fraction(int(c))
+                             for exps, c in spoly.terms()})
+
+
 @lru_cache(maxsize=8192)
 def factor_polynomial(p):
     """Factor a nonzero Polynomial over Q.
@@ -45,15 +57,11 @@ def factor_polynomial(p):
         return p.constant_value(), ()
     cont = p.content()
     prim = p.divexact(cont)
-    den_cleared = {e: int(c) for e, c in prim.terms.items()}
-    syms = _symbols(prim.vars)
-    spoly = sympy.Poly.from_dict(den_cleared, *syms, domain=sympy.ZZ)
+    spoly = _to_sympy({e: int(c) for e, c in prim.terms.items()}, prim.vars)
     scoeff, sfactors = spoly.factor_list()
     factors = []
     for fac, mult in sfactors:
-        terms = {tuple(int(e) for e in exps): Fraction(int(c))
-                 for exps, c in fac.terms()}
-        q = Polynomial(prim.vars, terms)
+        q = _from_sympy(fac, prim.vars)
         qc = q.content()
         if qc != 1:
             cont *= qc ** mult
@@ -67,9 +75,3 @@ def factor_polynomial(p):
     if check != p:
         raise AssertionError("factorization recombination failed")
     return cont, tuple(factors)
-
-
-def is_irreducible(p):
-    """True when p is irreducible over Q (up to a rational unit)."""
-    _, factors = factor_polynomial(p)
-    return len(factors) == 1 and factors[0][1] == 1

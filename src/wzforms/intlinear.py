@@ -245,7 +245,8 @@ def _complete(v):
 
 def _det_int(rows):
     d = _det(rows)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise AssertionError(f"integer matrix has determinant {d}")
     return int(d)
 
 
@@ -260,8 +261,10 @@ def complete_unimodular(v):
     n = len(v)
     if n > 1:
         target = gcd(*v)
-        if _det_int(rows) != target:
+        d = _det_int(rows)
+        if d == -target:
             rows[-1] = [-x for x in rows[-1]]
-        assert _det_int(rows) == target
+        elif d != target:
+            raise AssertionError(f"completion of {v} has determinant {d}")
     matrix = tuple(tuple(row) for row in rows)
     return UnimodularCompletion(matrix, _invert(matrix))

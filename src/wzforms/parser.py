@@ -10,6 +10,7 @@ canonicalizes it and parsing a printed canonical form is the identity.
 from __future__ import annotations
 
 from .errors import DivisionByZero, ParseError
+from .polys import _join_signed
 from .rationals import RationalFunction
 
 
@@ -195,8 +196,6 @@ def parse_polynomial(text, vars):
 def latex_polynomial(p, var_name=None):
     """LaTeX form of a polynomial; ``var_name`` renames a univariate
     polynomial's variable."""
-    if p.is_zero:
-        return "0"
     names = list(p.vars)
     if var_name is not None and len(names) == 1:
         names[0] = var_name
@@ -214,11 +213,7 @@ def latex_polynomial(p, var_name=None):
         else:
             body = f"{_latex_fraction(mag)} {mono}"
         pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join_signed(pieces)
 
 
 def _latex_fraction(q):

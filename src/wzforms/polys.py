@@ -225,20 +225,16 @@ class Polynomial:
         # scaled-integer accumulation: one Fraction per result term
         ints1, d1 = self._scaled_ints()
         ints2, d2 = other._scaled_ints()
-        if len(ints1) * len(ints2) >= 2000 and \
-                _kron_box(ints1, ints2, len(self.vars)) <= (1 << 22):
-            terms = _kron_mul(ints1, ints2, len(self.vars))
-        else:
-            terms = {}
-            get = terms.get
-            for e1, n1 in ints1.items():
-                for e2, n2 in ints2.items():
-                    e = tuple(map(int.__add__, e1, e2))
-                    s = get(e, 0) + n1 * n2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
+        terms = {}
+        get = terms.get
+        for e1, n1 in ints1.items():
+            for e2, n2 in ints2.items():
+                e = tuple(map(int.__add__, e1, e2))
+                s = get(e, 0) + n1 * n2
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
         den = d1 * d2
         if den == 1:
             wrapped = {e: Fraction(c) for e, c in terms.items()}
@@ -433,50 +429,19 @@ class Polynomial:
             return self
         ip, dp = self._scaled_ints()
         io, do = other._scaled_ints()
-        got = _int_divexact(ip, io)
-        if got is not None:
-            scale = Fraction(do, dp)
-            return Polynomial._raw(self.vars,
-                                   {e: c * scale for e, c in got.items()})
-        # an exact quotient may still exist with fractional coefficients
-        lead_e, lead_c = other.leading()
-        rem = dict(self.terms)
-        # lazy max-heap over grlex keys; stale entries are skipped on pop
-        heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
-        heapq.heapify(heap)
-        quo = {}
-        while rem:
-            while heap:
-                deg, neg = heap[0]
-                e = tuple(-x for x in neg)
-                if e in rem:
-                    break
-                heapq.heappop(heap)
-            c = rem[e]
-            t = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in t):
-                return None
-            q = c / lead_c
-            quo[t] = q
-            for e2, c2 in other.terms.items():
-                full = tuple(a + b for a, b in zip(t, e2))
-                old = rem.get(full)
-                s = (old if old is not None else 0) - q * c2
-                if s:
-                    if old is None:
-                        heapq.heappush(heap, (-sum(full),
-                                              tuple(-x for x in full)))
-                    rem[full] = s
-                else:
-                    rem.pop(full, None)
-        return Polynomial._raw(self.vars, quo)
+        # by Gauss's lemma a primitive divisor leaves an integer quotient
+        # whenever there is one over Q, so one integer division decides
+        g = _int_content(io)
+        got = _int_divexact(ip, {e: c // g for e, c in io.items()} if g > 1 else io)
+        if got is None:
+            return None
+        scale = Fraction(do, dp * g)
+        return Polynomial._raw(self.vars, {e: c * scale for e, c in got.items()})
 
     # ------------------------------------------------------------------ #
     # printing
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
         for e, c in self.sorted_terms():
             mono = "*".join(
@@ -491,166 +456,28 @@ class Polynomial:
             else:
                 body = f"{mag}*{mono}"
             pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _join_signed(pieces)
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={self.vars})"
 
 
-# ---------------------------------------------------------------------- #
-# Kronecker-packed multiplication: dense products are encoded as machine
-# integers (one fixed-width slot per monomial of the degree box) so the
-# convolution runs inside CPython's big-integer multiply.
-
-
-def _kron_box(ints1, ints2, nvars):
-    size = 1
-    for i in range(nvars):
-        size *= max(e[i] for e in ints1) + max(e[i] for e in ints2) + 1
-    return size
-
-
-def _kron_divexact(ints_p, ints_g, nvars):
-    """Exact quotient of integer term maps through packed integers, or None.
-
-    The quotient of the packed values is decoded with balanced digits and
-    confirmed by a packed multiplication, so a non-None result is exact.
-    """
-    d = [max(e[i] for e in ints_p) + 1 for i in range(nvars)]
-    for i in range(nvars):
-        if max(e[i] for e in ints_g) >= d[i]:
-            return None
-    size = 1
-    strides = []
-    for i in range(nvars):
-        strides.append(size)
-        size *= d[i]
-    if size > (1 << 22):
-        return _int_divexact_heap(ints_p, ints_g)
-    maxp = max(abs(c) for c in ints_p.values())
-    maxg = max(abs(c) for c in ints_g.values())
-    width = ((maxp * maxg).bit_length() + 40) // 8
-    for _ in range(2):
-        if size * width > (1 << 18):
-            # big-integer division is quadratic; stay with the heap route
-            return _int_divexact_heap(ints_p, ints_g)
-        bits = width * 8
-
-        def encode(terms):
-            pos = bytearray(size * width)
-            neg = bytearray(size * width)
-            for e, c in terms.items():
-                idx = 0
-                for i in range(nvars):
-                    idx += e[i] * strides[i]
-                mag = c if c > 0 else -c
-                nbytes = (mag.bit_length() + 7) // 8
-                off = idx * width
-                target = pos if c > 0 else neg
-                target[off:off + nbytes] = mag.to_bytes(nbytes, "little")
-            return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-        p_val = encode(ints_p)
-        g_val = encode(ints_g)
-        quo, rem = divmod(p_val, g_val)
-        if rem:
-            return None
-        half = 1 << (bits - 1)
-        repunit = ((1 << (bits * size)) - 1) // ((1 << bits) - 1)
-        shifted = quo + repunit * half
-        if shifted < 0 or shifted.bit_length() > bits * size:
-            width *= 2
-            continue
-        data = shifted.to_bytes(size * width, "little")
-        out = {}
-        for idx in range(size):
-            c = int.from_bytes(data[idx * width:(idx + 1) * width], "little") - half
-            if c:
-                e = []
-                rest = idx
-                for i in range(nvars):
-                    e.append(rest % d[i])
-                    rest //= d[i]
-                out[tuple(e)] = c
-        check = _kron_mul(out, ints_g, nvars) if out else {}
-        if check == ints_p:
-            return out
-        width *= 2
-    return _int_divexact_heap(ints_p, ints_g)
-
-
-def _kron_mul(ints1, ints2, nvars):
-    d = []
-    for i in range(nvars):
-        m1 = max(e[i] for e in ints1)
-        m2 = max(e[i] for e in ints2)
-        d.append(m1 + m2 + 1)
-    size = 1
-    strides = []
-    for i in range(nvars):
-        strides.append(size)
-        size *= d[i]
-    max1 = max(abs(c) for c in ints1.values())
-    max2 = max(abs(c) for c in ints2.values())
-    bound = max1 * max2 * min(len(ints1), len(ints2)) * 2
-    width = (bound.bit_length() + 8) // 8
-
-    def encode(terms, want_positive):
-        buf = bytearray(size * width)
-        for e, c in terms.items():
-            if (c > 0) != want_positive:
-                continue
-            idx = 0
-            for i in range(nvars):
-                idx += e[i] * strides[i]
-            mag = c if c > 0 else -c
-            off = idx * width
-            buf[off:off + (mag.bit_length() + 7) // 8] = \
-                mag.to_bytes((mag.bit_length() + 7) // 8, "little")
-        return int.from_bytes(buf, "little")
-
-    p_pos = encode(ints1, True)
-    p_neg = encode(ints1, False)
-    q_pos = encode(ints2, True)
-    q_neg = encode(ints2, False)
-    plus = p_pos * q_pos + p_neg * q_neg
-    minus = p_pos * q_neg + p_neg * q_pos
-
-    def decode(value, out, sign):
-        data = value.to_bytes(size * width, "little")
-        for idx in range(size):
-            chunk = data[idx * width:(idx + 1) * width]
-            c = int.from_bytes(chunk, "little")
-            if c:
-                out[idx] = out.get(idx, 0) + sign * c
-        return out
-
-    acc = {}
-    decode(plus, acc, 1)
-    decode(minus, acc, -1)
-    terms = {}
-    for idx, c in acc.items():
-        if not c:
-            continue
-        e = []
-        rest = idx
-        for i in range(nvars):
-            e.append(rest % d[i])
-            rest //= d[i]
-        terms[tuple(e)] = c
-    return terms
+def _join_signed(pieces):
+    """Join ``(sign, body)`` pairs as ``body - body + ...``: the first sign
+    is written only when it is a minus.  "0" when there are no pieces."""
+    if not pieces:
+        return "0"
+    (sign, body), rest = pieces[0], pieces[1:]
+    head = body if sign == "+" else f"-{body}"
+    return head + "".join(f" {s} {b}" for s, b in rest)
 
 
 # ---------------------------------------------------------------------- #
 # gcd
 #
 # Main route: evaluation-homomorphism heuristic on integer term maps with
-# exact trial-division verification; the primitive remainder sequence below
-# is the fallback when the heuristic gives up.
+# exact trial-division verification; sympy's gcd over ZZ is the fallback
+# when the heuristic gives up.
 
 
 def _int_eval_at(terms, i, xi):
@@ -691,15 +518,6 @@ def _int_primitive(terms):
 
 def _int_divexact(p, q):
     """Exact quotient of integer term maps, or None."""
-    if not p:
-        return {}
-    if len(p) >= 500 and len(q) > 1:
-        n = len(next(iter(p)))
-        return _kron_divexact(p, q, n)
-    return _int_divexact_heap(p, q)
-
-
-def _int_divexact_heap(p, q):
     if not p:
         return {}
     lead_e = max(q, key=_grlex_key)
@@ -788,71 +606,6 @@ def _heu_gcd(p, q):
     return None
 
 
-def _content_and_pp_in(p, i):
-    """Polynomial content w.r.t. the i-th variable and the matching
-    primitive part.  Both carry the full variable tuple."""
-    if p.degree_in(i) <= 0:
-        return p, Polynomial.one(p.vars)
-    coeffs = list(p.coeffs_in(i).values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.is_constant:
-            break
-        cont = _gcd_inner(cont, c)
-    if cont.is_constant:
-        cont = Polynomial.one(p.vars)
-    pp = p.divexact(cont)
-    assert pp is not None
-    return cont, pp
-
-
-def _prem(p, q, i):
-    """Pseudo-remainder of p by q in the i-th variable, up to a unit of the
-    coefficient ring (sufficient for a primitive remainder sequence)."""
-    dq = q.degree_in(i)
-    qc = q.coeffs_in(i)
-    lc_q = qc[dq]
-    r = p
-    while not r.is_zero:
-        dr = r.degree_in(i)
-        if dr < dq:
-            break
-        rc = r.coeffs_in(i)
-        lc_r = rc[dr]
-        xpow = Polynomial(p.vars,
-                          {tuple(dr - dq if j == i else 0
-                                 for j in range(len(p.vars))): Fraction(1)})
-        r = r * lc_q - q * lc_r * xpow
-    return r
-
-
-def _gcd_inner(p, q):
-    """Gcd up to a rational unit; inputs nonzero."""
-    if p.is_constant or q.is_constant:
-        return Polynomial.one(p.vars)
-    present = set(p.variables_present()) | set(q.variables_present())
-    i = min(present)
-    cont_p, pp_p = _content_and_pp_in(p, i)
-    cont_q, pp_q = _content_and_pp_in(q, i)
-    cont_g = _gcd_inner(cont_p, cont_q) if not (cont_p.is_constant or cont_q.is_constant) \
-        else Polynomial.one(p.vars)
-    if pp_p.degree_in(i) <= 0 or pp_q.degree_in(i) <= 0:
-        return cont_g
-    a, b = pp_p, pp_q
-    if a.degree_in(i) < b.degree_in(i):
-        a, b = b, a
-    while True:
-        r = _prem(a, b, i)
-        if r.is_zero:
-            g_pp = b
-            break
-        if r.degree_in(i) <= 0:
-            g_pp = Polynomial.one(p.vars)
-            break
-        a, b = b, _content_and_pp_in(r, i)[1]
-    return cont_g * g_pp
-
-
 def poly_gcd(p, q):
     """Greatest common divisor, integer-primitive with positive graded-lex
     leading coefficient.  Raises InvalidInput when both inputs are zero."""
@@ -879,6 +632,8 @@ def _gcd_cached(p, q):
     pi = {e: int(c) for e, c in pp.terms.items()}
     qi = {e: int(c) for e, c in qq.terms.items()}
     got = _heu_gcd(pi, qi)
-    if got is not None:
-        return Polynomial(p.vars, {e: Fraction(c) for e, c in got.items()}).primitive()
-    return _gcd_inner(pp, qq).primitive()
+    if got is None:
+        from .factor import _from_sympy, _to_sympy  # factor imports this module
+        return _from_sympy(_to_sympy(pi, p.vars).gcd(_to_sympy(qi, p.vars)),
+                           p.vars).primitive()
+    return Polynomial(p.vars, {e: Fraction(c) for e, c in got.items()}).primitive()

@@ -617,20 +617,7 @@ def poly_antidifference(p, i):
     term with respect to the i-th variable."""
     if not isinstance(p, Polynomial):
         raise InvalidInput("poly_antidifference expects a Polynomial")
-    terms = {}
-    for k, cpoly in p.coeffs_in(i).items():
-        basis = _antidiff_basis(k)
-        for j, frac in enumerate(basis):
-            if not frac:
-                continue
-            for e, c in cpoly.terms.items():
-                full = e[:i] + (j,) + e[i + 1:]
-                s = terms.get(full, 0) + c * frac
-                if s:
-                    terms[full] = s
-                else:
-                    terms.pop(full, None)
-    return Polynomial(p.vars, terms)
+    return _up_antidifference(_UPoly.from_polynomial(p, i)).to_rf().as_polynomial()
 
 
 def _up_antidifference(up):

@@ -17,7 +17,7 @@ from math import comb, factorial, gcd
 from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, integer_linear_decompose
-from .polys import Polynomial
+from .polys import Polynomial, _join_signed
 from .rationals import (RationalFunction, _partial_fraction_full,
                         _up_antidifference, substitute_linear)
 from .shifts import WZForm, delta
@@ -80,15 +80,9 @@ def signed_range_sum(r, v, i, vars):
     l from 0 to v[i]-1 when positive, empty when zero, and minus the sum
     from v[i] to -1 when negative."""
     entries = tuple(v)
-    step = entries[i]
-    if step == 0:
-        return RationalFunction.zero(tuple(vars))
     form = Polynomial.linear_form(entries, vars)
-    total = RationalFunction.zero(tuple(vars))
-    offsets = range(step) if step > 0 else range(step, 0)
-    for ell in offsets:
-        total = total + substitute_linear(r, {"Z": form + ell}, vars)
-    return total if step > 0 else -total
+    return substitute_linear(_signed_range_sum_univariate(r, entries[i]),
+                             {"Z": form}, vars)
 
 
 def generate(rep):
@@ -215,8 +209,8 @@ def decompose(form):
 
 
 def _signed_range_sum_univariate(r, step):
-    """Signed range sum along Z itself: the univariate shadow of
-    :func:`signed_range_sum`."""
+    """Signed range sum along Z itself; :func:`signed_range_sum` evaluates
+    it at ``Z = v.x``."""
     if step == 0:
         return RationalFunction.zero(_ZVARS)
     total = RationalFunction.zero(_ZVARS)
@@ -295,13 +289,7 @@ class PolygammaExpression:
             if mag != 1:
                 body = f"{mag}*{body}"
             pieces.append(("-" if c < 0 else "+", body))
-        if not pieces:
-            return "0"
-        sign, body = pieces[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _join_signed(pieces)
 
     def latex(self):
         from .parser import latex_polynomial, latex_rational
@@ -331,13 +319,7 @@ class PolygammaExpression:
                 cs = str(num) if den == 1 else rf"\tfrac{{{num}}}{{{den}}}"
                 body = f"{cs} {body}"
             pieces.append(("-" if c < 0 else "+", body))
-        if not pieces:
-            return "0"
-        sign, body = pieces[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _join_signed(pieces)
 
 
 def conjugate_polygamma(rep):

@@ -3,9 +3,11 @@ from math import factorial
 
 import sympy
 
-from wzforms import (AdditiveRepresentation, IntegerLinearType, Polynomial,
+from wzforms import (AdditiveRepresentation, IntegerLinearType,
+                     PolygammaExpression, PolygammaTerm, Polynomial,
                      RationalFunction, RootShift, conjugate_polygamma, delta,
-                     generate, random_additive_rep, signed_range_sum)
+                     generate, parse_expression, random_additive_rep,
+                     signed_range_sum)
 
 V = ("x", "y", "z")
 Zv = ("Z",)
@@ -24,6 +26,33 @@ def test_conjugate_of_two_type_rep_prints_exactly():
     expr = conjugate_polygamma(rep)
     assert str(expr) == "psi^(0)(4*x + 6*y + 5*z) + psi^(0)(3*y + 2*z)"
     assert expr.rational_part.is_zero
+
+
+def test_expression_prints_signs_fractions_and_root_sums():
+    A = Polynomial.variable("A", ("A",))
+    terms = (
+        PolygammaTerm(Fraction(-3, 2), 0, IntegerLinearType((4, 6, 5)),
+                      Fraction(1, 3)),
+        PolygammaTerm(Fraction(1), 1, IntegerLinearType((0, 3, 2)), Fraction(0)),
+        PolygammaTerm(Fraction(-2, 7), 2, IntegerLinearType((1, -1, 0)),
+                      RootShift(A**2 + A + 1, 2 * A - 3)),
+    )
+    expr = PolygammaExpression(RationalFunction.zero(V), terms)
+    assert str(expr) == (
+        "-3/2*psi^(0)(4*x + 6*y + 5*z + 1/3) + psi^(1)(3*y + 2*z)"
+        " - 2/7*RootSum(A^2 + A + 1, A -> (2*A - 3)*psi^(2)(x - y + A))")
+    assert expr.latex() == (
+        r"-\tfrac{3}{2} \psi^{(0)}\!\left(4 x + 6 y + 5 z + \tfrac{1}{3}\right)"
+        r" + \psi^{(1)}\!\left(3 y + 2 z\right)"
+        r" - \tfrac{2}{7} \sum_{\alpha^{2} + \alpha + 1 = 0} 2 \alpha - 3"
+        r" \, \psi^{(2)}\!\left(x - y + \alpha\right)")
+    mixed = PolygammaExpression(parse_expression("(1 - 2*x)/(y + 1)", V), terms[:1])
+    assert str(mixed) == "(-2*x + 1)/(y + 1) - 3/2*psi^(0)(4*x + 6*y + 5*z + 1/3)"
+    assert mixed.latex() == (
+        r"\frac{-2 x + 1}{y + 1} - \tfrac{3}{2} "
+        r"\psi^{(0)}\!\left(4 x + 6 y + 5 z + \tfrac{1}{3}\right)")
+    empty = PolygammaExpression(RationalFunction.zero(V), ())
+    assert str(empty) == empty.latex() == "0"
 
 
 def test_conjugate_pure_rational():

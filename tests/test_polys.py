@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import wzforms.polys as polys
 from conftest import random_polynomial
 from wzforms import InvalidInput, Polynomial, poly_gcd
 
@@ -39,42 +40,61 @@ def test_string_form_is_sorted_and_signed():
     assert str(Polynomial.zero(V)) == "0"
 
 
-def test_gcd_difference_of_squares():
-    assert poly_gcd(x**2 - y**2, x - y) == x - y
+def gcd_routes(monkeypatch):
+    """Loop twice: first through the heuristic gcd, then with the heuristic
+    giving up so that the sympy fallback answers.  The gcd cache is cleared
+    before each pass and after the last."""
+    for route in ("heuristic", "sympy"):
+        polys._gcd_cached.cache_clear()
+        if route == "sympy":
+            monkeypatch.setattr(polys, "_heu_gcd", lambda p, q: None)
+        yield route
+    polys._gcd_cached.cache_clear()
 
 
-def test_gcd_coprime():
-    assert poly_gcd(x + 1, x + 2) == Polynomial.one(V)
+def test_gcd_difference_of_squares(monkeypatch):
+    for _ in gcd_routes(monkeypatch):
+        assert poly_gcd(x**2 - y**2, x - y) == x - y
 
 
-def test_gcd_shared_linear_form_verified_by_division():
+def test_gcd_coprime(monkeypatch):
+    for _ in gcd_routes(monkeypatch):
+        assert poly_gcd(x + 1, x + 2) == Polynomial.one(V)
+
+
+def test_gcd_shared_linear_form_verified_by_division(monkeypatch):
     b = 4 * x + 6 * y + 5 * z
-    g = poly_gcd(b**2 * x, b * y)
-    assert g == b
-    assert (b**2 * x).divexact(g) is not None
-    assert (b * y).divexact(g) is not None
+    for _ in gcd_routes(monkeypatch):
+        g = poly_gcd(b**2 * x, b * y)
+        assert g == b
+        assert (b**2 * x).divexact(g) is not None
+        assert (b * y).divexact(g) is not None
 
 
-def test_gcd_factor_free_of_one_variable():
-    assert poly_gcd((y**2 + 1) * x, (y**2 + 1) * (x + 1)) == y**2 + 1
-    assert poly_gcd((x**2 + 1) * y, (x**2 + 1) * (y + 1)) == x**2 + 1
+def test_gcd_factor_free_of_one_variable(monkeypatch):
+    for _ in gcd_routes(monkeypatch):
+        assert poly_gcd((y**2 + 1) * x, (y**2 + 1) * (x + 1)) == y**2 + 1
+        assert poly_gcd((x**2 + 1) * y, (x**2 + 1) * (y + 1)) == x**2 + 1
 
 
-def test_gcd_rejects_two_zeros():
-    with pytest.raises(InvalidInput):
-        poly_gcd(Polynomial.zero(V), Polynomial.zero(V))
+def test_gcd_rejects_two_zeros(monkeypatch):
+    for _ in gcd_routes(monkeypatch):
+        with pytest.raises(InvalidInput):
+            poly_gcd(Polynomial.zero(V), Polynomial.zero(V))
 
 
-def test_gcd_of_random_products_divides_and_contains_common_factor():
+def test_gcd_of_random_products_divides_and_contains_common_factor(monkeypatch):
     rng = random.Random(101)
-    for _ in range(150):
-        g = random_polynomial(rng, V, nonzero=True)
-        a = random_polynomial(rng, V, nonzero=True)
-        b = random_polynomial(rng, V, nonzero=True)
-        got = poly_gcd(g * a, g * b)
-        assert (g * a).divexact(got) is not None
-        assert (g * b).divexact(got) is not None
-        assert got.divexact(g.primitive()) is not None
+    cases = [tuple(random_polynomial(rng, V, nonzero=True) for _ in range(3))
+             for _ in range(150)]
+    answers = {}
+    for route in gcd_routes(monkeypatch):
+        answers[route] = [poly_gcd(g * a, g * b) for g, a, b in cases]
+        for (g, a, b), got in zip(cases, answers[route]):
+            assert (g * a).divexact(got) is not None
+            assert (g * b).divexact(got) is not None
+            assert got.divexact(g.primitive()) is not None
+    assert answers["sympy"] == answers["heuristic"]
 
 
 def test_divexact_detects_failure():
