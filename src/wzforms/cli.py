@@ -1,7 +1,9 @@
 """Command-line interface and JSON serialization.
 
 Exit codes: 0 success, 1 verification answered "no", 2 decomposition
-rejected the input tuple, 3 usage, parse or I/O errors.
+rejected the input tuple, 3 usage, parse or I/O errors, 4 internal error
+(an unexpected exception, reported on one stderr line, so that a failure
+never reads as "no").
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_NOT_WZ = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -260,6 +263,10 @@ def run_command(argv, out=None, err=None):
     except OSError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=err)
+        return EXIT_INTERNAL
 
 
 def main():

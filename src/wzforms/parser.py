@@ -2,16 +2,35 @@
 
 Grammar: ``+ - * / ^`` with integer literals, declared variable names and
 parentheses; ``^`` binds tightest (right-associative, integer exponents
-only), then unary minus, then ``* /``, then ``+ -``.  Parsing evaluates
-eagerly into a canonical RationalFunction, so printing a parsed expression
-canonicalizes it and parsing a printed canonical form is the identity.
+only), then unary minus, then ``* /``, then ``+ -``.
+
+Evaluation is eager, but a polynomial subexpression stays a Polynomial: the
+polynomial summands of one sum go into a single term map, a single-term
+factor multiplies exponent tuples, and ``/`` by a nonzero constant scales.
+A value is lifted to a canonical RationalFunction only at ``/`` by a
+non-constant divisor or at a negative power, so canonical reduction (and
+its gcd) happens once, at the lift, or when ``parse_expression`` returns.
+Printing a parsed expression therefore canonicalizes it, and parsing a
+printed canonical form is the identity.
+
+Hostile input is refused with a ParseError at the offending token: nesting
+of parentheses, unary minuses and exponents deeper than MAX_DEPTH, and any
+exponent, tower values included, larger than MAX_EXPONENT in magnitude,
+checked before the power is computed.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import DivisionByZero, ParseError
-from .polys import _join_signed
+from .polys import Polynomial, _join_signed
 from .rationals import RationalFunction
+
+# Five parser frames per parenthesis level keep MAX_DEPTH well inside the
+# interpreter's default recursion limit of 1000.
+MAX_DEPTH = 100
+MAX_EXPONENT = 1000
 
 
 class _Tokenizer:
@@ -77,30 +96,62 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, text, vars):
         self.toks = _Tokenizer(text)
-        self.vars = tuple(vars)
+        self.vars = vars = tuple(vars)
+        n = len(vars)
+        self.unit = (0,) * n
+        self.monomials = {v: tuple(int(i == j) for j in range(n))
+                          for i, v in enumerate(vars)}
+        self.depth = 0
 
     def fail(self, message, tok):
         raise ParseError(message, tok[2][0], tok[2][1])
+
+    def enter(self, tok):
+        """Count one level of parentheses, unary minus or exponent nesting,
+        which ``leave`` undoes; past MAX_DEPTH deep input is a ParseError
+        rather than a RecursionError."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+
+    def leave(self):
+        self.depth -= 1
 
     def parse(self):
         value = self.expr()
         tok = self.toks.peek()
         if tok[0] != "end":
             self.fail(f"unexpected {tok[1]!r}", tok)
-        return value
+        return _lift(value)
 
     def expr(self):
-        value = self.term()
+        # one term map for the polynomial summands, so a long sum costs one
+        # pass; other summands add as rational functions
+        terms = {}
+        rational = None
+        negate = False
         while True:
-            tok = self.toks.peek()
-            if tok[0] == "+":
-                self.toks.next()
-                value = value + self.term()
-            elif tok[0] == "-":
-                self.toks.next()
-                value = value - self.term()
+            value = self.term()
+            if isinstance(value, Polynomial):
+                for e, c in value.terms.items():
+                    old = terms.get(e)
+                    if negate:
+                        terms[e] = -c if old is None else old - c
+                    else:
+                        terms[e] = c if old is None else old + c
             else:
-                return value
+                if negate:
+                    value = -value
+                rational = value if rational is None else rational + value
+            tok = self.toks.peek()
+            if tok[0] not in ("+", "-"):
+                break
+            self.toks.next()
+            negate = tok[0] == "-"
+        poly = Polynomial._raw(self.vars, {e: c for e, c in terms.items() if c})
+        if rational is None:
+            return poly
+        return rational + _lift(poly) if poly else rational
 
     def term(self):
         value = self.factor()
@@ -108,13 +159,22 @@ class _Parser:
             tok = self.toks.peek()
             if tok[0] == "*":
                 self.toks.next()
-                value = value * self.factor()
+                other = self.factor()
+                if isinstance(value, Polynomial) and isinstance(other, Polynomial):
+                    value = _times(value, other)
+                else:
+                    value = _lift(value) * _lift(other)
             elif tok[0] == "/":
                 self.toks.next()
                 other = self.factor()
                 if other.is_zero:
                     raise DivisionByZero("division by zero in expression")
-                value = value / other
+                if isinstance(value, Polynomial) and other.is_constant:
+                    value = value * (1 / other.constant_value())
+                else:
+                    value = _lift(value) / _lift(other)
+                    if value.den.is_constant:
+                        value = value.num
             else:
                 return value
 
@@ -122,7 +182,10 @@ class _Parser:
         tok = self.toks.peek()
         if tok[0] == "-":
             self.toks.next()
-            return -self.factor()
+            self.enter(tok)
+            value = -self.factor()
+            self.leave()
+            return value
         return self.power()
 
     def power(self):
@@ -134,9 +197,14 @@ class _Parser:
         k = self.exponent()
         if base.is_zero and k <= 0:
             raise DivisionByZero("zero raised to a nonpositive power")
-        return base ** k
+        if isinstance(base, Polynomial) and k >= 0:
+            return _power(base, k)
+        return _lift(base) ** k
 
     def exponent(self):
+        """A signed integer, a parenthesized exponent or a right-associative
+        tower ``a^b^...``, bounded by MAX_EXPONENT before any power of it is
+        computed."""
         sign = 1
         tok = self.toks.peek()
         if tok[0] == "-":
@@ -145,36 +213,96 @@ class _Parser:
             tok = self.toks.peek()
         if tok[0] == "(":
             self.toks.next()
+            self.enter(tok)
             k = self.exponent()
+            self.leave()
             close = self.toks.next()
             if close[0] != ")":
                 self.fail("expected ')'", close)
         elif tok[0] == "int":
             self.toks.next()
-            k = int(tok[1])
+            k = self.integer(tok)
+            if abs(k) > MAX_EXPONENT:
+                self.fail(f"exponent exceeds {MAX_EXPONENT} in magnitude", tok)
             nxt = self.toks.peek()
             if nxt[0] == "^":
                 self.toks.next()
-                k = k ** self.exponent()
+                self.enter(nxt)
+                k = self.tower(k, self.exponent(), tok)
+                self.leave()
         else:
             self.fail("exponents must be integers", tok)
         return sign * k
 
+    def tower(self, k, e, tok):
+        """``k^e`` inside an exponent, refused before it is computed when
+        it would leave the integers or exceed MAX_EXPONENT."""
+        if e < 0:
+            if k == 0:
+                raise DivisionByZero("zero raised to a nonpositive power")
+            if abs(k) != 1:
+                self.fail("exponents must be integers", tok)
+            e = -e
+        # |k| >= 2 and 2^e > MAX_EXPONENT already put k^e out of range
+        if abs(k) > 1 and e >= MAX_EXPONENT.bit_length():
+            self.fail(f"exponent exceeds {MAX_EXPONENT} in magnitude", tok)
+        k = k ** e
+        if abs(k) > MAX_EXPONENT:
+            self.fail(f"exponent exceeds {MAX_EXPONENT} in magnitude", tok)
+        return k
+
+    def integer(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:
+            # longer than the interpreter's integer-string limit
+            self.fail("integer literal too long", tok)
+
     def atom(self):
         tok = self.toks.next()
         if tok[0] == "int":
-            return RationalFunction.constant(int(tok[1]), self.vars)
+            k = self.integer(tok)
+            return Polynomial._raw(self.vars, {self.unit: Fraction(k)} if k else {})
         if tok[0] == "name":
-            if tok[1] not in self.vars:
+            exps = self.monomials.get(tok[1])
+            if exps is None:
                 self.fail(f"undeclared identifier {tok[1]!r}", tok)
-            return RationalFunction.variable(tok[1], self.vars)
+            return Polynomial._raw(self.vars, {exps: Fraction(1)})
         if tok[0] == "(":
+            self.enter(tok)
             value = self.expr()
+            self.leave()
             close = self.toks.next()
             if close[0] != ")":
                 self.fail("expected ')'", close)
             return value
         self.fail(f"unexpected {tok[1] or 'end of input'!r}", tok)
+
+
+def _times(p, q):
+    """``p*q``; a single-term factor multiplies exponent tuples directly."""
+    if len(p.terms) != 1:
+        p, q = q, p
+    if len(p.terms) != 1:
+        return p * q
+    (m, c), = p.terms.items()
+    return Polynomial._raw(p.vars, {tuple(map(int.__add__, m, e)): c * d
+                                    for e, d in q.terms.items()})
+
+
+def _power(p, k):
+    """``p^k`` for k >= 0; a single term scales its exponent tuple."""
+    if len(p.terms) != 1:
+        return p ** k
+    (m, c), = p.terms.items()
+    return Polynomial._raw(p.vars, {tuple(k * i for i in m): c ** k})
+
+
+def _lift(value):
+    """A polynomial value as a (canonical) RationalFunction."""
+    if isinstance(value, Polynomial):
+        return RationalFunction._trusted(value, Polynomial.one(value.vars))
+    return value
 
 
 def parse_expression(text, vars):

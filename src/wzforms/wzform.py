@@ -306,6 +306,8 @@ class PolygammaExpression:
                     else root
                 qtex = latex_polynomial(term.shift.poly, var_name=root)
                 wtex = latex_polynomial(term.shift.weight, var_name=root)
+                if len(term.shift.weight.terms) > 1:
+                    wtex = rf"\left({wtex}\right)"
                 body = (rf"\sum_{{{qtex} = 0}} {wtex} "
                         rf"\, \psi^{{({term.order})}}\!\left({arg}\right)")
             else:

@@ -179,6 +179,18 @@ def test_parse_error_exit_code(tmp_path):
     assert status == 3 and "undeclared" in err
 
 
+def test_internal_error_exit_code(tmp_path, monkeypatch):
+    def broken(components):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr("wzforms.cli.is_wz_form", broken)
+    p = tmp_path / "f.txt"
+    p.write_text("x\n")
+    status, out, err = run(["verify", "--vars", "x", str(p)])
+    assert status == 4 and out == ""
+    assert err == "internal error: RuntimeError: unexpected state\n"
+
+
 def test_json_round_trip():
     rep = AdditiveRepresentation(
         ("x", "y"),

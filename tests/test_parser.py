@@ -1,11 +1,16 @@
+import io
 import random
 
 import pytest
+import sympy
+from sympy.parsing.sympy_parser import parse_expr
 
 from conftest import random_rational
-from wzforms import (DivisionByZero, ParseError, RationalFunction,
-                     parse_expression, parse_polynomial)
-from wzforms.parser import latex_polynomial, latex_rational
+from wzforms import (DivisionByZero, ParseError, RationalFunction, generate,
+                     parse_expression, parse_polynomial, random_additive_rep)
+from wzforms.cli import run_command
+from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, latex_polynomial,
+                            latex_rational)
 
 V = ("x", "y", "z")
 
@@ -79,3 +84,125 @@ def test_latex_forms():
     assert latex_rational(f) == r"\frac{x + 1}{2 y - 1}"
     assert latex_polynomial(parse_polynomial("x^2*y - 1/2", V)) == \
         r"x^{2} y - \tfrac{1}{2}"
+
+
+# ---------------------------------------------------------------------- #
+# differential checks against sympy, and hostile input
+
+# precedence levels: sum, product, unary minus, power, atom
+_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(1, 6)
+_EXPONENTS = ("0", "1", "2", "3", "-1", "-2", "(2)", "-(1)", "(-1)", "2^2")
+
+
+def _random_text(rng, depth):
+    """(text, precedence) of a random expression over V; zero divisors and
+    zero bases come from literal 0 and from differences such as (y - y)."""
+    def child(level, depth):
+        text, prec = _random_text(rng, depth)
+        if prec < level or rng.random() < 0.1:
+            return f"({text})"
+        return text
+
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        pick = rng.random()
+        if pick < 0.35:
+            return str(rng.randint(0, 9)), _ATOM
+        if pick < 0.45:
+            v = rng.choice(V)
+            return f"({v} - {v})", _ATOM
+        return rng.choice(V), _ATOM
+    if roll < 0.45:
+        op = rng.choice("+-")
+        return f"{child(_SUM, depth - 1)} {op} {child(_PRODUCT, depth - 1)}", _SUM
+    if roll < 0.7:
+        op = rng.choice("*/")
+        return f"{child(_PRODUCT, depth - 1)}{op}{child(_UNARY, depth - 1)}", _PRODUCT
+    if roll < 0.82:
+        return f"-{child(_UNARY, depth - 1)}", _UNARY
+    return f"{child(_ATOM, depth - 1)}^{rng.choice(_EXPONENTS)}", _POWER
+
+
+def _sympy_of(p):
+    xs = sympy.symbols(p.vars)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def test_parse_matches_sympy_on_random_expressions():
+    names = {v: sympy.Symbol(v) for v in V}
+    rng = random.Random(2024)
+    raised = 0
+    for _ in range(300):
+        text, _ = _random_text(rng, rng.randint(1, 5))
+        source = text.replace("^", "**")
+        # the library refuses a zero base under a nonpositive power, and so
+        # every division by zero; sympy only marks the ones it cannot absorb
+        tree = parse_expr(source, local_dict=names, evaluate=False)
+        must_raise = any(
+            isinstance(node, sympy.Pow) and node.exp.doit() <= 0
+            and sympy.cancel(node.base.doit()) == 0
+            for node in sympy.preorder_traversal(tree))
+        expected = sympy.cancel(parse_expr(source, local_dict=names))
+        if expected.has(sympy.zoo, sympy.nan):
+            assert must_raise, text
+        if must_raise:
+            raised += 1
+            with pytest.raises(DivisionByZero):
+                parse_expression(text, V)
+            continue
+        f = parse_expression(text, V)
+        got = _sympy_of(f.num) / _sympy_of(f.den)
+        assert sympy.cancel(got - expected) == 0, text
+    assert 10 <= raised <= 200
+
+
+def test_parse_prints_back_criterion_5_tuples():
+    for seed in range(200):
+        rep = random_additive_rep(seed, n=2 + seed % 3, max_types=3,
+                                  max_deg=3, coeff_bound=9)
+        form = generate(rep)
+        for f in form.components:
+            assert parse_expression(str(f), form.vars) == f
+
+
+HOSTILE = (
+    # (text, line, column) of the ParseError; without the caps the first
+    # three recurse past the interpreter's limit and the tower asks for
+    # 2^(2^65536)
+    ("(" * 3000 + "x" + ")" * 3000, 1, MAX_DEPTH + 1),
+    ("-" * 3000 + "x", 1, MAX_DEPTH + 1),
+    ("x^" + "(" * 3000 + "2" + ")" * 3000, 1, MAX_DEPTH + 3),
+    ("x^2^2^2^2^2^2^2", 1, 9),
+    ("x^1001", 1, 3),
+    ("y + x^-(1001)", 1, 9),
+    ("x^2^-1", 1, 3),
+    ("1" * 5000 + "*x", 1, 1),
+)
+
+
+@pytest.mark.parametrize("text, line, column", HOSTILE,
+                         ids=[f"hostile-{i}" for i in range(len(HOSTILE))])
+def test_hostile_input_is_a_parse_error(text, line, column, tmp_path):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, V)
+    assert (err.value.line, err.value.column) == (line, column)
+    p = tmp_path / "f.txt"
+    p.write_text(text + "\n")
+    assert run_command(["verify", "--vars", "x,y,z", str(p), str(p), str(p)],
+                       out=io.StringIO(), err=io.StringIO()) == 3
+
+
+def test_exponent_limits_and_towers():
+    xv = parse_expression("x", V)
+    assert parse_expression(f"x^{MAX_EXPONENT}", V) == xv**MAX_EXPONENT
+    assert parse_expression(f"x^-{MAX_EXPONENT}", V) == xv**-MAX_EXPONENT
+    assert parse_expression("x^-1^-3", V) == xv**-1
+    assert parse_expression("x^2^3^0", V) == xv**2
+    with pytest.raises(DivisionByZero):
+        parse_expression("x^0^-1", V)
+    with pytest.raises(DivisionByZero):
+        parse_expression("0^0", V)
+    depth = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_expression(depth, V) == xv

@@ -44,8 +44,8 @@ def test_expression_prints_signs_fractions_and_root_sums():
     assert expr.latex() == (
         r"-\tfrac{3}{2} \psi^{(0)}\!\left(4 x + 6 y + 5 z + \tfrac{1}{3}\right)"
         r" + \psi^{(1)}\!\left(3 y + 2 z\right)"
-        r" - \tfrac{2}{7} \sum_{\alpha^{2} + \alpha + 1 = 0} 2 \alpha - 3"
-        r" \, \psi^{(2)}\!\left(x - y + \alpha\right)")
+        r" - \tfrac{2}{7} \sum_{\alpha^{2} + \alpha + 1 = 0}"
+        r" \left(2 \alpha - 3\right) \, \psi^{(2)}\!\left(x - y + \alpha\right)")
     mixed = PolygammaExpression(parse_expression("(1 - 2*x)/(y + 1)", V), terms[:1])
     assert str(mixed) == "(-2*x + 1)/(y + 1) - 3/2*psi^(0)(4*x + 6*y + 5*z + 1/3)"
     assert mixed.latex() == (
