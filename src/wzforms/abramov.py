@@ -15,7 +15,7 @@ from .errors import InvalidInput
 from .polys import Polynomial
 from .rationals import (RationalFunction, _partial_fraction_full,
                         _up_antidifference, substitute_linear)
-from .shifts import _unit_shift
+from .shifts import _unit_shift, cyclic_apply
 
 
 def shift_equivalent(b, b2, i):
@@ -111,14 +111,12 @@ def _reduce_structured(f, i):
         merged = {}
         for b, m in members:
             for t, a in by_base[b].items():
-                u = RationalFunction(rep) ** t
-                if m > 0:
-                    for s in range(m):
-                        summed = summed + _unit_shift(a, i, s - m) / _unit_shift(u, i, s)
-                elif m < 0:
-                    for s in range(m, 0):
-                        summed = summed - _unit_shift(a, i, s - m) / _unit_shift(u, i, s)
-                moved = _unit_shift(a, i, -m) if m else a
+                # with h = moved/rep**t and s the unit shift,
+                # a/b**t == s**m(h) == h + delta_i(cyclic_apply(h, i, m))
+                moved = _unit_shift(a, i, -m)
+                if m:
+                    h = moved / RationalFunction(rep) ** t
+                    summed = summed + cyclic_apply(h, i, m)
                 acc = merged.get(t)
                 merged[t] = moved if acc is None else acc + moved
         layers = {t: a for t, a in merged.items() if not a.is_zero}
@@ -153,7 +151,10 @@ def solve_step_difference(rhs, step):
 
     ``rhs`` is univariate; the equation is rescaled to unit step, solved by
     reduction, and scaled back.  The free additive constant is fixed by
-    giving y's polynomial part a zero constant term.
+    giving y's polynomial part a zero constant term.  The reduction already
+    does so: its summed part is the antidifference of a polynomial, which
+    has no constant term, plus range sums of proper fractions, which stay
+    proper, and rescaling the variable keeps both properties.
     """
     if not isinstance(step, int) or step == 0:
         raise InvalidInput("step must be a nonzero integer")
@@ -165,19 +166,4 @@ def solve_step_difference(rhs, step):
     result = abramov_reduce(scaled, 0)
     if not result.remainder.is_zero:
         return None
-    y = substitute_linear(result.summed_part, {name: z * Fraction(1, step)})
-    return _drop_constant_term(y, 0)
-
-
-def _drop_constant_term(f, i):
-    from .rationals import partial_fraction
-
-    poly_part, _ = partial_fraction(f, i)
-    coeffs = poly_part.num.coeffs_in(i)
-    const = coeffs.get(0)
-    if const is None:
-        return f
-    c = RationalFunction(const, poly_part.den)
-    if c.is_zero:
-        return f
-    return f - c
+    return substitute_linear(result.summed_part, {name: z * Fraction(1, step)})

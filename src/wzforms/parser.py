@@ -14,9 +14,11 @@ Printing a parsed expression therefore canonicalizes it, and parsing a
 printed canonical form is the identity.
 
 Hostile input is refused with a ParseError at the offending token: nesting
-of parentheses, unary minuses and exponents deeper than MAX_DEPTH, and any
-exponent, tower values included, larger than MAX_EXPONENT in magnitude,
-checked before the power is computed.
+of parentheses, unary minuses and exponents deeper than MAX_DEPTH, any
+exponent, tower values included, larger than MAX_EXPONENT in magnitude, and
+any product of two multi-term polynomials, each step of a power included,
+whose term counts multiply past MAX_TERMS.  Each is checked before the
+value is computed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .rationals import RationalFunction
 # interpreter's default recursion limit of 1000.
 MAX_DEPTH = 100
 MAX_EXPONENT = 1000
+# Bounds the work and the size of one product; (x+1)^MAX_EXPONENT, whose
+# largest step multiplies 489 by 513 terms, stays inside it.
+MAX_TERMS = 300_000
 
 
 class _Tokenizer:
@@ -161,9 +166,12 @@ class _Parser:
                 self.toks.next()
                 other = self.factor()
                 if isinstance(value, Polynomial) and isinstance(other, Polynomial):
-                    value = _times(value, other)
+                    value = self.times(value, other, tok)
                 else:
-                    value = _lift(value) * _lift(other)
+                    value, other = _lift(value), _lift(other)
+                    self.bound(value.num, other.num, tok)
+                    self.bound(value.den, other.den, tok)
+                    value = value * other
             elif tok[0] == "/":
                 self.toks.next()
                 other = self.factor()
@@ -172,7 +180,10 @@ class _Parser:
                 if isinstance(value, Polynomial) and other.is_constant:
                     value = value * (1 / other.constant_value())
                 else:
-                    value = _lift(value) / _lift(other)
+                    value, other = _lift(value), _lift(other)
+                    self.bound(value.num, other.den, tok)
+                    self.bound(value.den, other.num, tok)
+                    value = value / other
                     if value.den.is_constant:
                         value = value.num
             else:
@@ -198,8 +209,46 @@ class _Parser:
         if base.is_zero and k <= 0:
             raise DivisionByZero("zero raised to a nonpositive power")
         if isinstance(base, Polynomial) and k >= 0:
-            return _power(base, k)
-        return _lift(base) ** k
+            return self.raise_to(base, k, tok)
+        base = _lift(base)
+        if k < 0:
+            base, k = base.reciprocal(), -k
+        return RationalFunction._trusted(self.raise_to(base.num, k, tok),
+                                         self.raise_to(base.den, k, tok))
+
+    def bound(self, p, q, tok):
+        """Refuse ``p*q`` before it is computed when both polynomials have
+        several terms and their term counts multiply past MAX_TERMS."""
+        n, m = len(p.terms), len(q.terms)
+        if n > 1 and m > 1 and n * m > MAX_TERMS:
+            self.fail(f"product of {n} and {m} terms exceeds {MAX_TERMS}", tok)
+
+    def times(self, p, q, tok):
+        """``p*q``; a single-term factor multiplies exponent tuples directly."""
+        self.bound(p, q, tok)
+        if len(p.terms) != 1:
+            p, q = q, p
+        if len(p.terms) != 1:
+            return p * q
+        (m, c), = p.terms.items()
+        return Polynomial._raw(p.vars, {tuple(map(int.__add__, m, e)): c * d
+                                        for e, d in q.terms.items()})
+
+    def raise_to(self, p, k, tok):
+        """``p^k`` for k >= 0 by the square-and-multiply steps of
+        ``Polynomial.__pow__``, each bounded like a product; a single term
+        scales its exponent tuple."""
+        if len(p.terms) == 1:
+            (m, c), = p.terms.items()
+            return Polynomial._raw(p.vars, {tuple(k * i for i in m): c ** k})
+        result = Polynomial.one(p.vars)
+        while k:
+            if k & 1:
+                result = self.times(result, p, tok)
+            if k > 1:
+                p = self.times(p, p, tok)
+            k >>= 1
+        return result
 
     def exponent(self):
         """A signed integer, a parenthesized exponent or a right-associative
@@ -277,25 +326,6 @@ class _Parser:
                 self.fail("expected ')'", close)
             return value
         self.fail(f"unexpected {tok[1] or 'end of input'!r}", tok)
-
-
-def _times(p, q):
-    """``p*q``; a single-term factor multiplies exponent tuples directly."""
-    if len(p.terms) != 1:
-        p, q = q, p
-    if len(p.terms) != 1:
-        return p * q
-    (m, c), = p.terms.items()
-    return Polynomial._raw(p.vars, {tuple(map(int.__add__, m, e)): c * d
-                                    for e, d in q.terms.items()})
-
-
-def _power(p, k):
-    """``p^k`` for k >= 0; a single term scales its exponent tuple."""
-    if len(p.terms) != 1:
-        return p ** k
-    (m, c), = p.terms.items()
-    return Polynomial._raw(p.vars, {tuple(k * i for i in m): c ** k})
 
 
 def _lift(value):

@@ -171,16 +171,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_vars(other)
-        if self._all_integer() and other._all_integer():
-            terms = {e: c.numerator for e, c in self.terms.items()}
-            for e, c in other.terms.items():
-                s = terms.get(e, 0) + c.numerator
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-            return Polynomial._raw(self.vars,
-                                   {e: Fraction(c) for e, c in terms.items()})
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c

@@ -124,15 +124,14 @@ class RationalFunction:
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b == d:
-            g, b1, d1 = b, Polynomial.one(b.vars), Polynomial.one(b.vars)
+            g, num0, den0 = b, a + c, b
         else:
             g = poly_gcd(b, d)
             b1 = b.divexact(g)
-            d1 = d.divexact(g)
-        num0 = a * d1 + c * b1
+            num0 = a * d.divexact(g) + c * b1
+            den0 = b1 * d
         if num0.is_zero:
             return RationalFunction.zero(self.vars)
-        den0 = b1 * d
         if g.is_constant:
             return RationalFunction._trusted(num0, den0)
         h = poly_gcd(num0, g)
@@ -510,7 +509,8 @@ def _layers_by_inversion(R, U, b, m, i):
 
 def _taylor_at(coeffs, rho, m):
     """First m Taylor coefficients at ``x = rho`` by repeated synthetic
-    division; coefficients and rho are rational functions."""
+    division.  Coefficients and rho are elements of one ring: rational
+    functions here, algebraic numbers (sympy ``ANP``) for root sums."""
     cs = list(coeffs)
     zero = rho - rho
     out = []
@@ -530,8 +530,24 @@ def _taylor_at(coeffs, rho, m):
     return out
 
 
+def _series_mul(a, b, m):
+    """First m coefficients of the product of two power series given as
+    coefficient lists, lowest first; zero terms are skipped."""
+    zero = a[0] - a[0]
+    out = []
+    for k in range(m):
+        acc = zero
+        for s in range(min(k + 1, len(a))):
+            if k - s < len(b) and not a[s].is_zero and not b[k - s].is_zero:
+                acc = acc + a[s] * b[k - s]
+        out.append(acc)
+    return out
+
+
 def _series_inverse(u, m):
-    inv0 = u[0].reciprocal()
+    """First m coefficients of ``1/u``; ``u[0] ** -1`` inverts a rational
+    function and an algebraic number alike."""
+    inv0 = u[0] ** -1
     out = [inv0]
     for k in range(1, m):
         acc = None
@@ -552,19 +568,12 @@ def _layers_at_linear_pole(R, U, b, m, i):
     rho = -(c0 / c1)
     rser = _taylor_at(R.coeffs, rho, m)
     user = _taylor_at(_UPoly.from_polynomial(U, i).coeffs, rho, m)
-    inv = _series_inverse(user, m)
+    local = _series_mul(rser, _series_inverse(user, m), m)
     layers = {}
     for t in range(1, m + 1):
-        acc = None
-        k = m - t
-        for s in range(k + 1):
-            if not rser[s].is_zero and not inv[k - s].is_zero:
-                term = rser[s] * inv[k - s]
-                acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero:
-            a = acc * c1 ** (t - m) if t != m else acc
-            if not a.is_zero:
-                layers[t] = a
+        a = local[m - t]
+        if not a.is_zero:
+            layers[t] = a * c1 ** (t - m) if t != m else a
     return layers
 
 

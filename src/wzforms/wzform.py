@@ -12,15 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
+
+from sympy.polys.domains import QQ
+from sympy.polys.polyclasses import ANP
+from sympy.polys.polyerrors import NotInvertible
 
 from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, integer_linear_decompose
 from .polys import Polynomial, _join_signed
-from .rationals import (RationalFunction, _partial_fraction_full,
+from .rationals import (RationalFunction, _dense_coeffs, _partial_fraction_full,
+                        _series_inverse, _series_mul, _taylor_at,
                         _up_antidifference, substitute_linear)
-from .shifts import WZForm, delta
+from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
 _AVARS = ("A",)
@@ -81,7 +86,7 @@ def signed_range_sum(r, v, i, vars):
     from v[i] to -1 when negative."""
     entries = tuple(v)
     form = Polynomial.linear_form(entries, vars)
-    return substitute_linear(_signed_range_sum_univariate(r, entries[i]),
+    return substitute_linear(cyclic_apply(r, 0, entries[i]),
                              {"Z": form}, vars)
 
 
@@ -188,7 +193,7 @@ def decompose(form):
             if r is None:
                 raise NotAWZForm(
                     f"no rational solution for the uniform part of type {vtype}")
-            resid = u - _signed_range_sum_univariate(r, step)
+            resid = u - cyclic_apply(r, 0, step)
             if not resid.is_constant:
                 raise NotAWZForm(
                     f"uniform part of type {vtype} is inconsistent")
@@ -206,18 +211,6 @@ def decompose(form):
             fs[j] = fj
         parts.extend(level_parts)
     return AdditiveRepresentation(vars, exact, parts)
-
-
-def _signed_range_sum_univariate(r, step):
-    """Signed range sum along Z itself; :func:`signed_range_sum` evaluates
-    it at ``Z = v.x``."""
-    if step == 0:
-        return RationalFunction.zero(_ZVARS)
-    total = RationalFunction.zero(_ZVARS)
-    offsets = range(step) if step > 0 else range(step, 0)
-    for ell in offsets:
-        total = total + r.shifted((ell,))
-    return total if step > 0 else -total
 
 
 def is_exact(form):
@@ -362,158 +355,53 @@ def conjugate_polygamma(rep):
 # expansion of higher-degree poles over their roots
 
 
-def _qred(a, q):
-    # remainder of a Fraction list modulo a monic Fraction list
-    a = list(a)
-    d = len(q) - 1
-    while len(a) > d:
-        c = a.pop()
-        if c:
-            for k in range(d):
-                a[len(a) - d + k] -= c * q[k]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _qmul(a, b, q):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _qred(out, q)
-
-
-def _qadd(a, b):
-    n = max(len(a), len(b))
-    out = [(a[k] if k < len(a) else Fraction(0)) +
-           (b[k] if k < len(b) else Fraction(0)) for k in range(n)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _qinv(a, q):
-    # extended Euclid on Fraction lists; q irreducible so any nonzero a works
-    def pdivmod(x, y):
-        x = list(x)
-        dq = len(y) - 1
-        quo = [Fraction(0)] * max(0, len(x) - dq)
-        while len(x) - 1 >= dq and x:
-            t = x[-1] / y[-1]
-            quo[len(x) - 1 - dq] = t
-            for j, c in enumerate(y):
-                x[len(x) - 1 - dq + j] -= t * c
-            while x and not x[-1]:
-                x.pop()
-        return quo, x
-
-    r0, r1 = list(q), list(a)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        qq, rr = pdivmod(r0, r1)
-        r0, r1 = r1, rr
-        prod = [Fraction(0)] * (len(qq) + len(s1) - 1) if qq and s1 else []
-        for i, x in enumerate(qq):
-            for j, y in enumerate(s1):
-                prod[i + j] += x * y
-        s0, s1 = s1, [u - v for u, v in
-                      zip(s0 + [Fraction(0)] * max(0, len(prod) - len(s0)),
-                          prod + [Fraction(0)] * max(0, len(s0) - len(prod)))]
-        while s1 and not s1[-1]:
-            s1.pop()
-    if len(r0) != 1:
-        raise InvalidInput("pole polynomial is not squarefree-irreducible")
-    inv = 1 / r0[0]
-    return _qred([c * inv for c in s0], q)
-
-
-def _taylor_rows(coeffs, q, length):
-    """Coefficients of p(R + eps) in eps, as elements of Q[R]/(q)."""
-    rows = [[] for _ in range(length)]
-    for t, c in enumerate(coeffs):
-        if not c:
-            continue
-        for k in range(min(t, length - 1) + 1):
-            rows[k] = _qadd(rows[k], _qred(
-                [Fraction(0)] * (t - k) + [c * comb(t, k)], q))
-    return rows
-
-
-def _series_mul(a, b, q, length):
-    out = [[] for _ in range(length)]
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= length:
-                break
-            out[i + j] = _qadd(out[i + j], _qmul(x, y, q))
-    return out
-
-
-def _series_inv(a, q, length):
-    inv0 = _qinv(a[0], q)
-    out = [inv0]
-    for k in range(1, length):
-        acc = []
-        for t in range(1, k + 1):
-            if t < len(a) and a[t]:
-                acc = _qadd(acc, _qmul(a[t], out[k - t], q))
-        out.append([-c for c in _qmul(inv0, acc, q)])
-    return out
-
-
 def _root_sum_terms(base, layers, vtype):
-    """Expand layer numerators over one irreducible pole polynomial of
-    degree > 1 into per-root polygamma terms."""
-    d = base.degree_in(0)
-    coeffs_by_deg = base.coeffs_in(0)
-    lc = coeffs_by_deg[d].constant_value()
-    qm = [coeffs_by_deg.get(k, Polynomial.zero(base.vars)).constant_value() / lc
-          for k in range(d + 1)]
-    per_order = {}
-    for t, a in layers.items():
-        numer = a.as_polynomial().coeffs_in(0)
-        beta = [numer.get(k, Polynomial.zero(base.vars)).constant_value() / lc ** t
-                for k in range(d)]
-        qrows = _taylor_rows(qm, qm, t + 1)
-        H = qrows[1:]  # q_m(R+eps)/eps; constant term q_m'(R) is invertible
-        acc = [[Fraction(1)]] + [[] for _ in range(t - 1)]
-        for _ in range(t):
-            acc = _series_mul(acc, H, qm, t)
-        inv = _series_inv(acc, qm, t)
-        brows = _taylor_rows(beta, qm, t)
-        gamma = _series_mul(brows, inv, qm, t)
-        for s in range(1, t + 1):
-            per_order[s] = _qadd(per_order.get(s, []), gamma[t - s])
+    """Expand layer numerators over one irreducible pole polynomial q of
+    degree > 1 into per-root polygamma terms.
+
+    R generates Q[R]/(q), and q(R + eps) == eps*H(eps) with H(0) == q'(R),
+    which is invertible because q is squarefree.  Near Z = R,
+    a/q**t == a(R + eps) * H(eps)**-t / eps**t, so the weight of
+    1/(Z - R)**s is the eps**(t-s) coefficient of a(R + eps) * H(eps)**-t.
+    """
+    mod = [QQ.convert(c.constant_value()) for c in reversed(_dense_coeffs(base, 0))]
+
+    def field(p):
+        # coefficients of p, lowest first, as constants of Q[R]/(q)
+        return [ANP([QQ.convert(c.constant_value())], mod, QQ)
+                for c in _dense_coeffs(p, 0)]
+
+    R = ANP([QQ.one, QQ.zero], mod, QQ)
+    m = max(layers)
+    try:
+        inv = _series_inverse(_taylor_at(field(base), R, m + 1)[1:], m)
+    except NotInvertible:
+        raise InvalidInput("pole polynomial is not squarefree-irreducible") from None
+    weights = [R - R] * (m + 1)
+    power = inv
+    for t in range(1, m + 1):
+        if t > 1:
+            power = _series_mul(power, inv, m)
+        if t in layers:
+            local = _series_mul(_taylor_at(field(layers[t].as_polynomial()), R, t),
+                                power, t)
+            for s in range(1, t + 1):
+                weights[s] = weights[s] + local[t - s]
+    flipped_base = Polynomial(_AVARS, {(k,): c * (-1) ** k for (k,), c in
+                                       base.terms.items()}).primitive()
     out = []
-    flipped_base = Polynomial(
-        _AVARS, {(k,): c * (-1) ** k for (k,), c in
-                 _as_avar(base).terms.items()}).primitive()
-    for s in sorted(per_order):
-        w = per_order[s]
-        if not w:
+    for s in range(1, m + 1):
+        if weights[s].is_zero:
             continue
         scale = Fraction((-1) ** (s - 1), factorial(s - 1))
         # move weights to the "+A" convention: substitute R -> -A
-        wpoly = Polynomial(_AVARS, {(k,): c * scale * (-1) ** k
-                                    for k, c in enumerate(w) if c})
-        if wpoly.is_zero:
-            continue
+        wpoly = Polynomial(_AVARS, {
+            (k,): Fraction(int(c.numerator), int(c.denominator)) * scale * (-1) ** k
+            for k, c in enumerate(reversed(weights[s].to_list()))})
         content = wpoly.content()
         out.append(PolygammaTerm(content, s - 1, vtype,
                                  RootShift(flipped_base, wpoly.divexact(content))))
     return out
-
-
-def _as_avar(base):
-    z = Polynomial.variable("A", _AVARS)
-    return base.compose({"Z": z}, _AVARS)
 
 
 # ---------------------------------------------------------------------- #

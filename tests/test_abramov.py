@@ -190,6 +190,27 @@ def test_solve_step_soundness_random():
         assert got.compose({"Z": Z + p}) - got == rhs
 
 
+def test_solve_step_solution_has_no_constant_term():
+    # the free constant of y is fixed by a zero constant term in its
+    # polynomial part; right-hand sides with a polynomial part exercise it
+    rng = random.Random(59)
+    for _ in range(25):
+        top = rng.randint(1, 3)
+        poly = Polynomial(Zv, {(k,): Fraction(rng.randint(-4, 4) or 1)
+                               for k in range(top + 1)})
+        den = rng.choice([Z + rng.randint(-3, 3), Z**2 + rng.randint(1, 3)])
+        yy = RationalFunction(poly) + RationalFunction(
+            Polynomial.constant(rng.randint(1, 5), Zv), den)
+        p = rng.choice([1, 2, 3, -1, -2])
+        rhs = yy.compose({"Z": Z + p}) - yy
+        assert not partial_fraction(rhs, 0)[0].is_zero
+        got = solve_step_difference(rhs, p)
+        assert got is not None
+        assert got.compose({"Z": Z + p}) - got == rhs
+        assert partial_fraction(got, 0)[0].num.coeff((0,)) == 0
+        assert got == yy - poly.coeff((0,))
+
+
 def test_solve_step_rejects_zero_step():
     with pytest.raises(InvalidInput):
         solve_step_difference(RationalFunction.zero(Zv), 0)

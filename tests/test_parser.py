@@ -169,8 +169,8 @@ def test_parse_prints_back_criterion_5_tuples():
 
 HOSTILE = (
     # (text, line, column) of the ParseError; without the caps the first
-    # three recurse past the interpreter's limit and the tower asks for
-    # 2^(2^65536)
+    # three recurse past the interpreter's limit, the tower asks for
+    # 2^(2^65536) and the last power expands to about 1.7e8 terms
     ("(" * 3000 + "x" + ")" * 3000, 1, MAX_DEPTH + 1),
     ("-" * 3000 + "x", 1, MAX_DEPTH + 1),
     ("x^" + "(" * 3000 + "2" + ")" * 3000, 1, MAX_DEPTH + 3),
@@ -179,6 +179,10 @@ HOSTILE = (
     ("y + x^-(1001)", 1, 9),
     ("x^2^-1", 1, 3),
     ("1" * 5000 + "*x", 1, 1),
+    ("(x+y+z+1)^1000", 1, 10),
+    ("(x+y+z+1)^-1000", 1, 10),
+    ("(x+y+z+1)^20*(x+y+z+1)^20", 1, 13),
+    ("(x+y+z+1)^20/(x+1)*(x+y+z+1)^20", 1, 19),
 )
 
 
@@ -200,6 +204,8 @@ def test_exponent_limits_and_towers():
     assert parse_expression(f"x^-{MAX_EXPONENT}", V) == xv**-MAX_EXPONENT
     assert parse_expression("x^-1^-3", V) == xv**-1
     assert parse_expression("x^2^3^0", V) == xv**2
+    # the largest step, 489 by 513 terms, is within MAX_TERMS
+    assert parse_expression(f"(x+1)^{MAX_EXPONENT}", V) == (xv + 1)**MAX_EXPONENT
     with pytest.raises(DivisionByZero):
         parse_expression("x^0^-1", V)
     with pytest.raises(DivisionByZero):

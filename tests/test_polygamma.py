@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
 import sympy
 
-from wzforms import (AdditiveRepresentation, IntegerLinearType,
+from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      PolygammaExpression, PolygammaTerm, Polynomial,
                      RationalFunction, RootShift, conjugate_polygamma, delta,
                      generate, parse_expression, random_additive_rep,
                      signed_range_sum)
+from wzforms.wzform import _root_sum_terms
 
 V = ("x", "y", "z")
 Zv = ("Z",)
@@ -184,3 +187,91 @@ def test_root_sum_certificates_against_algebraic_expansion():
             den = sum(sympy.Rational(cc) * xs**e[0] * ys**e[1]
                       for e, cc in comp.den.terms.items())
             assert sympy.simplify(total - num / den) == 0
+
+
+_ZS = sympy.Symbol("Z")
+
+
+def _sympy_poly(p, at=_ZS):
+    """A univariate Polynomial evaluated at ``at``, as a Poly in Z over QQ."""
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * at**e
+                           for (e,), c in p.terms.items()), sympy.Integer(0)),
+                      _ZS, domain="QQ")
+
+
+def _irreducible(rng, degree):
+    while True:
+        coeffs = [rng.randint(-5, 5) for _ in range(degree)]
+        coeffs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+        q = Polynomial(Zv, {(k,): c for k, c in enumerate(coeffs)})
+        if _sympy_poly(q).is_irreducible:
+            return q
+
+
+def test_root_sums_of_cubic_and_quartic_poles_against_sympy():
+    # independent oracle: sum over q(p) = 0 of c(p)/(Z - p) is
+    # ((c*q') mod q)/q, and a psi^(t) term adds its t-th derivative;
+    # with p = -A a root of q(-Z), a term's weight at p is w(-p)
+    rng = random.Random(4)
+    V2 = ("x", "y")
+    cases = [(degree, mult) for degree in (3, 4) for mult in (1, 2, 3)] * 2
+    for k, (degree, mult) in enumerate(cases):
+        den = _irreducible(rng, degree) ** mult
+        top = mult
+        if k >= 6:
+            # a second irreducible pole of the other degree
+            other = rng.randint(1, 2)
+            den = den * _irreducible(rng, 7 - degree) ** other
+            top = max(mult, other)
+        num = Polynomial(Zv, {(e,): rng.randint(-9, 9)
+                              for e in range(den.degree_in(0))})
+        r = RationalFunction(num if not num.is_zero else Polynomial.one(Zv), den)
+        expr = conjugate_polygamma(rep_of([((1, 1), r)], vars=V2))
+        assert expr.rational_part.is_zero
+        assert max(term.order for term in expr.terms) + 1 == top
+        total_num, total_den = _sympy_poly(Polynomial.zero(Zv)), _sympy_poly(
+            Polynomial.one(Zv))
+        for term in expr.terms:
+            assert isinstance(term.shift, RootShift)
+            q = _sympy_poly(term.shift.poly, -_ZS)
+            w = _sympy_poly(term.shift.weight * term.coefficient, -_ZS)
+            num, den = (w * q.diff(_ZS)).rem(q), q
+            for _ in range(term.order):
+                num, den = num.diff(_ZS) * den - num * den.diff(_ZS), den * den
+            total_num, total_den = total_num * den + num * total_den, total_den * den
+        assert total_num * _sympy_poly(r.den) == _sympy_poly(r.num) * total_den
+
+
+def test_root_sums_of_cubic_and_quartic_poles_print_exactly():
+    V2 = ("x", "y")
+    cubic = conjugate_polygamma(rep_of(
+        [((1, 2), RationalFunction(Z + 1, (Z**3 - Z - 1) ** 2))], vars=V2))
+    assert str(cubic) == (
+        "1/529*RootSum(A^3 - A + 1, A -> (57*A^2 + 120*A - 38)*psi^(0)(x + 2*y + A))"
+        " - 1/23*RootSum(A^3 - A + 1, A -> (3*A^2 + A - 1)*psi^(1)(x + 2*y + A))")
+    assert cubic.latex() == (
+        r"\tfrac{1}{529} \sum_{\alpha^{3} - \alpha + 1 = 0}"
+        r" \left(57 \alpha^{2} + 120 \alpha - 38\right) \,"
+        r" \psi^{(0)}\!\left(x + 2 y + \alpha\right)"
+        r" - \tfrac{1}{23} \sum_{\alpha^{3} - \alpha + 1 = 0}"
+        r" \left(3 \alpha^{2} + \alpha - 1\right) \,"
+        r" \psi^{(1)}\!\left(x + 2 y + \alpha\right)")
+    quartic = conjugate_polygamma(rep_of(
+        [((1, -1), RationalFunction(Polynomial.one(Zv), (Z**4 + 2) ** 3))], vars=V2))
+    assert str(quartic) == (
+        "21/1024*RootSum(A^4 + 2, A -> A*psi^(0)(x - y + A))"
+        " - 9/1024*RootSum(A^4 + 2, A -> A^2*psi^(1)(x - y + A))"
+        " + 1/1024*RootSum(A^4 + 2, A -> A^3*psi^(2)(x - y + A))")
+    assert quartic.latex() == (
+        r"\tfrac{21}{1024} \sum_{\alpha^{4} + 2 = 0} \alpha \,"
+        r" \psi^{(0)}\!\left(x - y + \alpha\right)"
+        r" - \tfrac{9}{1024} \sum_{\alpha^{4} + 2 = 0} \alpha^{2} \,"
+        r" \psi^{(1)}\!\left(x - y + \alpha\right)"
+        r" + \tfrac{1}{1024} \sum_{\alpha^{4} + 2 = 0} \alpha^{3} \,"
+        r" \psi^{(2)}\!\left(x - y + \alpha\right)")
+
+
+def test_root_sum_rejects_a_pole_that_is_not_squarefree():
+    with pytest.raises(InvalidInput, match="squarefree"):
+        _root_sum_terms((Z**2 - 2) ** 2, {1: RationalFunction.one(Zv)},
+                        IntegerLinearType((1, 1)))
