@@ -251,13 +251,14 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("polynomial powers take nonnegative integers")
-        result = Polynomial.one(self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        if k == 0:
+            return Polynomial.one(self.vars)
+        # left-to-right binary powering from the base: p ** 1 multiplies nothing
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

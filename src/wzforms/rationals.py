@@ -304,8 +304,9 @@ def substitute_linear(f, images, new_vars=None):
 
 class _UPoly:
     """Dense polynomial in one distinguished variable whose coefficients are
-    RationalFunctions free of it.  Internal helper for division, partial
-    fractions and Abramov-style reductions."""
+    RationalFunctions free of it.  Internal helper for the polynomial part
+    and the remainder of partial fractions, and for antidifferences; the
+    layer numerators are computed on plain polynomials instead."""
 
     __slots__ = ("coeffs", "index", "vars")
 
@@ -322,65 +323,20 @@ class _UPoly:
 
     @classmethod
     def from_polynomial(cls, p, index):
-        by_deg = p.coeffs_in(index)
-        top = max(by_deg) if by_deg else -1
-        coeffs = [RationalFunction(by_deg[k]) if k in by_deg
-                  else RationalFunction.zero(p.vars)
-                  for k in range(top + 1)]
-        return cls(coeffs, index, p.vars)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
+        return cls([RationalFunction(c) for c in _dense_coeffs(p, index)],
+                   index, p.vars)
 
     @property
     def is_zero(self):
         return not self.coeffs
 
-    def lc(self):
-        return self.coeffs[-1]
-
-    def _zero_rf(self):
-        return RationalFunction.zero(self.vars)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self._zero_rf()
-        coeffs = [(self.coeffs[k] if k < len(self.coeffs) else z) +
-                  (other.coeffs[k] if k < len(other.coeffs) else z)
-                  for k in range(n)]
-        return _UPoly(coeffs, self.index, self.vars)
-
-    def __neg__(self):
-        return _UPoly([-c for c in self.coeffs], self.index, self.vars)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return _UPoly([c * other for c in self.coeffs], self.index, self.vars)
-        if self.is_zero or other.is_zero:
-            return _UPoly.zero(self.index, self.vars)
-        z = self._zero_rf()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return _UPoly(out, self.index, self.vars)
-
     def divmod(self, other):
         if other.is_zero:
             raise DivisionByZero("univariate division by zero")
         rem = list(self.coeffs)
-        dq = other.degree
-        lc_inv = other.lc().reciprocal()
-        z = self._zero_rf()
-        quo = [z] * max(0, len(rem) - dq)
+        dq = len(other.coeffs) - 1
+        lc_inv = other.coeffs[-1].reciprocal()
+        quo = [RationalFunction.zero(self.vars)] * max(0, len(rem) - dq)
         while len(rem) - 1 >= dq and rem:
             dr = len(rem) - 1
             t = rem[-1] * lc_inv
@@ -393,15 +349,6 @@ class _UPoly:
         return (_UPoly(quo, self.index, self.vars),
                 _UPoly(rem, self.index, self.vars))
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        inv = self.lc().reciprocal()
-        return self * inv
-
     def to_rf(self):
         """Collapse back to a RationalFunction."""
         x = RationalFunction.variable(self.vars[self.index], self.vars)
@@ -413,39 +360,6 @@ class _UPoly:
             if not c.is_zero:
                 total = total + c * power
         return total
-
-
-def _up_xgcd(a, b):
-    """Extended gcd over the coefficient field; returns (g, s, t) with g
-    monic and ``s*a + t*b == g``.  Remainders are normalized monic at every
-    step to limit coefficient growth."""
-    zero = _UPoly.zero(a.index, a.vars)
-    one = _UPoly([RationalFunction.one(a.vars)], a.index, a.vars)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        lc = r1.lc()
-        if not (lc.is_constant and lc.constant_value() == 1):
-            inv = lc.reciprocal()
-            r1 = r1 * inv
-            s1 = s1 * inv
-            t1 = t1 * inv
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        raise InvalidInput("xgcd of two zero polynomials")
-    inv = r0.lc().reciprocal()
-    return r0 * inv, s0 * inv, t0 * inv
-
-
-def _up_inv_mod(a, m):
-    g, s, _ = _up_xgcd(a, m)
-    if g.degree != 0:
-        raise InvalidInput("element is not invertible in the quotient ring")
-    return s
 
 
 # ---------------------------------------------------------------------- #
@@ -492,19 +406,129 @@ def _partial_fraction_full(f, i):
 
 
 def _layers_by_inversion(R, U, b, m, i):
-    """Layer numerators over b**m via modular inversion of the cofactor."""
-    bup = _UPoly.from_polynomial(b, i)
-    bm = bup
-    for _ in range(m - 1):
-        bm = bm * bup
-    Uup = _UPoly.from_polynomial(U, i)
-    T = (R * _up_inv_mod(Uup % bm, bm)) % bm
+    """Layer numerators over b**m for a base b of degree d > 1 in x = x_i.
+
+    Over K = Q(other variables) the layers a_m, ..., a_1, each of degree
+    below d in x, are the b-adic digits of R/U modulo b**m:
+
+        R == U*(a_m + a_{m-1}*b + ... + a_1*b**(m-1))  (mod b**m).
+
+    The cofactor is inverted once.  Let M be the d x d matrix of
+    multiplication by U mod b on K[x]/(b): its column j is x**j*U mod b,
+    each column one shift and one reduction step from the last.  Fraction-
+    free Gauss-Jordan elimination gives M**-1 == N/det with every division
+    exact.  Only N's first column is needed: it holds the coefficients of
+    w = det*U**-1 mod b.  Then, from R_m = R down, each layer costs one
+    product modulo b and one exact division:
+
+        a_t = N*(R_t mod b)/det == (w*R_t mod b)/det,
+        R_{t-1} = (R_t - a_t*U)/b,
+
+    the division being exact in Q[all variables] by Gauss's lemma, as b is
+    primitive in x.  All of it runs on polynomials: R's denominators, free
+    of x, are cleared with one common factor c, and a leading coefficient l
+    of b that is not constant enters through pseudo-remainders, whose powers
+    of l are divided out once per layer.  No gcd runs until each layer is
+    made canonical.
+    """
+    vars = b.vars
+    bd = _dense_coeffs(b, i)
+    if bd[-1].is_constant:
+        # reducing modulo the monic associate needs no pseudo-remainders
+        inv = 1 / bd[-1].constant_value()
+        bd = [a * inv for a in bd]
+    lc = bd[-1]
+    d = len(bd) - 1
+    c = Polynomial.one(vars)
+    for a in R.coeffs:
+        if not a.den.is_constant:
+            c = c * a.den.divexact(poly_gcd(c, a.den))
+    P = [a.num if a.den == c else a.num * c.divexact(a.den) for a in R.coeffs]
+    # column j of M is x**j * U mod b, scaled by l**scales[j]
+    zero = Polynomial.zero(vars)
+    col, e = _pseudo_rem(_dense_coeffs(U, i), bd)
+    cols, scales = [col], [e]
+    for _ in range(d - 1):
+        col, e = _pseudo_rem([zero] + col, bd)
+        cols.append(col)
+        scales.append(scales[-1] + e)
+    w, det = _fraction_free_solve([[col[r] for col in cols] for r in range(d)],
+                                  [Polynomial.one(vars)] + [zero] * (d - 1))
+    w = [a * lc ** e if e else a for a, e in zip(w, scales)]
     layers = {}
     for t in range(m, 0, -1):
-        T, digit = T.divmod(bup)
-        if not digit.is_zero:
-            layers[t] = digit.to_rf()
+        r, k = _pseudo_rem(P, bd)
+        r, k2 = _pseudo_rem(_series_mul(w, r, 2 * d - 1), bd)
+        a = Polynomial.from_coeffs_in(dict(enumerate(r)), i, vars)
+        scale = det * lc ** (k + k2) if k + k2 else det
+        if not a.is_zero:
+            layers[t] = RationalFunction(a, scale * c)
+        if t > 1:
+            P = Polynomial.from_coeffs_in(dict(enumerate(P)), i, vars)
+            P = _dense_coeffs(_exact_quotient(P * scale - a * U, b), i)
+            c = scale * c
     return layers
+
+
+def _pseudo_rem(p, bd):
+    """``(r, k)`` with ``l**k * p == r`` modulo b, deg r < deg b: dense
+    coefficient lists, lowest first, and l the leading coefficient of b.
+    r has exactly deg b entries; k counts the steps that scaled by l != 1."""
+    p = list(p)
+    d = len(bd) - 1
+    lc = bd[-1]
+    scaled = lc != 1
+    k = 0
+    while len(p) > d:
+        top = p.pop()
+        if top.is_zero:
+            continue
+        if scaled:
+            p = [a * lc for a in p]
+            k += 1
+        s = len(p) - d
+        for j in range(d):
+            if not bd[j].is_zero:
+                p[s + j] = p[s + j] - top * bd[j]
+    return p + [Polynomial.zero(lc.vars)] * (d - len(p)), k
+
+
+def _fraction_free_solve(M, rhs):
+    """``(w, det)`` with ``M*w == det*rhs`` for a square matrix of polynomials
+    and det its determinant up to sign, by fraction-free (Bareiss)
+    Gauss-Jordan elimination on [M | rhs]: after step k every pivot so far
+    equals a k x k minor, so each update divides exactly by the previous
+    pivot."""
+    d = len(M)
+    zero = Polynomial.zero(rhs[0].vars)
+    A = [list(row) + [c] for row, c in zip(M, rhs)]
+    prev = None
+    for k in range(d):
+        p = next((r for r in range(k, d) if not A[r][k].is_zero), None)
+        if p is None:
+            raise InvalidInput("cofactor is not invertible modulo the base")
+        A[k], A[p] = A[p], A[k]
+        pivot_row = A[k]
+        pk = pivot_row[k]
+        for r in range(d):
+            if r == k:
+                continue
+            row, f = A[r], A[r][k]
+            # columns up to k are settled and never read again
+            for j in range(k + 1, d + 1):
+                v = pk * row[j] if not row[j].is_zero else zero
+                if not (f.is_zero or pivot_row[j].is_zero):
+                    v = v - f * pivot_row[j]
+                row[j] = v if prev is None else _exact_quotient(v, prev)
+        prev = pk
+    return [row[d] for row in A], prev
+
+
+def _exact_quotient(p, q):
+    got = p.divexact(q)
+    if got is None:
+        raise ArithmeticError("an exact division left a remainder")
+    return got
 
 
 def _taylor_at(coeffs, rho, m):

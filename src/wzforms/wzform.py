@@ -261,10 +261,10 @@ class PolygammaExpression:
         if isinstance(term.shift, RootShift):
             arg = f"{form} + A" if not form.is_zero else "A"
             w = term.shift.weight
-            ws = str(w)
-            if len(w.terms) > 1:
-                ws = f"({ws})"
-            body = f"RootSum({term.shift.poly}, A -> {ws}*psi^({term.order})({arg}))"
+            ws = ""
+            if w != 1:  # a unit weight is omitted, like a unit coefficient
+                ws = f"({w})*" if len(w.terms) > 1 else f"{w}*"
+            body = f"RootSum({term.shift.poly}, A -> {ws}psi^({term.order})({arg}))"
         else:
             if term.shift:
                 form = form + term.shift
@@ -298,11 +298,15 @@ class PolygammaExpression:
                 arg = latex_polynomial(form) + " + " + root if not form.is_zero \
                     else root
                 qtex = latex_polynomial(term.shift.poly, var_name=root)
-                wtex = latex_polynomial(term.shift.weight, var_name=root)
-                if len(term.shift.weight.terms) > 1:
-                    wtex = rf"\left({wtex}\right)"
-                body = (rf"\sum_{{{qtex} = 0}} {wtex} "
-                        rf"\, \psi^{{({term.order})}}\!\left({arg}\right)")
+                w = term.shift.weight
+                wtex = ""
+                if w != 1:
+                    wtex = latex_polynomial(w, var_name=root)
+                    if len(w.terms) > 1:
+                        wtex = rf"\left({wtex}\right)"
+                    wtex += r" \, "
+                body = (rf"\sum_{{{qtex} = 0}} {wtex}"
+                        rf"\psi^{{({term.order})}}\!\left({arg}\right)")
             else:
                 if term.shift:
                     form = form + term.shift

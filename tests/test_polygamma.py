@@ -275,3 +275,20 @@ def test_root_sum_rejects_a_pole_that_is_not_squarefree():
     with pytest.raises(InvalidInput, match="squarefree"):
         _root_sum_terms((Z**2 - 2) ** 2, {1: RationalFunction.one(Zv)},
                         IntegerLinearType((1, 1)))
+
+
+def test_unit_root_sum_weight_is_omitted():
+    # a weight of 1 is left out, as a coefficient of 1 is
+    expr = conjugate_polygamma(rep_of(
+        [((1, 1), RationalFunction(Z, (Z**3 + 2) ** 3))], vars=("x", "y")))
+    assert str(expr) == (
+        "-1/108*RootSum(A^3 - 2, A -> A^2*psi^(0)(x + y + A))"
+        " + 1/54*RootSum(A^3 - 2, A -> psi^(1)(x + y + A))"
+        " - 1/216*RootSum(A^3 - 2, A -> A*psi^(2)(x + y + A))")
+    assert expr.latex() == (
+        r"-\tfrac{1}{108} \sum_{\alpha^{3} - 2 = 0} \alpha^{2} \,"
+        r" \psi^{(0)}\!\left(x + y + \alpha\right)"
+        r" + \tfrac{1}{54} \sum_{\alpha^{3} - 2 = 0}"
+        r" \psi^{(1)}\!\left(x + y + \alpha\right)"
+        r" - \tfrac{1}{216} \sum_{\alpha^{3} - 2 = 0} \alpha \,"
+        r" \psi^{(2)}\!\left(x + y + \alpha\right)")

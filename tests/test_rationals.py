@@ -149,6 +149,32 @@ def test_partial_fraction_higher_multiplicities():
         {("x", 1), ("x", 2), ("x", 3), ("x + 1", 1), ("x + 1", 2)}
 
 
+def test_partial_fraction_at_poles_with_non_constant_leading_coefficients():
+    # irreducible bases of degree 2-4 in x, most with a leading coefficient
+    # in y, and a denominator factor free of x: the general inversion route
+    rng = random.Random(23)
+    bases = [y * x**2 + 1, (y - 2) * x**3 + x + 1, x**2 + y,
+             (y + 1) * x**4 - x + 2, 3 * x**3 + y * x - 1]
+    free = [Polynomial.one(V), y + 2, 2 * y - 3]
+    seen_general = 0
+    for _ in range(12):
+        den = rng.choice(free)
+        for b in rng.sample(bases, rng.randint(1, 2)):
+            den = den * b ** rng.randint(1, 3)
+        f = RationalFunction(random_polynomial(rng, V, max_terms=4, max_deg=5), den)
+        poly_part, parts = partial_fraction(f, 0)
+        total = poly_part
+        assert poly_part.den.degree_in(0) <= 0
+        for a, b, t in parts:
+            assert b in bases
+            assert a.degree_in(0) < b.degree_in(0)
+            assert a.den.degree_in(0) <= 0
+            seen_general += not b.coeffs_in(0)[b.degree_in(0)].is_constant
+            total = total + a / RationalFunction(b) ** t
+        assert total == f
+    assert seen_general
+
+
 def test_antidifference_examples():
     V3 = ("x", "y", "z")
     x3 = Polynomial.variable("x", V3)

@@ -161,6 +161,29 @@ def test_round_trip_on_seeded_representations():
         assert again.components == first.components, f"seed {seed}"
 
 
+DECOMPOSED = {
+    # criterion-5 seeds whose partial fractions invert at poles of degree 2 and 3
+    130: "(exact = (5/6*x*y - 5/6*x*z - 5/3*y*z + 5/3*z^2 - 5/2*y + 5/2*z - 9)"
+         "/(x - 2*z - 3); uniform = {(1,1,1): 7/9/Z^2, (2,0,1): 6*Z/(6*Z^2 - 7),"
+         " (0,1,-1): -3/2/Z})",
+    142: "(exact = (1/16*x^3 + 1/4*x^2*z - 3/16*x*y^2 + 1/4*x*y*z + 1/4*x*z^2"
+         " + 1/8*y^3 - 1/2*y^2*z + 1/2*y*z^2 - 33/16*x^2 - 193/16*x*y - 1/8*x*z"
+         " - 127/8*y^2 - 1/4*y*z - 7)/(x + 2*y); uniform = {(1,1,-1): -9/4/Z^3,"
+         " (1,-1,2): -1/8*Z/(4*Z^2 + 1)})",
+    193: "(exact = 8*x^2 - 8/7*x - 8/7*y - 4/7*z; uniform = {(2,2,1): 9/7/(Z + 1),"
+         " (1,0,2): -6*Z^2/(3*Z^3 + 5)})",
+    198: "(exact = -4*x*y; uniform = {(1,-1): -1/Z^3,"
+         " (2,1): (-4*Z - 3/2)/(4*Z^3 - 1), (0,1): -7/8/Z})",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DECOMPOSED))
+def test_decompose_prints_exactly_on_inversion_seeds(seed):
+    rep = random_additive_rep(seed, n=2 + seed % 3, max_types=3,
+                              max_deg=3, coeff_bound=9)
+    assert str(decompose(generate(rep))) == DECOMPOSED[seed]
+
+
 def test_round_trip_b_on_fixtures():
     for form in (range_sum_triple(), corrected_product_triple()):
         assert generate(decompose(form)).components == form.components
