@@ -1,10 +1,31 @@
-"""Irreducible factorization over the rationals.
+"""Irreducible factorization over the rationals, integer-linear factors first.
 
-The heavy lifting (Zassenhaus / Wang) is delegated to sympy; everything in
-and out is converted through exact integer term maps, re-normalized to this
-package's canonical factor form (integer-primitive, positive graded-lex
+The denominators of rational WZ-forms are mostly products of integer-linear
+polynomials P(v.x): a univariate P at a primitive integer linear form v.x
+(the additive analogue of the Ore-Sato theorem).  Such factors are split
+off with univariate algebra, and only what is left goes to sympy's
+multivariate factoring (Wang's algorithm with Hensel lifting):
+
+1. Directions.  A factor P(v.x) of degree d contributes c*(v.x)^d to the
+   top homogeneous part T of the input, so v is a linear factor of T.  T is
+   dehomogenized in its variable x_j of largest degree and factored; each
+   linear factor a_0 + sum a_k x_k gives a candidate v with a_0 in slot j,
+   and x_j itself, the one linear factor that dehomogenizing loses, is a
+   candidate when it divides T.
+2. Blocks.  A unimodular change of variables puts y = v.x in one slot.  The
+   content of the input over Q[y], the gcd of its coefficients in the other
+   variables, is exactly the product of the factors that depend on v.x
+   alone.  An irreducible univariate factor P of it gives an irreducible
+   P(v.x), because v is primitive and the change of variables unimodular.
+   Each is divided out exactly.
+3. Residual.  What is left, for example x^2 + y^2 + 1 from an exact part,
+   has no integer-linear factor and goes to sympy's ``factor_list``.
+
+Every step is exact, so no factor is missed.  All factors are re-normalized
+to this package's canonical form (integer-primitive, positive graded-lex
 leading coefficient, deterministic order) and verified by recombination.
-The same conversion carries the gcd fallback of :mod:`wzforms.polys`.
+The conversion to sympy also carries the gcd fallback of
+:mod:`wzforms.polys`.
 """
 
 from __future__ import annotations
@@ -15,9 +36,10 @@ from functools import lru_cache
 import sympy
 
 from .errors import InvalidInput
-from .polys import Polynomial
+from .polys import Polynomial, _int_divexact
 
 _symbol_cache: dict[str, sympy.Symbol] = {}
+_YVARS = ("y",)
 
 
 def _symbols(names):
@@ -42,6 +64,114 @@ def _from_sympy(spoly, vars):
                              for exps, c in spoly.terms()})
 
 
+# ---------------------------------------------------------------------- #
+# integer term maps under linear changes of variables
+
+
+def _unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+def _horner(coeffs, form):
+    """``sum(coeffs[k] * form**k)`` for a map from k to integer term maps."""
+    acc = {}
+    for k in range(max(coeffs), -1, -1):
+        prod = dict(coeffs.get(k, {}))
+        for e1, c1 in acc.items():
+            for e2, c2 in form.items():
+                e = tuple(map(int.__add__, e1, e2))
+                s = prod.get(e, 0) + c1 * c2
+                if s:
+                    prod[e] = s
+                else:
+                    del prod[e]
+        acc = prod
+    return acc
+
+
+def _substitute(terms, images):
+    """The term map with x_i replaced by the linear form ``images[i]`` for
+    every i in images; the other variables stay."""
+    if not images:
+        return terms
+    i = min(images)
+    others = {k: form for k, form in images.items() if k != i}
+    coeffs = {}
+    for e, c in terms.items():
+        coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return _horner({k: _substitute(t, others) for k, t in coeffs.items()},
+                   images[i])
+
+
+def _change_of_variables(v):
+    """``(slot, images)``: substituting x_i -> images[i] (a variable without
+    an image stays) turns ``v . x`` into the variable in that slot."""
+    n = len(v)
+    k = next((i for i, a in enumerate(v) if abs(a) == 1), None)
+    if k is not None:
+        # x_k = v_k * (y - sum of v_l x_l over l != k), with y in slot k
+        rows = {k: {_unit(n, l): v[k] if l == k else -v[k] * a
+                    for l, a in enumerate(v) if a}}
+    else:
+        from .intlinear import complete_unimodular  # intlinear imports this module
+        # x = M^-1 y for a unimodular M with first row v, so y_0 = v . x
+        k = 0
+        rows = {i: {_unit(n, l): int(a) for l, a in enumerate(row) if a}
+                for i, row in enumerate(complete_unimodular(v).inverse)}
+    return k, {i: form for i, form in rows.items() if form != {_unit(n, i): 1}}
+
+
+# ---------------------------------------------------------------------- #
+# the three steps
+
+
+def _directions(terms, vars):
+    """The directions v of the linear factors of the top homogeneous part,
+    each primitive with its first nonzero entry positive."""
+    d = max(map(sum, terms))
+    top = {e: c for e, c in terms.items() if sum(e) == d}
+    n = len(vars)
+    j = max(range(n), key=lambda i: max(e[i] for e in top))
+    found = [_unit(n, j)] if all(e[j] for e in top) else []
+    if n == 1:
+        return found
+    # T is homogeneous, so dropping x_j's exponent loses no term
+    others = [i for i in range(n) if i != j]
+    dehom = _to_sympy({e[:j] + e[j + 1:]: c for e, c in top.items()},
+                      [vars[i] for i in others])
+    for fac, _ in dehom.factor_list()[1]:
+        if fac.total_degree() == 1:
+            v = [0] * n
+            for exps, c in fac.terms():
+                v[others[exps.index(1)] if any(exps) else j] = int(c)
+            sign = 1 if next(a for a in v if a) > 0 else -1
+            found.append(tuple(sign * a for a in v))
+    return found
+
+
+def _block(terms, v):
+    """The content of the term map over Q[v . x] as a sympy Poly in y, or
+    None when it is constant."""
+    slot, images = _change_of_variables(v)
+    coeffs = {}
+    for e, c in _substitute(terms, images).items():
+        coeffs.setdefault(e[:slot] + (0,) + e[slot + 1:], {})[(e[slot],)] = c
+    block = None
+    for cs in sorted(coeffs.values(), key=len):
+        u = _to_sympy(cs, _YVARS)
+        block = u if block is None else block.gcd(u)
+        if block.degree() < 1:
+            return None
+    return block
+
+
+def _at(u, v):
+    """``u(v . x)`` as an integer term map, for a univariate sympy Poly u."""
+    n = len(v)
+    form = {_unit(n, k): a for k, a in enumerate(v) if a}
+    return _horner({k: {(0,) * n: int(c)} for (k,), c in u.terms()}, form)
+
+
 @lru_cache(maxsize=8192)
 def factor_polynomial(p):
     """Factor a nonzero Polynomial over Q.
@@ -50,6 +180,12 @@ def factor_polynomial(p):
     ``(irreducible Polynomial, multiplicity)`` in a deterministic order,
     each factor integer-primitive with positive leading coefficient, and
     ``p == content * prod(f**m)`` exactly.
+
+    Integer-linear factors P(v . x) are found first: the directions v are
+    the linear factors of the top homogeneous part, and for each v the
+    factors are those of the gcd of the coefficients over Q[v . x].  Only
+    the rest is factored as a multivariate polynomial (see the module
+    docstring for why this misses nothing).
     """
     if p.is_zero:
         raise InvalidInput("cannot factor the zero polynomial")
@@ -57,17 +193,34 @@ def factor_polynomial(p):
         return p.constant_value(), ()
     cont = p.content()
     prim = p.divexact(cont)
-    spoly = _to_sympy({e: int(c) for e, c in prim.terms.items()}, prim.vars)
-    scoeff, sfactors = spoly.factor_list()
+    rest = {e: int(c) for e, c in prim.terms.items()}
+    found = []
+    for v in _directions(rest, p.vars):
+        block = _block(rest, v)
+        if block is None:
+            continue
+        found.extend((_at(fac, v), mult) for fac, mult in block.factor_list()[1])
+        # rest and the block are primitive with positive leading
+        # coefficients, so a block of full degree leaves 1
+        if block.degree() == max(map(sum, rest)):
+            rest = {(0,) * len(v): 1}
+        else:
+            rest = _int_divexact(rest, _at(block, v))
+            if rest is None:
+                raise AssertionError("integer-linear block does not divide")
+    if any(map(any, rest)):
+        scoeff, sfactors = _to_sympy(rest, p.vars).factor_list()
+        cont *= int(scoeff)
+        found.extend((dict(fac.terms()), mult) for fac, mult in sfactors)
     factors = []
-    for fac, mult in sfactors:
-        q = _from_sympy(fac, prim.vars)
+    for terms, mult in found:
+        q = Polynomial(p.vars, {tuple(int(e) for e in exps): Fraction(int(c))
+                                for exps, c in terms.items()})
         qc = q.content()
         if qc != 1:
             cont *= qc ** mult
             q = q.divexact(qc)
         factors.append((q, int(mult)))
-    cont *= Fraction(int(scoeff.p), int(scoeff.q)) if scoeff != 1 else 1
     factors.sort(key=lambda fm: fm[0].sort_key())
     check = Polynomial.constant(cont, p.vars)
     for q, mult in factors:

@@ -272,29 +272,40 @@ def rf_reduce(num, den):
     num._check_same_vars(den)
     if den.is_zero:
         raise DivisionByZero("zero denominator")
-    if num.is_zero:
-        return RationalFunction.zero(num.vars)
     if not den.is_constant and not num.is_constant:
         g = poly_gcd(num, den)
         if not g.is_constant:
             num = num.divexact(g)
             den = den.divexact(g)
+    return _from_coprime(num, den)
+
+
+def _from_coprime(num, den):
+    """Canonical ``num/den`` for coprime num and nonzero den: the content
+    of den moves into num."""
+    if num.is_zero:
+        return RationalFunction.zero(num.vars)
     cont = den.content()
-    den = den.divexact(cont)
-    num = num * (1 / cont)
-    return RationalFunction._trusted(num, den)
+    return RationalFunction._trusted(num * (1 / cont), den.divexact(cont))
 
 
 def substitute_linear(f, images, new_vars=None):
     """Exact composition ``f(images)``; images are Polynomials sharing one
     variable tuple.  Raises DivisionByZero when the substituted denominator
-    vanishes identically."""
+    vanishes identically.
+
+    A univariate f needs no gcd: its coprime numerator and denominator
+    satisfy s*num + t*den = 1 for polynomials s and t, and substituting
+    keeps that identity.
+    """
     if isinstance(f, Polynomial):
         f = RationalFunction(f)
     num = f.num.compose(images, new_vars)
     den = f.den.compose(images, new_vars)
     if den.is_zero:
         raise DivisionByZero("substitution sends the denominator to zero")
+    if len(f.vars) == 1:
+        return _from_coprime(num, den)
     return rf_reduce(num, den)
 
 

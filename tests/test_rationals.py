@@ -194,3 +194,26 @@ def test_antidifference_inverts_difference():
             assert q.shift_var(i, 1) - q == p
             # zero constant term in the chosen variable
             assert q.coeffs_in(i).get(0, Polynomial.zero(V)).is_zero
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_substitute_linear_univariate_matches_gcd_route(seed):
+    rng = random.Random(f"substitute-{seed}")
+    Zv = ("Z",)
+    Z = Polynomial.variable("Z", Zv)
+    f = random_rational(rng, Zv, max_terms=3, max_deg=3)
+    if f.is_zero:
+        f = RationalFunction(Z + 1, Z**2 - 2)
+    images = [x * rng.randint(-3, 3) + y * rng.randint(-3, 3) + rng.randint(-2, 2),
+              x**2 - y * rng.randint(1, 3) + 1,
+              Polynomial.constant(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), V)]
+    for image in images:
+        num = f.num.compose({"Z": image})
+        den = f.den.compose({"Z": image})
+        if den.is_zero:
+            with pytest.raises(DivisionByZero):
+                substitute_linear(f, {"Z": image})
+            continue
+        got = substitute_linear(f, {"Z": image})
+        want = rf_reduce(num, den)
+        assert (got.num, got.den) == (want.num, want.den)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,43 @@ def test_decompose_prints_exactly_on_inversion_seeds(seed):
 def test_round_trip_b_on_fixtures():
     for form in (range_sum_triple(), corrected_product_triple()):
         assert generate(decompose(form)).components == form.components
+
+
+def residual_rep(seed):
+    """Seeded representation whose exact part has a denominator with no
+    integer-linear factor, plus 0-2 uniform parts."""
+    rng = random.Random(f"residual-{seed}")
+    num, den = ((Polynomial.one(V), x**2 + y**2 + 1),
+                (x * y - z, x**2 + y * z + 3))[seed % 2]
+    exact = RationalFunction(num * rng.choice((1, -2, Fraction(3, 5))), den)
+    parts = []
+    for v in rng.sample([(1, 0, 0), (0, 1, -1), (1, 2, 1), (2, -1, 3)],
+                        rng.randint(0, 2)):
+        pole = Z + rng.randint(-2, 2) if rng.random() < 0.5 \
+            else Z**2 + rng.randint(1, 3)
+        parts.append((IntegerLinearType(v), RationalFunction(
+            Polynomial.constant(rng.randint(1, 5), Zv), pole)))
+    return AdditiveRepresentation(V, exact, parts)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_trip_through_non_integer_linear_exact_part(seed):
+    first = generate(residual_rep(seed))
+    assert generate(decompose(first)).components == first.components
+
+
+RESIDUAL_DECOMPOSED = {
+    11: "(exact = (-2*x*y + 2*z)/(x^2 + y*z + 3); uniform = {(2,-1,3): 1/(Z - 1),"
+        " (0,1,-1): 3/Z})",
+    14: "(exact = 1/(x^2 + y^2 + 1); uniform = {(1,0,0): 2/(Z^2 + 2),"
+        " (1,2,1): 4/(Z^2 + 3)})",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RESIDUAL_DECOMPOSED))
+def test_decompose_prints_exactly_with_non_integer_linear_exact_part(seed):
+    assert str(decompose(generate(residual_rep(seed)))) == \
+        RESIDUAL_DECOMPOSED[seed]
 
 
 def test_uniform_components_are_compatible_and_typed():
