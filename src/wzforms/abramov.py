@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import InvalidInput
 from .polys import Polynomial
 from .rationals import (RationalFunction, _partial_fraction_full,
-                        _up_antidifference, substitute_linear)
+                        poly_antidifference, substitute_linear)
 from .shifts import _unit_shift, cyclic_apply
 
 
@@ -103,7 +103,7 @@ def _reduce_structured(f, i):
     """
     vars = f.vars
     poly_part, groups = _partial_fraction_full(f, i)
-    summed = _up_antidifference(poly_part).to_rf()
+    summed = RationalFunction(poly_antidifference(poly_part.num, i), poly_part.den)
     orbit_map = _group_orbits([b for b, _, _ in groups], i)
     by_base = {b: layers for b, _, layers in groups}
     terms = []

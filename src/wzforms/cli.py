@@ -54,13 +54,18 @@ def rep_from_json(obj):
     if not isinstance(obj, dict):
         raise InvalidInput("representation document must be an object")
     try:
-        vars = tuple(obj["vars"])
+        vars = obj["vars"]
         exact_text = obj["exact"]
         uniform = obj["uniform"]
     except KeyError as missing:
         raise InvalidInput(f"missing key {missing} in representation document")
-    if not vars or not all(isinstance(v, str) for v in vars):
+    if not (isinstance(vars, list) and vars and all(isinstance(v, str) for v in vars)):
         raise InvalidInput("vars must be a nonempty list of names")
+    vars = _distinct(tuple(vars))
+    if not isinstance(exact_text, str):
+        raise InvalidInput("exact must be a string")
+    if not (isinstance(uniform, list) and all(isinstance(e, dict) for e in uniform)):
+        raise InvalidInput("uniform must be a list of objects")
     exact = parse_expression(exact_text, vars)
     parts = []
     for entry in uniform:
@@ -72,33 +77,45 @@ def rep_from_json(obj):
             raise InvalidInput("type entries must be integers")
         if not any(vtype) or gcd(*vtype) != 1:
             raise InvalidInput("type vectors must be nonzero with coprime entries")
+        if not isinstance(rtext, str):
+            raise InvalidInput("each uniform entry needs r as a string")
         r = parse_expression(rtext, ("Z",))
         parts.append((IntegerLinearType(vtype), r))
     return AdditiveRepresentation(vars, exact, parts)
 
 
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path} is not valid UTF-8: {exc.reason} "
+                           f"at byte {exc.start}") from None
+
+
 def _load_rep(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"malformed JSON in {path}: {exc}")
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"malformed JSON in {path}: {exc}")
     return rep_from_json(doc)
+
+
+def _distinct(vars):
+    if len(set(vars)) != len(vars):
+        raise InvalidInput(f"duplicate variable names in {', '.join(vars)}")
+    return vars
 
 
 def _parse_vars(text):
     vars = tuple(name.strip() for name in text.split(",") if name.strip())
     if not vars:
         raise InvalidInput("--vars needs a comma-separated list of names")
-    return vars
+    return _distinct(vars)
 
 
 def _read_components(paths, vars):
-    components = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            components.append(parse_expression(fh.read(), vars))
-    return components
+    return [parse_expression(_read_text(path), vars) for path in paths]
 
 
 # ---------------------------------------------------------------------- #

@@ -310,108 +310,56 @@ def substitute_linear(f, images, new_vars=None):
 
 
 # ---------------------------------------------------------------------- #
-# univariate view with rational-function coefficients
-
-
-class _UPoly:
-    """Dense polynomial in one distinguished variable whose coefficients are
-    RationalFunctions free of it.  Internal helper for the polynomial part
-    and the remainder of partial fractions, and for antidifferences; the
-    layer numerators are computed on plain polynomials instead."""
-
-    __slots__ = ("coeffs", "index", "vars")
-
-    def __init__(self, coeffs, index, vars):
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        self.coeffs = coeffs
-        self.index = index
-        self.vars = vars
-
-    @classmethod
-    def zero(cls, index, vars):
-        return cls([], index, vars)
-
-    @classmethod
-    def from_polynomial(cls, p, index):
-        return cls([RationalFunction(c) for c in _dense_coeffs(p, index)],
-                   index, p.vars)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def divmod(self, other):
-        if other.is_zero:
-            raise DivisionByZero("univariate division by zero")
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        lc_inv = other.coeffs[-1].reciprocal()
-        quo = [RationalFunction.zero(self.vars)] * max(0, len(rem) - dq)
-        while len(rem) - 1 >= dq and rem:
-            dr = len(rem) - 1
-            t = rem[-1] * lc_inv
-            quo[dr - dq] = t
-            for j, b in enumerate(other.coeffs):
-                k = dr - dq + j
-                rem[k] = rem[k] - t * b
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return (_UPoly(quo, self.index, self.vars),
-                _UPoly(rem, self.index, self.vars))
-
-    def to_rf(self):
-        """Collapse back to a RationalFunction."""
-        x = RationalFunction.variable(self.vars[self.index], self.vars)
-        total = RationalFunction.zero(self.vars)
-        power = RationalFunction.one(self.vars)
-        for k, c in enumerate(self.coeffs):
-            if k:
-                power = power * x
-            if not c.is_zero:
-                total = total + c * power
-        return total
-
-
-# ---------------------------------------------------------------------- #
 # partial fractions
 
 
 def _partial_fraction_full(f, i):
-    """Structured partial fraction decomposition of f in the i-th variable.
+    """Structured partial fraction decomposition of f in x = x_i.
 
-    Returns ``(poly_part, groups)`` where poly_part is a _UPoly and groups
-    is a list of ``(base, multiplicity, {layer: numerator RF})`` with bases
-    the irreducible denominator factors of positive degree in the variable,
-    in deterministic order, and each layer numerator of smaller degree than
-    its base.
+    Returns ``(poly_part, groups)``: poly_part is a RationalFunction that is
+    polynomial in x, and groups is a list of ``(base, multiplicity, {layer:
+    numerator RF})`` with bases the irreducible denominator factors of
+    positive degree in x, in deterministic order, and each layer numerator
+    of smaller degree than its base.
+
+    Write f == num/(c*D) with D the product of the x-dependent factor powers
+    and c the x-free rest.  One pseudo-division by D, whose leading
+    coefficient in x is l, gives ``l**k * num == q*D + r`` with deg r < deg D,
+    so ``f == q/(l**k*c) + r/(l**k*c*D)``.  A constant l is divided out of D
+    first, so that k == 0.  The polynomial part costs one gcd; the remainder
+    goes to the layer routines as ``(coefficients of r, l**k*c)``, all of it
+    polynomials.
     """
     vars = f.vars
     if f.is_zero:
-        return _UPoly.zero(i, vars), []
+        return f, []
     cont, factors = factor_polynomial(f.den)
     i_factors = [(b, m) for b, m in factors if b.degree_in(i) > 0]
-    rest = Polynomial.constant(cont, vars)
-    for b, m in factors:
-        if b.degree_in(i) <= 0:
-            rest = rest * b ** m
     if not i_factors:
-        return _UPoly([RationalFunction(c, rest)
-                       for c in _dense_coeffs(f.num, i)], i, vars), []
+        return f, []
+    c = Polynomial.constant(cont, vars)
     D = Polynomial.one(vars)
-    for b, m in i_factors:
-        D = D * b ** m
-    N = _UPoly([RationalFunction(c, rest) for c in _dense_coeffs(f.num, i)],
-               i, vars)
-    Dup = _UPoly.from_polynomial(D, i)
-    poly_part, R = N.divmod(Dup)
+    for b, m in factors:
+        if b.degree_in(i) > 0:
+            D = D * b ** m
+        else:
+            c = c * b ** m
+    Dd = _dense_coeffs(D, i)
+    lc = Dd[-1]
+    if lc.is_constant:
+        # num == q*(D/lc) + r with k == 0: the polynomial part is q/(lc*c)
+        Dd = [a * (1 / lc.constant_value()) for a in Dd]
+    q, r, k = _pseudo_divmod(_dense_coeffs(f.num, i), Dd)
+    c = c * lc ** k
+    poly_part = RationalFunction(Polynomial.from_coeffs_in(dict(enumerate(q)), i, vars),
+                                 c * lc if lc.is_constant else c)
     groups = []
     for b, m in i_factors:
         U = D.divexact(b ** m)
         if b.degree_in(i) == 1:
-            layers = _layers_at_linear_pole(R, U, b, m, i)
+            layers = _layers_at_linear_pole((r, c), U, b, m, i)
         else:
-            layers = _layers_by_inversion(R, U, b, m, i)
+            layers = _layers_by_inversion((r, c), U, b, m, i)
         groups.append((b, m, layers))
     return poly_part, groups
 
@@ -436,12 +384,14 @@ def _layers_by_inversion(R, U, b, m, i):
         R_{t-1} = (R_t - a_t*U)/b,
 
     the division being exact in Q[all variables] by Gauss's lemma, as b is
-    primitive in x.  All of it runs on polynomials: R's denominators, free
-    of x, are cleared with one common factor c, and a leading coefficient l
-    of b that is not constant enters through pseudo-remainders, whose powers
-    of l are divided out once per layer.  No gcd runs until each layer is
-    made canonical.
+    primitive in x.  R is given as ``(P, c)``: the coefficient list of a
+    polynomial P, lowest first, and a polynomial c free of x with R == P/c,
+    so all of it runs on polynomials.  A leading coefficient l of b that is
+    not constant enters through pseudo-remainders, whose powers of l are
+    divided out once per layer.  No gcd runs until each layer is made
+    canonical.
     """
+    P, c = R
     vars = b.vars
     bd = _dense_coeffs(b, i)
     if bd[-1].is_constant:
@@ -450,17 +400,12 @@ def _layers_by_inversion(R, U, b, m, i):
         bd = [a * inv for a in bd]
     lc = bd[-1]
     d = len(bd) - 1
-    c = Polynomial.one(vars)
-    for a in R.coeffs:
-        if not a.den.is_constant:
-            c = c * a.den.divexact(poly_gcd(c, a.den))
-    P = [a.num if a.den == c else a.num * c.divexact(a.den) for a in R.coeffs]
     # column j of M is x**j * U mod b, scaled by l**scales[j]
     zero = Polynomial.zero(vars)
-    col, e = _pseudo_rem(_dense_coeffs(U, i), bd)
+    _, col, e = _pseudo_divmod(_dense_coeffs(U, i), bd)
     cols, scales = [col], [e]
     for _ in range(d - 1):
-        col, e = _pseudo_rem([zero] + col, bd)
+        _, col, e = _pseudo_divmod([zero] + col, bd)
         cols.append(col)
         scales.append(scales[-1] + e)
     w, det = _fraction_free_solve([[col[r] for col in cols] for r in range(d)],
@@ -468,8 +413,8 @@ def _layers_by_inversion(R, U, b, m, i):
     w = [a * lc ** e if e else a for a, e in zip(w, scales)]
     layers = {}
     for t in range(m, 0, -1):
-        r, k = _pseudo_rem(P, bd)
-        r, k2 = _pseudo_rem(_series_mul(w, r, 2 * d - 1), bd)
+        _, r, k = _pseudo_divmod(P, bd)
+        _, r, k2 = _pseudo_divmod(_series_mul(w, r, 2 * d - 1), bd)
         a = Polynomial.from_coeffs_in(dict(enumerate(r)), i, vars)
         scale = det * lc ** (k + k2) if k + k2 else det
         if not a.is_zero:
@@ -481,27 +426,35 @@ def _layers_by_inversion(R, U, b, m, i):
     return layers
 
 
-def _pseudo_rem(p, bd):
-    """``(r, k)`` with ``l**k * p == r`` modulo b, deg r < deg b: dense
+def _pseudo_divmod(p, bd):
+    """``(q, r, k)`` with ``l**k * p == q*b + r``, deg r < deg b: dense
     coefficient lists, lowest first, and l the leading coefficient of b.
     r has exactly deg b entries; k counts the steps that scaled by l != 1."""
     p = list(p)
     d = len(bd) - 1
     lc = bd[-1]
     scaled = lc != 1
-    k = 0
+    tops = []
     while len(p) > d:
         top = p.pop()
+        tops.append(top)
         if top.is_zero:
             continue
         if scaled:
             p = [a * lc for a in p]
-            k += 1
         s = len(p) - d
         for j in range(d):
             if not bd[j].is_zero:
                 p[s + j] = p[s + j] - top * bd[j]
-    return p + [Polynomial.zero(lc.vars)] * (d - len(p)), k
+    # a quotient digit is scaled by l at every later step that scaled p,
+    # and later steps find the lower digits
+    q, power, k = [], None, 0
+    for top in reversed(tops):
+        q.append(top * power if power is not None and not top.is_zero else top)
+        if scaled and not top.is_zero:
+            power = lc if power is None else power * lc
+            k += 1
+    return q, p + [Polynomial.zero(lc.vars)] * (d - len(p)), k
 
 
 def _fraction_free_solve(M, rhs):
@@ -596,19 +549,25 @@ def _series_inverse(u, m):
 
 def _layers_at_linear_pole(R, U, b, m, i):
     """Layer numerators over b**m for a base linear in the variable, via the
-    local expansion at its root; avoids extended-gcd inversion."""
+    local expansion at its root; avoids extended-gcd inversion.  R is
+    ``(P, c)`` as for :func:`_layers_by_inversion`."""
+    P, c = R
     bc = b.coeffs_in(i)
     c1 = RationalFunction(bc[1])
     c0 = RationalFunction(bc[0]) if 0 in bc else RationalFunction.zero(b.vars)
     rho = -(c0 / c1)
-    rser = _taylor_at(R.coeffs, rho, m)
-    user = _taylor_at(_UPoly.from_polynomial(U, i).coeffs, rho, m)
+    one = Polynomial.one(b.vars)
+    # a polynomial over 1 is already canonical
+    rser = _taylor_at([RationalFunction._trusted(a, one) for a in P], rho, m)
+    user = _taylor_at([RationalFunction._trusted(a, one) for a in _dense_coeffs(U, i)],
+                      rho, m)
     local = _series_mul(rser, _series_inverse(user, m), m)
+    c = RationalFunction(c)
     layers = {}
     for t in range(1, m + 1):
         a = local[m - t]
         if not a.is_zero:
-            layers[t] = a * c1 ** (t - m) if t != m else a
+            layers[t] = a / (c * c1 ** (m - t))
     return layers
 
 
@@ -627,12 +586,12 @@ def partial_fraction(f, i):
     multiplicity)`` with irreducible bases and numerators of smaller degree
     than their base; the sum of all pieces reproduces f exactly.
     """
-    poly_up, groups = _partial_fraction_full(f, i)
+    poly_part, groups = _partial_fraction_full(f, i)
     parts = []
     for b, _, layers in groups:
         for t in sorted(layers):
             parts.append((layers[t], b, t))
-    return poly_up.to_rf(), parts
+    return poly_part, parts
 
 
 # ---------------------------------------------------------------------- #
@@ -661,21 +620,9 @@ def poly_antidifference(p, i):
     term with respect to the i-th variable."""
     if not isinstance(p, Polynomial):
         raise InvalidInput("poly_antidifference expects a Polynomial")
-    return _up_antidifference(_UPoly.from_polynomial(p, i)).to_rf().as_polynomial()
-
-
-def _up_antidifference(up):
-    """Antidifference of a _UPoly in its own variable; coefficients may be
-    arbitrary rational functions free of that variable."""
-    z = RationalFunction.zero(up.vars)
-    out = []
-    for k, c in enumerate(up.coeffs):
-        if c.is_zero:
-            continue
-        basis = _antidiff_basis(k)
-        if len(basis) > len(out):
-            out.extend([z] * (len(basis) - len(out)))
-        for j, frac in enumerate(basis):
+    out = {}
+    for k, c in p.coeffs_in(i).items():
+        for j, frac in enumerate(_antidiff_basis(k)):
             if frac:
-                out[j] = out[j] + c * frac
-    return _UPoly(out, up.index, up.vars)
+                out[j] = out[j] + c * frac if j in out else c * frac
+    return Polynomial.from_coeffs_in(out, i, p.vars)

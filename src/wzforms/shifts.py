@@ -106,21 +106,23 @@ class WZForm:
     def is_zero(self):
         return all(f.is_zero for f in self.components)
 
+    # delta is linear, so sums and differences of compatible forms are
+    # compatible and skip the pairwise check
     def __add__(self, other):
         if not isinstance(other, WZForm):
             return NotImplemented
         if other.vars != self.vars:
             raise InvalidInput("forms disagree on variables")
-        return WZForm(self.vars, tuple(a + b for a, b in
-                                       zip(self.components, other.components)))
+        return WZForm._trusted(self.vars, tuple(a + b for a, b in
+                                                zip(self.components, other.components)))
 
     def __sub__(self, other):
         if not isinstance(other, WZForm):
             return NotImplemented
         if other.vars != self.vars:
             raise InvalidInput("forms disagree on variables")
-        return WZForm(self.vars, tuple(a - b for a, b in
-                                       zip(self.components, other.components)))
+        return WZForm._trusted(self.vars, tuple(a - b for a, b in
+                                                zip(self.components, other.components)))
 
     def __str__(self):
         return "(" + ", ".join(str(f) for f in self.components) + ")"

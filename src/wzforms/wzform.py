@@ -24,7 +24,7 @@ from .intlinear import IntegerLinearType, integer_linear_decompose
 from .polys import Polynomial, _join_signed
 from .rationals import (RationalFunction, _dense_coeffs, _partial_fraction_full,
                         _series_inverse, _series_mul, _taylor_at,
-                        _up_antidifference, substitute_linear)
+                        poly_antidifference, substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
@@ -335,9 +335,10 @@ def conjugate_polygamma(rep):
     rational = rep.exact_part
     terms = []
     for vtype, r in rep.parts:
-        poly_up, groups = _partial_fraction_full(r, 0)
-        if not poly_up.is_zero:
-            folded = _up_antidifference(poly_up).to_rf()
+        poly_part, groups = _partial_fraction_full(r, 0)
+        if not poly_part.is_zero:
+            folded = RationalFunction(poly_antidifference(poly_part.num, 0),
+                                      poly_part.den)
             form = Polynomial.linear_form(vtype.entries, vars)
             rational = rational + substitute_linear(folded, {"Z": form}, vars)
         for base, _, layers in groups:

@@ -167,6 +167,37 @@ def test_usage_and_io_errors(tmp_path):
     status, _, err = run(["residue", "--vars", "x,y", "--wrt", "q",
                           "--at", "x", "--mult", "1", str(bad)])
     assert status == 3
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"x\xff\n")
+    status, _, err = run(["verify", "--vars", "x", str(latin)])
+    assert status == 3 and "UTF-8" in err
+    latin.write_bytes(b'{"vars": ["x"], "exact": "\xff", "uniform": []}')
+    status, _, err = run(["generate", "--in", str(latin)])
+    assert status == 3 and "UTF-8" in err
+    for doc in ({"vars": 5, "exact": "0", "uniform": []},
+                {"vars": "xy", "exact": "0", "uniform": []},
+                {"vars": ["x"], "exact": "0", "uniform": 5},
+                {"vars": ["x"], "exact": "0", "uniform": ["1/Z"]},
+                {"vars": ["x"], "exact": 5, "uniform": []},
+                {"vars": ["x"], "exact": "0", "uniform": [{"type": [1], "r": 5}]}):
+        bad.write_text(json.dumps(doc))
+        status, out, err = run(["generate", "--in", str(bad)])
+        assert (status, out) == (3, ""), doc
+        assert err.startswith("error: "), doc
+
+
+def test_duplicate_vars_option_exits_3(tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_text("x\n")
+    status, out, err = run(["verify", "--vars", "x,x", str(p), str(p)])
+    assert (status, out) == (3, "") and "duplicate" in err
+
+
+def test_duplicate_vars_in_document_exits_3(tmp_path):
+    doc = tmp_path / "rep.json"
+    doc.write_text(json.dumps({"vars": ["x", "x"], "exact": "0", "uniform": []}))
+    status, out, err = run(["generate", "--in", str(doc)])
+    assert (status, out) == (3, "") and "duplicate" in err
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial, random_rational
-from wzforms import (DivisionByZero, Polynomial, RationalFunction,
+from wzforms import (DivisionByZero, Polynomial, RationalFunction, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
 
@@ -123,10 +123,30 @@ def test_partial_fraction_of_polynomial_input():
     assert poly_part == f and parts == []
 
 
+def _pseudo_division_case(f, i, poly_part):
+    """A nonzero polynomial part of f in x_i, where f's denominator has a
+    nonconstant factor c free of x_i and the rest a leading coefficient in
+    x_i that is not constant."""
+    coeffs = f.den.coeffs_in(i)
+    c = f.den
+    for a in coeffs.values():
+        c = poly_gcd(c, a)
+    lead = coeffs[max(coeffs)].divexact(c)
+    return not (poly_part.is_zero or c.is_constant or lead.is_constant)
+
+
 def test_partial_fraction_numerator_degrees_and_recombination():
+    # numerators of higher degree than the denominator in both variables,
+    # and a denominator factor free of one of them
     rng = random.Random(17)
+    free = [Polynomial.one(V), y + 2, x - 3]
+    seen_pseudo = 0
     for _ in range(40):
-        f = random_rational(rng, V, max_terms=3, max_deg=2, bound=4)
+        den = random_polynomial(rng, V, max_terms=3, max_deg=2, bound=4, nonzero=True)
+        num = random_polynomial(rng, V, max_terms=3, max_deg=2, bound=4) \
+            + random_polynomial(rng, V, max_terms=2, max_deg=2, bound=4, nonzero=True) \
+            * (x * y) ** (den.total_degree() + rng.randint(0, 1))
+        f = RationalFunction(num, den * rng.choice(free))
         for i in range(2):
             poly_part, parts = partial_fraction(f, i)
             total = poly_part
@@ -136,6 +156,8 @@ def test_partial_fraction_numerator_degrees_and_recombination():
                 assert a.den.degree_in(i) <= 0
                 total = total + a / RationalFunction(b) ** t
             assert total == f
+            seen_pseudo += _pseudo_division_case(f, i, poly_part)
+    assert seen_pseudo
 
 
 def test_partial_fraction_higher_multiplicities():
@@ -156,13 +178,18 @@ def test_partial_fraction_at_poles_with_non_constant_leading_coefficients():
     bases = [y * x**2 + 1, (y - 2) * x**3 + x + 1, x**2 + y,
              (y + 1) * x**4 - x + 2, 3 * x**3 + y * x - 1]
     free = [Polynomial.one(V), y + 2, 2 * y - 3]
-    seen_general = 0
+    seen_general = seen_pseudo = 0
     for _ in range(12):
         den = rng.choice(free)
         for b in rng.sample(bases, rng.randint(1, 2)):
             den = den * b ** rng.randint(1, 3)
-        f = RationalFunction(random_polynomial(rng, V, max_terms=4, max_deg=5), den)
+        # numerators of higher degree in x than the denominator
+        num = random_polynomial(rng, V, max_terms=4, max_deg=5) \
+            + random_polynomial(rng, V, max_terms=2, max_deg=1, nonzero=True) \
+            * x ** (den.degree_in(0) + rng.randint(0, 2))
+        f = RationalFunction(num, den)
         poly_part, parts = partial_fraction(f, 0)
+        seen_pseudo += _pseudo_division_case(f, 0, poly_part)
         total = poly_part
         assert poly_part.den.degree_in(0) <= 0
         for a, b, t in parts:
@@ -172,7 +199,7 @@ def test_partial_fraction_at_poles_with_non_constant_leading_coefficients():
             seen_general += not b.coeffs_in(0)[b.degree_in(0)].is_constant
             total = total + a / RationalFunction(b) ** t
         assert total == f
-    assert seen_general
+    assert seen_general and seen_pseudo
 
 
 def test_antidifference_examples():
@@ -194,6 +221,13 @@ def test_antidifference_inverts_difference():
             assert q.shift_var(i, 1) - q == p
             # zero constant term in the chosen variable
             assert q.coeffs_in(i).get(0, Polynomial.zero(V)).is_zero
+            # the polynomial part of a partial fraction result, whose
+            # denominator is free of x_i, antidifferenced as the library does
+            f = RationalFunction(p * x * y + 1, y * x - 2 * y + 3)
+            poly_part, _ = partial_fraction(f, i)
+            summed = RationalFunction(poly_antidifference(poly_part.num, i),
+                                      poly_part.den)
+            assert delta(summed, i) == poly_part
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import random_rational
-from wzforms import (NotAWZForm, Polynomial, RationalFunction, WZForm,
-                     apply_shift, cyclic_apply, delta, is_wz_form)
+from wzforms import (InvalidInput, NotAWZForm, Polynomial, RationalFunction,
+                     WZForm, apply_shift, cyclic_apply, delta, is_wz_form)
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -101,3 +101,22 @@ def test_wzform_constructor_validates():
         WZForm(("x", "y"),
                (RationalFunction(Polynomial.one(("x", "y")),
                                  Polynomial.variable("x", ("x", "y"))),) * 2)
+
+
+def test_wzform_sum_and_difference_skip_the_pairwise_check(monkeypatch):
+    rng = random.Random(41)
+    forms = [WZForm(V, [delta(g, i) for i in range(3)])
+             for g in (random_rational(rng, V), random_rational(rng, V))]
+    other = WZForm(("x", "y", "w"), [RationalFunction.zero(("x", "y", "w"))] * 3)
+
+    def refuse(components):
+        raise AssertionError("the pairwise check ran on a sum of forms")
+
+    monkeypatch.setattr("wzforms.shifts.is_wz_form", refuse)
+    a, b = forms
+    assert (a + b).components == tuple(f + g for f, g in zip(a, b))
+    assert (a - b).components == tuple(f - g for f, g in zip(a, b))
+    with pytest.raises(InvalidInput):
+        a + other
+    with pytest.raises(InvalidInput):
+        a - other
