@@ -73,7 +73,8 @@ def rep_from_json(obj):
         rtext = entry.get("r")
         if not isinstance(vtype, list) or len(vtype) != len(vars):
             raise InvalidInput("each uniform entry needs a type of full length")
-        if not all(isinstance(e, int) for e in vtype):
+        # bool is a subclass of int, but JSON true/false is no direction entry
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in vtype):
             raise InvalidInput("type entries must be integers")
         if not any(vtype) or gcd(*vtype) != 1:
             raise InvalidInput("type vectors must be nonzero with coprime entries")

@@ -392,15 +392,25 @@ class Polynomial:
         return result
 
     def eval_at(self, point):
-        """Evaluate at a rational point given per variable name."""
-        value = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
+        """Evaluate at a rational point given per variable name.
+
+        Sums the scaled integer terms with one power table per variable, so
+        an integer point costs integer products only and one Fraction."""
+        ints, den = self._scaled_ints()
+        tables = {}
+        total = 0
+        for e, c in ints.items():
             for i, k in enumerate(e):
                 if k:
-                    v *= Fraction(point[self.vars[i]]) ** k
-            value += v
-        return value
+                    table = tables.get(i)
+                    if table is None:
+                        v = Fraction(point[self.vars[i]])
+                        table = tables[i] = [1, v.numerator if v.denominator == 1 else v]
+                    while len(table) <= k:
+                        table.append(table[-1] * table[1])
+                    c *= table[k]
+            total += c
+        return Fraction(total, den)
 
     # ------------------------------------------------------------------ #
     # division

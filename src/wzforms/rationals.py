@@ -286,6 +286,8 @@ def _from_coprime(num, den):
     if num.is_zero:
         return RationalFunction.zero(num.vars)
     cont = den.content()
+    if cont == 1:
+        return RationalFunction._trusted(num, den)
     return RationalFunction._trusted(num * (1 / cont), den.divexact(cont))
 
 

@@ -45,28 +45,82 @@ def cyclic_apply(h, i, m):
     return -total
 
 
+# Points of the fixed sequence that the witness tries before a tuple goes to
+# decompose.  Of the 67 incompatible twins in perfbench's verify workload the
+# first point refutes 63 and the first two refute all; the third is margin
+# against poles.
+WITNESS_POINTS = 3
+
+_REJECTED = "the tuple violates the compatibility conditions"
+
+
+def witness_points(n):
+    """The ``WITNESS_POINTS`` integer points in n variables that the witness
+    tries, in order: their coordinates, read point by point, are the primes
+    from 7 on with alternating signs (7, -11, 13, -17, ...)."""
+    coords = []
+    p = 5
+    while len(coords) < WITNESS_POINTS * n:
+        p += 2
+        if all(p % q for q in range(3, int(p ** 0.5) + 1, 2)):
+            coords.append(-p if len(coords) % 2 else p)
+    return tuple(tuple(coords[t * n:(t + 1) * n]) for t in range(WITNESS_POINTS))
+
+
+def _witness(components):
+    """Exact evidence that the tuple is not compatible, or None.
+
+    At each point x of ``witness_points`` and each pair i < j whose
+    components have nonzero denominators at x, x + e_i and x + e_j, compare
+    ``delta_i(f_j)(x)`` with ``delta_j(f_i)(x)`` in Fraction arithmetic.  A
+    difference is returned as ``((i, j), x, (delta_i(f_j)(x),
+    delta_j(f_i)(x)))``; None means only that no tried point told them
+    apart.
+    """
+    vars = components[0].vars
+    n = len(components)
+    for x in witness_points(n):
+        # index s < n is the point x + e_s, index n is x itself
+        points = [dict(zip(vars, x[:s] + (x[s] + 1,) + x[s + 1:])) for s in range(n)]
+        points.append(dict(zip(vars, x)))
+        values = []
+        for f in components:
+            row = []
+            for p in points:
+                d = f.den.eval_at(p)
+                row.append(f.num.eval_at(p) / d if d else None)
+            values.append(row)
+        for i in range(n):
+            for j in range(i + 1, n):
+                fi, fj = values[i], values[j]
+                if any(fi[s] is None or fj[s] is None for s in (i, j, n)):
+                    continue
+                di_fj = fj[i] - fj[n]
+                dj_fi = fi[j] - fi[n]
+                if di_fj != dj_fi:
+                    return (i, j), x, (di_fj, dj_fi)
+    return None
+
+
 def is_wz_form(components):
     """True iff every pair satisfies the mixed-difference compatibility
-    condition exactly."""
-    components = list(components)
+    condition exactly, as certified by ``WZForm(...)``."""
+    components = tuple(components)
     if not components:
         raise InvalidInput("need at least one component")
-    vars = components[0].vars
-    for f in components:
-        if f.vars != vars:
-            raise InvalidInput("components disagree on variables")
-    n = len(components)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if delta(components[j], i) != delta(components[i], j):
-                return False
+    try:
+        WZForm(components[0].vars, components)
+    except NotAWZForm:
+        return False
     return True
 
 
 @dataclass(frozen=True)
 class WZForm:
     """A compatible tuple: one rational function per variable, with
-    ``delta_i(f_j) == delta_j(f_i)`` for all pairs (checked on construction)."""
+    ``delta_i(f_j) == delta_j(f_i)`` for all pairs.  Construction certifies
+    this: a point witness refutes the tuple, or ``decompose`` either refutes
+    it or returns the representation that the form keeps."""
 
     vars: tuple
     components: tuple
@@ -79,18 +133,27 @@ class WZForm:
         for f in components:
             if not isinstance(f, RationalFunction) or f.vars != vars:
                 raise InvalidInput("components must share the declared variables")
-        if not is_wz_form(components):
-            raise NotAWZForm("the tuple violates the compatibility conditions")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_rep", None)
+        if len(components) < 2:
+            return  # no pairs
+        if _witness(components) is not None:
+            raise NotAWZForm(_REJECTED)
+        from .wzform import decompose  # wzform imports this module
+        try:
+            decompose(self)  # keeps the representation on self
+        except NotAWZForm as exc:
+            raise NotAWZForm(_REJECTED) from exc
 
     @classmethod
     def _trusted(cls, vars, components):
         """Wrap components whose compatibility is guaranteed by
-        construction, skipping the quadratic pairwise check."""
+        construction, skipping certification."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "vars", tuple(vars))
         object.__setattr__(obj, "components", tuple(components))
+        object.__setattr__(obj, "_rep", None)
         return obj
 
     def __iter__(self):
@@ -107,7 +170,7 @@ class WZForm:
         return all(f.is_zero for f in self.components)
 
     # delta is linear, so sums and differences of compatible forms are
-    # compatible and skip the pairwise check
+    # compatible and skip certification
     def __add__(self, other):
         if not isinstance(other, WZForm):
             return NotImplemented

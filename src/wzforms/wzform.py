@@ -97,7 +97,7 @@ def generate(rep):
 
     The result satisfies the compatibility conditions by construction
     (differences of one function commute, and range sums along one direction
-    telescope), so it is wrapped without the pairwise re-check.
+    telescope), so it is wrapped without certification.
     """
     if not isinstance(rep, AdditiveRepresentation):
         raise InvalidInput("generate expects an AdditiveRepresentation")
@@ -133,18 +133,34 @@ def _to_univariate(poly, vtype, vars):
 
 
 def decompose(form):
-    """Additive representation of a compatible tuple.
+    """Additive representation of a compatible tuple; raises NotAWZForm
+    exactly when the tuple is not compatible.
 
-    Processes the variables in order.  At each level the leading component
-    is reduced; every orbit representative of the remainder must be
+    Processes the variables in order.  At level k the residual f_k is
+    reduced in x_k; every orbit representative of the remainder must be
     integer-linear, its layer numerators must follow the same direction, and
     the collected univariate data must admit a rational solution of the
-    matching step-difference equation.  Each failure certifies that the
-    input tuple was not compatible and raises NotAWZForm.  The recombination
-    identity ``generate(decompose(w)) == w`` holds exactly.
+    matching step-difference equation.  Then f_k is exactly delta_k(g) plus
+    signed range sums, and the same terms' j-differences and range sums are
+    subtracted from every later f_j, which keeps each pair's compatibility.
+
+    Why the answer is exact: after level k, f_k is fully accounted for, and
+    later levels subtract from f_j only terms free of x_k.  So the pair
+    (k, j) is compatible exactly when the residual of f_j is free of x_k,
+    which the check at the top of level j tests.  Every other raise rests on
+    the structure theorem (the additive analogue of Ore-Sato): in a
+    compatible tuple the orbit representatives are integer-linear, the
+    numerators follow the direction, and the step equation is solvable.  A
+    returned representation certifies compatibility, since
+    ``generate(decompose(w)) == w`` holds exactly.
+
+    ``WZForm(...)`` certifies through this function and keeps the
+    representation, which is returned here without further work.
     """
     if not isinstance(form, WZForm):
         form = WZForm(form.vars, tuple(form))
+    if form._rep is not None:
+        return form._rep
     vars = form.vars
     n = len(vars)
     fs = list(form.components)
@@ -155,8 +171,7 @@ def decompose(form):
         if f1.is_zero:
             continue
         if any(f1.degree_in(i) > 0 for i in range(k)):
-            # unreachable for validated input: the residual of a compatible
-            # tuple is free of every processed variable
+            # the pair (i, k) is not compatible
             raise NotAWZForm(
                 f"residual component still involves {vars[:k]}")
         summed, terms = _reduce_structured(f1, k)
@@ -210,7 +225,9 @@ def decompose(form):
                 fj = fj - signed_range_sum(r, vtype, j, vars)
             fs[j] = fj
         parts.extend(level_parts)
-    return AdditiveRepresentation(vars, exact, parts)
+    rep = AdditiveRepresentation(vars, exact, parts)
+    object.__setattr__(form, "_rep", rep)
+    return rep
 
 
 def is_exact(form):

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wzforms import Polynomial, RationalFunction, parse_expression  # noqa: E402
+from wzforms import Polynomial, RationalFunction, delta, parse_expression  # noqa: E402
 
 
 @pytest.fixture
@@ -34,3 +34,13 @@ def random_rational(rng, vars, max_terms=3, max_deg=2, bound=5):
     num = random_polynomial(rng, vars, max_terms, max_deg, bound)
     den = random_polynomial(rng, vars, max_terms, max_deg, bound, nonzero=True)
     return RationalFunction(num, den)
+
+
+def pairwise_compatible(components):
+    """Test oracle: ``delta_i(f_j) == delta_j(f_i)`` for every pair, checked
+    symbolically.  Independent of the library's witness-then-decompose
+    route, and quadratic in the number of components."""
+    components = list(components)
+    n = len(components)
+    return all(delta(components[j], i) == delta(components[i], j)
+               for i in range(n) for j in range(i + 1, n))

@@ -1,7 +1,9 @@
 import io
 import json
 
-from wzforms import (AdditiveRepresentation, IntegerLinearType,
+import pytest
+
+from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      RationalFunction, parse_expression)
 from wzforms.cli import rep_from_json, rep_to_json, run_command
 
@@ -184,6 +186,19 @@ def test_usage_and_io_errors(tmp_path):
         status, out, err = run(["generate", "--in", str(bad)])
         assert (status, out) == (3, ""), doc
         assert err.startswith("error: "), doc
+
+
+def test_boolean_direction_entries_exit_3(tmp_path):
+    bad = tmp_path / "bad.json"
+    for vtype in ([True, False], [1, True], [False, 1]):
+        doc = {"vars": ["x", "y"], "exact": "0", "uniform": [{"type": vtype, "r": "1/Z"}]}
+        with pytest.raises(InvalidInput, match="integers"):
+            rep_from_json(doc)
+        bad.write_text(json.dumps(doc))
+        for argv in (["generate", "--in", str(bad)], ["conjugate", "--in", str(bad)]):
+            status, out, err = run(argv)
+            assert (status, out) == (3, ""), (vtype, argv)
+            assert err == "error: type entries must be integers\n"
 
 
 def test_duplicate_vars_option_exits_3(tmp_path):

@@ -146,3 +146,21 @@ def test_variable_mismatch_rejected():
     w = Polynomial.variable("x", ("x", "y"))
     with pytest.raises(InvalidInput):
         _ = w + x
+
+
+def test_eval_at_matches_shift_and_fraction_powers():
+    rng = random.Random(53)
+    for _ in range(60):
+        p = random_polynomial(rng, V, max_terms=5, max_deg=4, bound=9) * \
+            Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        point = tuple(rng.randint(-20, 20) for _ in V)
+        # at an integer point: the constant term after shifting there
+        assert p.eval_at(dict(zip(V, point))) == p.shifted(point).coeff((0, 0, 0))
+        rational = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in V}
+        expected = sum((c * rational["x"] ** e[0] * rational["y"] ** e[1]
+                        * rational["z"] ** e[2] for e, c in p.terms.items()), Fraction(0))
+        assert p.eval_at(rational) == expected
+    # only the variables that occur are looked up
+    assert (3 * y**2 - 1).eval_at({"y": 2}) == 11
+    assert Polynomial.zero(V).eval_at({}) == 0
+    assert isinstance(x.eval_at({"x": 4}), Fraction)

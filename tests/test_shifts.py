@@ -110,9 +110,9 @@ def test_wzform_sum_and_difference_skip_the_pairwise_check(monkeypatch):
     other = WZForm(("x", "y", "w"), [RationalFunction.zero(("x", "y", "w"))] * 3)
 
     def refuse(components):
-        raise AssertionError("the pairwise check ran on a sum of forms")
+        raise AssertionError("certification ran on a sum of forms")
 
-    monkeypatch.setattr("wzforms.shifts.is_wz_form", refuse)
+    monkeypatch.setattr("wzforms.shifts._witness", refuse)
     a, b = forms
     assert (a + b).components == tuple(f + g for f, g in zip(a, b))
     assert (a - b).components == tuple(f - g for f, g in zip(a, b))
