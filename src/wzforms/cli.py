@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 
 from .errors import DivisionByZero, InvalidInput, NotAWZForm, ParseError
 from .intlinear import IntegerLinearType, integer_linear_decompose
@@ -73,11 +72,6 @@ def rep_from_json(obj):
         rtext = entry.get("r")
         if not isinstance(vtype, list) or len(vtype) != len(vars):
             raise InvalidInput("each uniform entry needs a type of full length")
-        # bool is a subclass of int, but JSON true/false is no direction entry
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in vtype):
-            raise InvalidInput("type entries must be integers")
-        if not any(vtype) or gcd(*vtype) != 1:
-            raise InvalidInput("type vectors must be nonzero with coprime entries")
         if not isinstance(rtext, str):
             raise InvalidInput("each uniform entry needs r as a string")
         r = parse_expression(rtext, ("Z",))
@@ -188,6 +182,8 @@ def _cmd_conjugate(args, out, err):
 
 
 def _cmd_fuzz(args, out, err):
+    if args.count < 1:
+        raise InvalidInput("--count must be at least 1")
     for k in range(args.count):
         seed = args.seed + k
         rep = random_additive_rep(seed, n=args.nvars, max_types=args.max_types,

@@ -36,7 +36,7 @@ from functools import lru_cache
 import sympy
 
 from .errors import InvalidInput
-from .polys import Polynomial, _int_divexact
+from .polys import Polynomial, _int_divexact, _substitute, _unit
 
 _symbol_cache: dict[str, sympy.Symbol] = {}
 _YVARS = ("y",)
@@ -68,57 +68,23 @@ def _from_sympy(spoly, vars):
 # integer term maps under linear changes of variables
 
 
-def _unit(n, i):
-    return tuple(int(k == i) for k in range(n))
-
-
-def _horner(coeffs, form):
-    """``sum(coeffs[k] * form**k)`` for a map from k to integer term maps."""
-    acc = {}
-    for k in range(max(coeffs), -1, -1):
-        prod = dict(coeffs.get(k, {}))
-        for e1, c1 in acc.items():
-            for e2, c2 in form.items():
-                e = tuple(map(int.__add__, e1, e2))
-                s = prod.get(e, 0) + c1 * c2
-                if s:
-                    prod[e] = s
-                else:
-                    del prod[e]
-        acc = prod
-    return acc
-
-
-def _substitute(terms, images):
-    """The term map with x_i replaced by the linear form ``images[i]`` for
-    every i in images; the other variables stay."""
-    if not images:
-        return terms
-    i = min(images)
-    others = {k: form for k, form in images.items() if k != i}
-    coeffs = {}
-    for e, c in terms.items():
-        coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-    return _horner({k: _substitute(t, others) for k, t in coeffs.items()},
-                   images[i])
-
-
 def _change_of_variables(v):
-    """``(slot, images)``: substituting x_i -> images[i] (a variable without
-    an image stays) turns ``v . x`` into the variable in that slot."""
+    """``(slot, images)``: the kernel's images (None keeps a variable) that
+    turn ``v . x`` into the variable in that slot."""
     n = len(v)
     k = next((i for i, a in enumerate(v) if abs(a) == 1), None)
     if k is not None:
         # x_k = v_k * (y - sum of v_l x_l over l != k), with y in slot k
-        rows = {k: {_unit(n, l): v[k] if l == k else -v[k] * a
-                    for l, a in enumerate(v) if a}}
+        rows = [{_unit(n, i): 1} for i in range(n)]
+        rows[k] = {_unit(n, l): v[k] if l == k else -v[k] * a
+                   for l, a in enumerate(v) if a}
     else:
         from .intlinear import complete_unimodular  # intlinear imports this module
         # x = M^-1 y for a unimodular M with first row v, so y_0 = v . x
         k = 0
-        rows = {i: {_unit(n, l): int(a) for l, a in enumerate(row) if a}
-                for i, row in enumerate(complete_unimodular(v).inverse)}
-    return k, {i: form for i, form in rows.items() if form != {_unit(n, i): 1}}
+        rows = [{_unit(n, l): int(a) for l, a in enumerate(row) if a}
+                for row in complete_unimodular(v).inverse]
+    return k, [None if row == {_unit(n, i): 1} else row for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------- #
@@ -154,7 +120,7 @@ def _block(terms, v):
     None when it is constant."""
     slot, images = _change_of_variables(v)
     coeffs = {}
-    for e, c in _substitute(terms, images).items():
+    for e, c in _substitute(terms, images, len(v)).items():
         coeffs.setdefault(e[:slot] + (0,) + e[slot + 1:], {})[(e[slot],)] = c
     block = None
     for cs in sorted(coeffs.values(), key=len):
@@ -163,13 +129,6 @@ def _block(terms, v):
         if block.degree() < 1:
             return None
     return block
-
-
-def _at(u, v):
-    """``u(v . x)`` as an integer term map, for a univariate sympy Poly u."""
-    n = len(v)
-    form = {_unit(n, k): a for k, a in enumerate(v) if a}
-    return _horner({k: {(0,) * n: int(c)} for (k,), c in u.terms()}, form)
 
 
 @lru_cache(maxsize=8192)
@@ -195,17 +154,22 @@ def factor_polynomial(p):
     prim = p.divexact(cont)
     rest = {e: int(c) for e, c in prim.terms.items()}
     found = []
+    n = len(p.vars)
     for v in _directions(rest, p.vars):
         block = _block(rest, v)
         if block is None:
             continue
-        found.extend((_at(fac, v), mult) for fac, mult in block.factor_list()[1])
+        # u(v . x) for a univariate u
+        along = [{_unit(n, k): a for k, a in enumerate(v) if a}]
+        found.extend((_substitute({e: int(c) for e, c in fac.terms()}, along, n), mult)
+                     for fac, mult in block.factor_list()[1])
         # rest and the block are primitive with positive leading
         # coefficients, so a block of full degree leaves 1
         if block.degree() == max(map(sum, rest)):
-            rest = {(0,) * len(v): 1}
+            rest = {(0,) * n: 1}
         else:
-            rest = _int_divexact(rest, _at(block, v))
+            rest = _int_divexact(
+                rest, _substitute({e: int(c) for e, c in block.terms()}, along, n))
             if rest is None:
                 raise AssertionError("integer-linear block does not divide")
     if any(map(any, rest)):

@@ -14,6 +14,15 @@ from .polys import Polynomial
 from .rationals import RationalFunction
 
 
+def _int_entries(entries, what):
+    """The entries as a tuple of ints.  Anything else, bools included, is
+    rejected rather than truncated by ``int``."""
+    entries = tuple(entries)
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
+        raise InvalidInput(f"{what} entries must be integers")
+    return entries
+
+
 @dataclass(frozen=True)
 class IntegerLinearType:
     """A primitive nonzero integer direction vector."""
@@ -21,7 +30,7 @@ class IntegerLinearType:
     entries: tuple
 
     def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
+        entries = _int_entries(entries, "type")
         if not entries or not any(entries):
             raise InvalidInput("type vector must be nonzero")
         if gcd(*entries) != 1:
@@ -51,14 +60,20 @@ class IntegerLinearType:
 _ZVARS = ("Z",)
 
 
-def _axis_image(p, pivot, scale):
-    """p with the pivot variable sent to Z/scale and every other to 0."""
-    vars = p.vars
+def _univariate_along(p, v):
+    """The univariate P with ``p == P(v . x)``, or None when there is none.
+
+    P is unique: it is p on the axis of the first nonzero entry v_k, with
+    x_k -> Z/v_k and every other variable -> 0.
+    """
+    k = next(i for i, a in enumerate(v) if a)
     zero = Polynomial.zero(_ZVARS)
-    z = Polynomial.variable("Z", _ZVARS)
-    images = {name: zero for name in vars}
-    images[vars[pivot]] = z * Fraction(1, scale)
-    return p.compose(images, _ZVARS)
+    images = {name: zero for name in p.vars}
+    images[p.vars[k]] = Polynomial.variable("Z", _ZVARS) * Fraction(1, v[k])
+    P = p.compose(images, _ZVARS)
+    if P.compose({"Z": Polynomial.linear_form(v, p.vars)}, p.vars) != p:
+        return None
+    return P
 
 
 def integer_linear_decompose(p):
@@ -96,14 +111,12 @@ def integer_linear_decompose(p):
     ints = [int(r * scale) for r in ratios]
     g = gcd(*ints)
     v = tuple(e // g for e in ints)
-    P = _axis_image(p, pivot, v[pivot])
-    form = Polynomial.linear_form(v, p.vars)
-    if P.compose({"Z": form}, p.vars) != p:
-        return None
-    lc_sign = P.leading()[1] > 0
-    if not lc_sign and P.total_degree() % 2 == 1:
+    # v[pivot] > 0, so P's leading coefficient A / v[pivot]**d has A's sign
+    if A < 0 and d % 2 == 1:
         v = tuple(-e for e in v)
-        P = P.compose({"Z": -Polynomial.variable("Z", _ZVARS)}, _ZVARS)
+    P = _univariate_along(p, v)
+    if P is None:
+        return None
     return P, IntegerLinearType(v)
 
 
@@ -254,7 +267,7 @@ def complete_unimodular(v):
     """An integer matrix with first row v and determinant ``gcd(v)``,
     deterministic in v.  (For a single negative entry the determinant is
     forced to that entry itself.)"""
-    v = tuple(int(e) for e in v)
+    v = _int_entries(v, "vector")
     if not v or not any(v):
         raise InvalidInput("cannot complete the zero vector")
     rows = _complete(v)

@@ -5,6 +5,10 @@ A :class:`Polynomial` is a finite map from exponent tuples to nonzero
 names.  The variable order is immutable and every canonical form (leading
 term, printing, sign normalization) is taken with respect to graded
 lexicographic order on it.
+
+Shifts, :meth:`Polynomial.compose` and the changes of variables in
+:mod:`wzforms.factor` all run on one substitution kernel, ``_substitute``.
+Evaluation at a point stays outside it, where it is several times faster.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero, InvalidInput
 
@@ -330,29 +334,21 @@ class Polynomial:
 
     def shift_var(self, i, m):
         """Substitute ``x_i -> x_i + m`` for an integer or rational m."""
-        if not m:
-            return self
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            for j in range(k + 1):
-                coeff = c * comb(k, j) * Fraction(m) ** (k - j)
-                full = e[:i] + (j,) + e[i + 1:]
-                s = terms.get(full, 0) + coeff
-                if s:
-                    terms[full] = s
-                else:
-                    terms.pop(full, None)
-        return Polynomial(self.vars, terms)
+        return self.shifted(tuple(m if k == i else 0 for k in range(len(self.vars))))
 
     def shifted(self, offsets):
         """Substitute ``x_i -> x_i + offsets[i]`` for every variable."""
-        if len(offsets) != len(self.vars):
+        n = len(self.vars)
+        if len(offsets) != n:
             raise InvalidInput("offset vector length must match variables")
-        p = self
-        for i, m in enumerate(offsets):
-            p = p.shift_var(i, m)
-        return p
+        if not all(isinstance(m, (int, Fraction)) for m in offsets):
+            raise InvalidInput("offsets must be integers or Fractions")
+        if not any(offsets):
+            return self
+        zero = (0,) * n
+        return self._substituted(
+            [{_unit(n, i): 1, zero: m} if m else None for i, m in enumerate(offsets)],
+            self.vars)
 
     def compose(self, images, new_vars=None):
         """Substitute each variable by the given image polynomial.
@@ -361,35 +357,31 @@ class Polynomial:
         all share one variable tuple, which becomes the result's.
         """
         if new_vars is None:
-            for img in images.values():
-                new_vars = img.vars
-                break
+            new_vars = next((img.vars for img in images.values()), None)
             if new_vars is None:
                 raise InvalidInput("cannot infer target variables")
         new_vars = tuple(new_vars)
-        for img in images.values():
-            if img.vars != new_vars:
-                raise InvalidInput("substitution images disagree on variables")
-        result = Polynomial.zero(new_vars)
-        powers = {name: {0: Polynomial.one(new_vars)} for name in self.vars}
-        for e, c in self.terms.items():
-            term = Polynomial.constant(c, new_vars)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                name = self.vars[i]
-                if name not in images:
-                    raise InvalidInput(f"no image given for variable {name!r}")
-                cache = powers[name]
-                if k not in cache:
-                    top = max(cache)
-                    acc = cache[top]
-                    for j in range(top + 1, k + 1):
-                        acc = acc * images[name]
-                        cache[j] = acc
-                term = term * cache[k]
-            result = result + term
-        return result
+        if any(img.vars != new_vars for img in images.values()):
+            raise InvalidInput("substitution images disagree on variables")
+        for i in self.variables_present():
+            if self.vars[i] not in images:
+                raise InvalidInput(f"no image given for variable {self.vars[i]!r}")
+        # a variable without an image does not occur: any image will do
+        return self._substituted(
+            [images[name]._values() if name in images else {} for name in self.vars],
+            new_vars)
+
+    def _values(self):
+        """The term map with int values when they are all integers."""
+        if self._all_integer():
+            return {e: c.numerator for e, c in self.terms.items()}
+        return self.terms
+
+    def _substituted(self, images, vars):
+        """The kernel on the scaled integer terms, as a Polynomial in vars."""
+        ints, den = self._scaled_ints()
+        got = _substitute(ints, images, len(vars)).items()
+        return Polynomial._raw(vars, {e: Fraction(c, den) for e, c in got})
 
     def eval_at(self, point):
         """Evaluate at a rational point given per variable name.
@@ -471,6 +463,56 @@ def _join_signed(pieces):
     (sign, body), rest = pieces[0], pieces[1:]
     head = body if sign == "+" else f"-{body}"
     return head + "".join(f" {s} {b}" for s, b in rest)
+
+
+# ---------------------------------------------------------------------- #
+# substitution
+
+
+def _unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+def _substitute(terms, images, n):
+    """The one substitution kernel: ``sum(c * prod(images[i] ** e[i]))``
+    over the terms, as a term map in n variables.
+
+    ``images[i]`` is a term map in the n result variables, or None to keep
+    x_i, which needs n to be the number of input variables.  Values may be
+    ints or Fractions; zero sums are dropped as they arise.  Horner's rule
+    runs in each substituted variable in turn, and the terms are split only
+    down to the last substituted variable: the rest of each exponent is
+    copied.
+    """
+    subs = [(i, image) for i, image in enumerate(images) if image is not None]
+    # into another space every variable has an image, so the rest is 0
+    return _horner(terms, subs, (0,) * n if len(images) != n else None)
+
+
+def _horner(terms, subs, zero):
+    if not subs:
+        return dict(terms)
+    (i, image), rest = subs[0], subs[1:]
+    coeffs = {}
+    for e, c in terms.items():
+        key = zero if zero is not None and not rest else e[:i] + (0,) + e[i + 1:]
+        coeffs.setdefault(e[i], {})[key] = c
+    acc = {}
+    for k in range(max(coeffs, default=-1), -1, -1):
+        prod = coeffs.get(k, {})
+        if rest:
+            prod = _horner(prod, rest, zero)
+        get = prod.get
+        for e1, c1 in acc.items():
+            for e2, c2 in image.items():
+                e = tuple(map(int.__add__, e1, e2))
+                s = get(e, 0) + c1 * c2
+                if s:
+                    prod[e] = s
+                else:
+                    del prod[e]
+        acc = prod
+    return acc
 
 
 # ---------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from sympy.polys.polyerrors import NotInvertible
 
 from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
-from .intlinear import IntegerLinearType, integer_linear_decompose
+from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .polys import Polynomial, _join_signed
 from .rationals import (RationalFunction, _dense_coeffs, _partial_fraction_full,
                         _series_inverse, _series_mul, _taylor_at,
@@ -115,23 +115,6 @@ def generate(rep):
 # decomposition
 
 
-def _to_univariate(poly, vtype, vars):
-    """Image of an integer-linear polynomial under ``v.x -> Z``; None when
-    the polynomial is not a univariate function of that form."""
-    if poly.is_constant:
-        return Polynomial.constant(poly.constant_value(), _ZVARS)
-    got = integer_linear_decompose(poly)
-    if got is None:
-        return None
-    P, w = got
-    if w.entries == vtype.entries:
-        return P
-    if w.entries == tuple(-e for e in vtype.entries):
-        mz = -Polynomial.variable("Z", _ZVARS)
-        return P.compose({"Z": mz}, _ZVARS)
-    return None
-
-
 def decompose(form):
     """Additive representation of a compatible tuple; raises NotAWZForm
     exactly when the tuple is not compatible.
@@ -188,7 +171,7 @@ def decompose(form):
                 if not a.is_polynomial:
                     raise NotAWZForm(
                         f"numerator {a} at {rep} is not polynomial")
-                alpha = _to_univariate(a.as_polynomial(), vtype, vars)
+                alpha = _univariate_along(a.as_polynomial(), vtype)
                 if alpha is None:
                     raise NotAWZForm(
                         f"numerator {a} does not follow the direction {vtype}")

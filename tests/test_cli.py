@@ -150,6 +150,10 @@ def test_fuzz_command():
                           "--nvars", "2", "--max-deg", "2"])
     assert status == 0
     assert "4 round trips ok" in out
+    for count in ("0", "-3"):
+        status, out, err = run(["fuzz", "--seed", "1", "--count", count])
+        assert (status, out) == (3, "")
+        assert err == "error: --count must be at least 1\n"
 
 
 def test_usage_and_io_errors(tmp_path):

@@ -179,3 +179,16 @@ def test_completion_inverse_and_random():
 def test_completion_rejects_zero():
     with pytest.raises(InvalidInput):
         complete_unimodular((0, 0))
+
+
+def test_integer_vectors_reject_what_int_would_truncate():
+    f = RationalFunction(Polynomial.one(V), x + y)
+    for m in ((Fraction(1, 2), 0, 0), (0.9, 0, 0), (True, 0, 0), (Fraction(2), 0, 0)):
+        with pytest.raises(InvalidInput, match="integers"):
+            apply_shift(f, m)
+    for v in ((1.5, 1), (True, 1), (Fraction(3, 2), 1)):
+        with pytest.raises(InvalidInput, match="integers"):
+            IntegerLinearType(v)
+    for v in ((Fraction(5, 2), 1), (2.0, 1), (1, False)):
+        with pytest.raises(InvalidInput, match="integers"):
+            complete_unimodular(v)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import wzforms.polys as polys
 from conftest import random_polynomial
@@ -123,6 +124,8 @@ def test_shifts_expand_binomially():
     assert b.shift_var(0, 1) == b + 4
     assert (x**2).shift_var(0, 1) == x**2 + 2 * x + 1
     assert b.shifted((1, -1, 0)) == b - 2
+    with pytest.raises(InvalidInput, match="Fractions"):
+        b.shifted((0.5, 0, 0))
 
 
 def test_compose_into_new_variables():
@@ -131,6 +134,70 @@ def test_compose_into_new_variables():
               "y": Polynomial.zero(("Z",)),
               "z": Polynomial.zero(("Z",))}
     assert (4 * x + 6 * y + 5 * z).compose(images) == Z
+
+
+def _sym(p):
+    """p as a sympy expression in symbols named after its variables."""
+    gens = sympy.symbols(p.vars)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(g**k for g, k in zip(gens, e)))
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def _from_sym(expr, vars):
+    poly = sympy.Poly(expr, *sympy.symbols(vars), domain=sympy.QQ)
+    return Polynomial(vars, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+
+
+def test_substitution_matches_sympy():
+    """compose, shifted and shift_var against sympy's expand(subs(...))."""
+    rng = random.Random(71)
+    W = ("Z",)
+    U = ("u", "v")
+    gens = sympy.symbols(V)
+
+    def rational():
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+
+    def poly(vars, **kw):
+        return random_polynomial(rng, vars, **kw) * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+
+    def subs(p, images):
+        return sympy.expand(_sym(p).subs(images, simultaneous=True))
+
+    for _ in range(40):
+        p = poly(V, max_terms=5, max_deg=4)
+        offsets = tuple(rational() if rng.random() < 0.7 else 0 for _ in V)
+        expected = subs(p, {g: g + sympy.Rational(m.numerator, m.denominator) if m else g
+                            for g, m in zip(gens, map(Fraction, offsets))})
+        assert p.shifted(offsets) == _from_sym(expected, V)
+        i, m = rng.randrange(3), rational()
+        expected = subs(p, {gens[i]: gens[i] + sympy.Rational(m.numerator, m.denominator)})
+        assert p.shift_var(i, m) == _from_sym(expected, V)
+        # Z -> v.x + c into new variables
+        P = poly(W, max_terms=4, max_deg=5)
+        form = Polynomial.linear_form([rng.randint(-4, 4) for _ in V], V, rational())
+        assert P.compose({"Z": form}) == _from_sym(subs(P, {sympy.Symbol("Z"): _sym(form)}), V)
+        # non-linear images, into the same variables and into others
+        for target in (V, U):
+            images = {name: poly(target, max_terms=3, max_deg=2) for name in V}
+            expected = subs(p, {g: _sym(images[name]) for g, name in zip(gens, V)})
+            assert p.compose(images, target) == _from_sym(expected, target)
+        # a variable that does not occur needs no image
+        q = poly(V, max_terms=4, max_deg=3).compose(
+            {"x": x, "y": y, "z": Polynomial.zero(V)})
+        images = {"x": poly(U), "y": poly(U)}
+        expected = subs(q, {gens[0]: _sym(images["x"]), gens[1]: _sym(images["y"])})
+        assert q.compose(images, U) == _from_sym(expected, U)
+
+    zero = Polynomial.zero(V)
+    assert zero.shifted((1, Fraction(1, 2), 0)).is_zero
+    assert zero.shift_var(1, 3).is_zero
+    assert zero.compose({}, U) == Polynomial.zero(U)
+    with pytest.raises(InvalidInput, match="no image"):
+        (x * y).compose({"x": Polynomial.variable("u", U)}, U)
+    with pytest.raises(InvalidInput, match="length"):
+        x.shifted((1, 2))
 
 
 def test_coeffs_roundtrip():
