@@ -12,12 +12,13 @@ multivariate factoring (Wang's algorithm with Hensel lifting):
    linear factor a_0 + sum a_k x_k gives a candidate v with a_0 in slot j,
    and x_j itself, the one linear factor that dehomogenizing loses, is a
    candidate when it divides T.
-2. Blocks.  A unimodular change of variables puts y = v.x in one slot.  The
-   content of the input over Q[y], the gcd of its coefficients in the other
-   variables, is exactly the product of the factors that depend on v.x
-   alone.  An irreducible univariate factor P of it gives an irreducible
-   P(v.x), because v is primitive and the change of variables unimodular.
-   Each is divided out exactly.
+2. Blocks.  A linear change of variables over Q puts y = v.x in one slot.
+   The content of the input over Q[y], the gcd of its coefficients in the
+   other variables, is exactly the product of the factors that depend on
+   v.x alone.  An irreducible univariate factor P of it gives an
+   irreducible P(v.x), because the change of variables is an automorphism
+   of Q[x].  P(v.x) is primitive over Z when P is, because v is primitive,
+   so each is divided out exactly over the integers.
 3. Residual.  What is left, for example x^2 + y^2 + 1 from an exact part,
    has no integer-linear factor and goes to sympy's ``factor_list``.
 
@@ -69,22 +70,17 @@ def _from_sympy(spoly, vars):
 
 
 def _change_of_variables(v):
-    """``(slot, images)``: the kernel's images (None keeps a variable) that
-    turn ``v . x`` into the variable in that slot."""
+    """``(k, images)``: the kernel's images (None keeps a variable) that
+    turn ``v . x`` into y in slot k, by x_k = (y - sum of v_l x_l over
+    l != k) / v_k at the first entry of least nonzero magnitude."""
     n = len(v)
-    k = next((i for i, a in enumerate(v) if abs(a) == 1), None)
-    if k is not None:
-        # x_k = v_k * (y - sum of v_l x_l over l != k), with y in slot k
-        rows = [{_unit(n, i): 1} for i in range(n)]
-        rows[k] = {_unit(n, l): v[k] if l == k else -v[k] * a
-                   for l, a in enumerate(v) if a}
-    else:
-        from .intlinear import complete_unimodular  # intlinear imports this module
-        # x = M^-1 y for a unimodular M with first row v, so y_0 = v . x
-        k = 0
-        rows = [{_unit(n, l): int(a) for l, a in enumerate(row) if a}
-                for row in complete_unimodular(v).inverse]
-    return k, [None if row == {_unit(n, i): 1} else row for i, row in enumerate(rows)]
+    k = min((i for i, a in enumerate(v) if a), key=lambda i: abs(v[i]))
+    image = {}
+    for l, a in enumerate(v):
+        if a:
+            c = Fraction(1 if l == k else -a, v[k])
+            image[_unit(n, l)] = c.numerator if c.denominator == 1 else c
+    return k, [image if i == k and image != {_unit(n, k): 1} else None for i in range(n)]
 
 
 # ---------------------------------------------------------------------- #
@@ -116,19 +112,22 @@ def _directions(terms, vars):
 
 
 def _block(terms, v):
-    """The content of the term map over Q[v . x] as a sympy Poly in y, or
-    None when it is constant."""
+    """The content of the term map over Q[v . x] as a primitive sympy Poly
+    in y, or None when it is constant."""
     slot, images = _change_of_variables(v)
+    # x_k's image divides by v_k: v_k ** deg clears every denominator but
+    # may leave an integer content, which the gcd keeps and primitive drops
+    scale = abs(v[slot]) ** max(e[slot] for e in terms)
     coeffs = {}
     for e, c in _substitute(terms, images, len(v)).items():
-        coeffs.setdefault(e[:slot] + (0,) + e[slot + 1:], {})[(e[slot],)] = c
+        coeffs.setdefault(e[:slot] + (0,) + e[slot + 1:], {})[(e[slot],)] = int(c * scale)
     block = None
     for cs in sorted(coeffs.values(), key=len):
         u = _to_sympy(cs, _YVARS)
         block = u if block is None else block.gcd(u)
         if block.degree() < 1:
             return None
-    return block
+    return block.primitive()[1]
 
 
 @lru_cache(maxsize=8192)
@@ -151,8 +150,7 @@ def factor_polynomial(p):
     if p.is_constant:
         return p.constant_value(), ()
     cont = p.content()
-    prim = p.divexact(cont)
-    rest = {e: int(c) for e, c in prim.terms.items()}
+    rest, _ = p.primitive()._scaled_ints()
     found = []
     n = len(p.vars)
     for v in _directions(rest, p.vars):
@@ -180,11 +178,8 @@ def factor_polynomial(p):
     for terms, mult in found:
         q = Polynomial(p.vars, {tuple(int(e) for e in exps): Fraction(int(c))
                                 for exps, c in terms.items()})
-        qc = q.content()
-        if qc != 1:
-            cont *= qc ** mult
-            q = q.divexact(qc)
-        factors.append((q, int(mult)))
+        cont *= q.content() ** mult
+        factors.append((q.primitive(), int(mult)))
     factors.sort(key=lambda fm: fm[0].sort_key())
     check = Polynomial.constant(cont, p.vars)
     for q, mult in factors:

@@ -11,16 +11,7 @@ from math import gcd, lcm
 from .errors import InvalidInput
 from .factor import factor_polynomial
 from .polys import Polynomial
-from .rationals import RationalFunction
-
-
-def _int_entries(entries, what):
-    """The entries as a tuple of ints.  Anything else, bools included, is
-    rejected rather than truncated by ``int``."""
-    entries = tuple(entries)
-    if not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
-        raise InvalidInput(f"{what} entries must be integers")
-    return entries
+from .rationals import RationalFunction, _int_entries
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ lexicographic order on it.
 Shifts, :meth:`Polynomial.compose` and the changes of variables in
 :mod:`wzforms.factor` all run on one substitution kernel, ``_substitute``.
 Evaluation at a point stays outside it, where it is several times faster.
+
+There is one integer view per polynomial, built on first use by
+``Polynomial._scaled_ints`` and kept: arithmetic, content, gcds and the
+inputs of :mod:`wzforms.factor` all read their integers from it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DivisionByZero, InvalidInput
 
@@ -33,7 +37,7 @@ class Polynomial:
     variable tuple and the same term map.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_intflag")
+    __slots__ = ("vars", "terms", "_hash", "_ints")
 
     def __init__(self, vars, terms):
         vars = tuple(vars)
@@ -50,7 +54,7 @@ class Polynomial:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_intflag", None)
+        object.__setattr__(self, "_ints", None)
 
     @classmethod
     def _raw(cls, vars, terms):
@@ -60,7 +64,7 @@ class Polynomial:
         object.__setattr__(obj, "vars", vars)
         object.__setattr__(obj, "terms", terms)
         object.__setattr__(obj, "_hash", None)
-        object.__setattr__(obj, "_intflag", None)
+        object.__setattr__(obj, "_ints", None)
         return obj
 
     def __setattr__(self, name, value):
@@ -199,13 +203,6 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _all_integer(self):
-        flag = self._intflag
-        if flag is None:
-            flag = all(c.denominator == 1 for c in self.terms.values())
-            object.__setattr__(self, "_intflag", flag)
-        return flag
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -241,14 +238,17 @@ class Polynomial:
         return Polynomial._raw(self.vars, wrapped)
 
     def _scaled_ints(self):
-        """(integer term map, common denominator) with terms*1/den == self."""
-        if self._all_integer():
-            return {e: c.numerator for e, c in self.terms.items()}, 1
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        return {e: c.numerator * (den // c.denominator)
-                for e, c in self.terms.items()}, den
+        """(integer term map, common denominator) with terms*1/den == self,
+        built on first use and kept: callers must not change the map."""
+        view = self._ints
+        if view is None:
+            den = 1
+            for c in self.terms.values():
+                den = den * c.denominator // gcd(den, c.denominator)
+            view = ({e: c.numerator * (den // c.denominator)
+                     for e, c in self.terms.items()}, den)
+            object.__setattr__(self, "_ints", view)
+        return view
 
     __rmul__ = __mul__
 
@@ -289,21 +289,20 @@ class Polynomial:
         with positive graded-lex leading coefficient.  Zero for zero."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        mag = Fraction(num, den)
+        ints, den = self._scaled_ints()
         _, lc = self.leading()
-        return mag if lc > 0 else -mag
+        g = _int_content(ints)
+        return Fraction(g if lc > 0 else -g, den)
 
     def primitive(self):
         """Integer-primitive associate with positive leading coefficient."""
         if not self.terms:
             return self
-        inv = 1 / self.content()
-        return Polynomial(self.vars, {e: c * inv for e, c in self.terms.items()})
+        ints, den = self._scaled_ints()
+        g = int(self.content() * den)
+        if g == 1 and den == 1:
+            return self
+        return Polynomial._raw(self.vars, {e: Fraction(c // g) for e, c in ints.items()})
 
     # ------------------------------------------------------------------ #
     # views and substitution
@@ -373,9 +372,8 @@ class Polynomial:
 
     def _values(self):
         """The term map with int values when they are all integers."""
-        if self._all_integer():
-            return {e: c.numerator for e, c in self.terms.items()}
-        return self.terms
+        ints, den = self._scaled_ints()
+        return ints if den == 1 else self.terms
 
     def _substituted(self, images, vars):
         """The kernel on the scaled integer terms, as a Polynomial in vars."""
@@ -672,8 +670,8 @@ def _gcd_cached(p, q):
     qq = q.primitive()
     if pp == qq:
         return pp
-    pi = {e: int(c) for e, c in pp.terms.items()}
-    qi = {e: int(c) for e, c in qq.terms.items()}
+    pi, _ = pp._scaled_ints()
+    qi, _ = qq._scaled_ints()
     got = _heu_gcd(pi, qi)
     if got is None:
         from .factor import _from_sympy, _to_sympy  # factor imports this module

@@ -17,6 +17,15 @@ from .factor import factor_polynomial
 from .polys import Polynomial, poly_gcd
 
 
+def _int_entries(entries, what):
+    """The entries as a tuple of ints.  Anything else, bools included, is
+    rejected rather than truncated by ``int``."""
+    entries = tuple(entries)
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in entries):
+        raise InvalidInput(f"{what} entries must be integers")
+    return entries
+
+
 class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
@@ -227,10 +236,12 @@ class RationalFunction:
     # substitution
 
     def shifted(self, offsets):
-        """Exact substitution ``x_i -> x_i + offsets[i]``.
+        """Exact substitution ``x_i -> x_i + offsets[i]`` for integer offsets.
 
-        Integer shifts preserve canonical form, so no re-reduction is needed.
+        Integer shifts preserve canonical form, so no re-reduction is needed;
+        any other offset raises InvalidInput.
         """
+        offsets = _int_entries(offsets, "offset")
         if not any(offsets):
             return self
         return RationalFunction._trusted(self.num.shifted(offsets),

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotAWZForm
-from .intlinear import _int_entries
 from .rationals import RationalFunction
 
 
@@ -14,7 +13,7 @@ def apply_shift(f, m):
     """``f(x + m)`` for an integer offset vector m."""
     if len(m) != len(f.vars):
         raise InvalidInput("offset vector length must match variables")
-    return f.shifted(_int_entries(m, "offset"))
+    return f.shifted(m)
 
 
 def _unit_shift(f, i, step=1):

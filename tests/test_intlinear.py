@@ -186,6 +186,9 @@ def test_integer_vectors_reject_what_int_would_truncate():
     for m in ((Fraction(1, 2), 0, 0), (0.9, 0, 0), (True, 0, 0), (Fraction(2), 0, 0)):
         with pytest.raises(InvalidInput, match="integers"):
             apply_shift(f, m)
+        # a rational offset would leave a non-canonical value behind
+        with pytest.raises(InvalidInput, match="integers"):
+            f.shifted(m)
     for v in ((1.5, 1), (True, 1), (Fraction(3, 2), 1)):
         with pytest.raises(InvalidInput, match="integers"):
             IntegerLinearType(v)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -7,6 +8,7 @@ import sympy
 import wzforms.polys as polys
 from conftest import random_polynomial
 from wzforms import InvalidInput, Polynomial, poly_gcd
+from wzforms.factor import factor_polynomial
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -117,6 +119,58 @@ def test_content_and_primitive():
     half = (x + y) * Fraction(1, 2)
     assert half.content() == Fraction(1, 2)
     assert half.primitive() == x + y
+
+
+def test_content_and_primitive_match_the_fraction_formula():
+    """Content and primitive part, read off the integer view, against
+    gcd(numerators) / lcm(denominators) signed by the leading coefficient."""
+    rng = random.Random(29)
+    for _ in range(200):
+        shape = random_polynomial(rng, V, max_terms=5, max_deg=3)
+        p = Polynomial(V, {e: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 9, 35)))
+                           for e in shape.terms})
+        if p.is_zero:
+            assert p.content() == 0 and p.primitive() is p
+            continue
+        num, den = 0, 1
+        for c in p.terms.values():
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+        expected = Fraction(num, den) if p.leading()[1] > 0 else Fraction(-num, den)
+        assert p.content() == expected
+        prim = p.primitive()
+        assert prim.terms == {e: c / expected for e, c in p.terms.items()}
+        assert all(isinstance(c, Fraction) for c in prim.terms.values())
+
+
+def test_operands_keep_their_terms_and_integer_view(monkeypatch):
+    """The integer view is built once, kept, and never changed by the
+    operations that read it."""
+    a = (x + Fraction(2, 3) * y - 1) * (x - z) * Fraction(3, 4)
+    b = 6 * (x - z) * (y + 2)
+    c = x**2 - 2 * z
+    ops = (
+        lambda: a * b, lambda: b * a, lambda: a * a,
+        lambda: a.divexact(b), lambda: b.divexact(a), lambda: (a * b).divexact(b),
+        lambda: a.compose({"x": b, "y": c, "z": a}),
+        lambda: c.compose({"x": a, "y": b, "z": x}),
+        lambda: a.shifted((1, -2, 3)), lambda: b.shift_var(1, Fraction(1, 2)),
+        lambda: a.eval_at({"x": 2, "y": Fraction(1, 3), "z": -1}),
+        lambda: b.eval_at({"x": 5, "y": 7, "z": 11}),
+        lambda: factor_polynomial.__wrapped__(a),
+        lambda: factor_polynomial.__wrapped__(b),
+        lambda: (a.content(), a.primitive(), b.content(), b.primitive()),
+    )
+    for p in (a, b, c):
+        assert p._scaled_ints() is p._scaled_ints()
+    before = {id(p): (dict(p.terms), dict(p._scaled_ints()[0]), p._scaled_ints()[1])
+              for p in (a, b, c)}
+    for _ in gcd_routes(monkeypatch):
+        for op in ops + (lambda: poly_gcd(a, b), lambda: poly_gcd(b, c)):
+            op()
+        for p in (a, b, c):
+            ints, den = p._scaled_ints()
+            assert (p.terms, ints, den) == before[id(p)]
 
 
 def test_shifts_expand_binomially():
