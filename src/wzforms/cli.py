@@ -258,10 +258,19 @@ def _build_parser():
 
 
 def run_command(argv, out=None, err=None):
-    """Dispatch one command line; returns the process exit status."""
+    """Dispatch one command line; returns the process exit status.
+
+    Exact results can have more digits than the interpreter's integer-string
+    limit allows to print, so the limit is lifted while the command runs; the
+    parser bounds literals itself (``parser.MAX_LITERAL_DIGITS``).
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        saved = sys.get_int_max_str_digits()
+        set_limit(0)
     try:
         args = parser.parse_args(argv)
         return args.run(args, out, err)
@@ -281,6 +290,9 @@ def run_command(argv, out=None, err=None):
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=err)
         return EXIT_INTERNAL
+    finally:
+        if set_limit is not None:
+            set_limit(saved)
 
 
 def main():

@@ -15,10 +15,10 @@ printed canonical form is the identity.
 
 Hostile input is refused with a ParseError at the offending token: nesting
 of parentheses, unary minuses and exponents deeper than MAX_DEPTH, any
-exponent, tower values included, larger than MAX_EXPONENT in magnitude, and
-any product of two multi-term polynomials, each step of a power included,
-whose term counts multiply past MAX_TERMS.  Each is checked before the
-value is computed.
+exponent, tower values included, larger than MAX_EXPONENT in magnitude, an
+integer literal of more than MAX_LITERAL_DIGITS digits, and any product of
+two multi-term polynomials, each step of a power included, whose term counts
+multiply past MAX_TERMS.  Each is checked before the value is computed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ MAX_EXPONENT = 1000
 # Bounds the work and the size of one product; (x+1)^MAX_EXPONENT, whose
 # largest step multiplies 489 by 513 terms, stays inside it.
 MAX_TERMS = 300_000
+# The interpreter's default integer-string limit.  The parser keeps it as its
+# own bound, so it holds where the CLI lifts that limit to print exact results.
+MAX_LITERAL_DIGITS = 4300
 
 
 class _Tokenizer:
@@ -301,11 +304,13 @@ class _Parser:
         return k
 
     def integer(self, tok):
+        if len(tok[1]) > MAX_LITERAL_DIGITS:
+            self.fail("integer literal too long", tok)
         try:
             return int(tok[1])
         except ValueError:
-            # longer than the interpreter's integer-string limit
-            self.fail("integer literal too long", tok)
+            # a digit that int() does not read, such as a superscript
+            self.fail("not a decimal integer literal", tok)
 
     def atom(self):
         tok = self.toks.next()

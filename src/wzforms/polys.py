@@ -207,6 +207,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.vars)
+            if other == 1:
+                return self  # immutable, so the product by 1 is self
             other = Fraction(other)
             return Polynomial._raw(self.vars,
                                    {e: c * other for e, c in self.terms.items()})
@@ -638,8 +640,10 @@ def _heu_gcd(p, q):
                 ge = nxt
                 level += 1
             cand = _int_primitive(cand)
-            if cand and _int_divexact(pp, cand) is not None \
-                    and _int_divexact(qq, cand) is not None:
+            # a primitive constant candidate is +-1, which divides everything
+            if cand and (len(cand) == 1 and not any(next(iter(cand)))
+                         or _int_divexact(pp, cand) is not None
+                         and _int_divexact(qq, cand) is not None):
                 if cg > 1:
                     cand = {e: c * cg for e, c in cand.items()}
                 return cand

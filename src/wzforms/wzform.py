@@ -104,10 +104,11 @@ def generate(rep):
     vars = rep.vars
     components = []
     for i in range(len(vars)):
-        f = delta(rep.exact_part, i)
+        # the small range sums first, the exact part's difference last
+        f = RationalFunction.zero(vars)
         for vtype, r in rep.parts:
             f = f + signed_range_sum(r, vtype, i, vars)
-        components.append(f)
+        components.append(f + delta(rep.exact_part, i))
     return WZForm._trusted(vars, components)
 
 
@@ -124,8 +125,9 @@ def decompose(form):
     integer-linear, its layer numerators must follow the same direction, and
     the collected univariate data must admit a rational solution of the
     matching step-difference equation.  Then f_k is exactly delta_k(g) plus
-    signed range sums, and the same terms' j-differences and range sums are
-    subtracted from every later f_j, which keeps each pair's compatibility.
+    signed range sums.  For every later f_j, the same terms' j-difference and
+    range sums are summed first and subtracted from f_j once, which keeps
+    each pair's compatibility.
 
     Why the answer is exact: after level k, f_k is fully accounted for, and
     later levels subtract from f_j only terms free of x_k.  So the pair
@@ -203,10 +205,11 @@ def decompose(form):
                 Polynomial.variable(vars[k], vars) * mu)
         exact = exact + g_level
         for j in range(k + 1, n):
-            fj = fs[j] - delta(g_level, j)
+            # one subtraction from the large residual per level
+            sub = delta(g_level, j)
             for vtype, r in level_parts:
-                fj = fj - signed_range_sum(r, vtype, j, vars)
-            fs[j] = fj
+                sub = sub + signed_range_sum(r, vtype, j, vars)
+            fs[j] = fs[j] - sub
         parts.extend(level_parts)
     rep = AdditiveRepresentation(vars, exact, parts)
     object.__setattr__(form, "_rep", rep)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -227,6 +228,47 @@ def test_parse_error_exit_code(tmp_path):
     p.write_text("1/(q+1)\n")
     status, _, err = run(["verify", "--vars", "x", str(p)])
     assert status == 3 and "undeclared" in err
+
+
+def _decimal(text):
+    """The value of a decimal string, read in pieces short enough for the
+    interpreter's integer-string limit."""
+    value = 0
+    for k in range(0, len(text), 1000):
+        piece = text[k:k + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_exact_results_print_past_the_integer_string_limit(tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = 99999**1000  # 5,000 digits
+    doc = tmp_path / "r.json"
+    doc.write_text(json.dumps({"vars": ["x", "y"], "exact": "99999^1000*x",
+                               "uniform": []}))
+    status, out, err = run(["generate", "--in", str(doc)])
+    assert (status, err) == (0, "")
+    first, second = out.splitlines()
+    assert (_decimal(first), second) == (big, "0")
+    f = tmp_path / "f.txt"
+    f.write_text("99999^1000*x\n")
+    g = tmp_path / "g.txt"
+    g.write_text("0\n")
+    out_path = tmp_path / "o.json"
+    status, out, err = run(["decompose", "--vars", "x,y", "--out", str(out_path),
+                            str(f), str(g)])
+    assert (status, err) == (0, "")
+    # the antidifference of big*x is big*x*(x - 1)/2
+    exact = json.loads(out_path.read_text())["exact"]
+    half = exact.split("/")[0]
+    assert exact == f"{half}/2*x^2 - {half}/2*x" and _decimal(half) == big
+    # the parser keeps its own bound on literals
+    f.write_text("1" * 5000 + "*x\n")
+    status, out, err = run(["verify", "--vars", "x,y", str(f), str(g)])
+    assert (status, out) == (3, "")
+    assert err == "error: integer literal too long (line 1, column 1)\n"
+    # and the interpreter's limit is back as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch):

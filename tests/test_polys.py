@@ -100,6 +100,46 @@ def test_gcd_of_random_products_divides_and_contains_common_factor(monkeypatch):
     assert answers["sympy"] == answers["heuristic"]
 
 
+def test_heuristic_gcd_trial_divides_only_non_unit_candidates(monkeypatch):
+    # a candidate that is constant after its content is stripped is +-1 and
+    # divides everything; only a non-constant one needs the trial divisions
+    divisors = []
+    original = polys._int_divexact
+
+    def counting(p, q):
+        divisors.append(q)
+        return original(p, q)
+
+    monkeypatch.setattr(polys, "_int_divexact", counting)
+    rng = random.Random(17)
+
+    def linear():
+        while True:
+            coeffs = [rng.randint(-4, 4) for _ in range(3)]
+            if any(coeffs):
+                return Polynomial.linear_form(coeffs, V, rng.randint(-5, 5))
+
+    unit_divisions = 0
+    for _ in range(40):
+        forms = []
+        while len(forms) < 5:
+            f = linear()
+            if all(f.primitive() != g.primitive() for g in forms):
+                forms.append(f)
+        a, b, c, d, e = forms
+        polys._gcd_cached.cache_clear()
+        divisors.clear()
+        assert poly_gcd(a * b, c * d * e) == Polynomial.one(V)
+        unit_divisions += sum(len(q) == 1 and not any(next(iter(q)))
+                              for q in divisors)
+        divisors.clear()
+        got = poly_gcd(a * b, a * c)
+        assert got == a.primitive()
+        assert any(len(q) > 1 for q in divisors)
+    polys._gcd_cached.cache_clear()
+    assert unit_divisions == 0
+
+
 def test_divexact_detects_failure():
     assert (x**2 - y**2).divexact(x + 1) is None
     assert (x**2 + 1).divexact(x) is None

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 
 from conftest import random_polynomial, random_rational
 from wzforms import (DivisionByZero, Polynomial, RationalFunction, delta,
@@ -251,3 +253,79 @@ def test_substitute_linear_univariate_matches_gcd_route(seed):
         got = substitute_linear(f, {"Z": image})
         want = rf_reduce(num, den)
         assert (got.num, got.den) == (want.num, want.den)
+
+
+def _to_sympy(p):
+    return sympy.Poly.from_dict(
+        {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *sympy.symbols(p.vars), domain=sympy.QQ)
+
+
+def _sum_pairs(rng):
+    """20 seeded pairs of each kind: equal, coprime, partly shared and
+    constant denominators, and a second form of -f, so that f + g is 0."""
+    factors = [x + 1, x - y, 2 * x + 3 * y - 1, y**2 + 1, x * y + 2,
+               x**2 - 3 * y, y + 4]
+
+    def num():
+        return random_polynomial(rng, V, max_terms=3, max_deg=3, nonzero=True)
+
+    def power_product(chosen):
+        d = Polynomial.one(V)
+        for p in chosen:
+            d = d * p ** rng.randint(1, 2)
+        return d
+
+    pairs = []
+    for _ in range(20):
+        d = power_product(rng.sample(factors, 2))
+        pairs.append((RationalFunction(num(), d), RationalFunction(num(), d)))
+    for _ in range(20):
+        chosen = rng.sample(factors, 4)
+        pairs.append((RationalFunction(num(), power_product(chosen[:2])),
+                      RationalFunction(num(), power_product(chosen[2:]))))
+    for _ in range(20):
+        shared, a, b = rng.sample(factors, 3)
+        pairs.append((RationalFunction(num(), power_product([shared, a])),
+                      RationalFunction(num(), power_product([shared, b]))))
+    for _ in range(20):
+        other = rng.choice([Polynomial.constant(rng.randint(1, 9), V),
+                            power_product(rng.sample(factors, 1))])
+        pairs.append((RationalFunction(num(), Polynomial.constant(rng.randint(-9, 9) or 1, V)),
+                      RationalFunction(num(), other)))
+    for _ in range(20):
+        f = RationalFunction(num(), power_product(rng.sample(factors, 2)))
+        s = num()
+        pairs.append((f, RationalFunction(-f.num * s, f.den * s)))
+    return pairs
+
+
+def test_sum_and_difference_match_sympy():
+    # the oracle is sympy's cancel of the cross-multiplied sum
+    kinds = {"equal": 0, "coprime": 0, "shared": 0, "constant": 0, "zero": 0}
+    for f, g in _sum_pairs(random.Random(2024)):
+        fd, gd = f.den, g.den
+        if fd.is_constant or gd.is_constant:
+            kinds["constant"] += 1
+        elif fd == gd:
+            kinds["equal"] += 1
+        elif poly_gcd(fd, gd).is_constant:
+            kinds["coprime"] += 1
+        else:
+            kinds["shared"] += 1
+        fn, fd, gn, gd = map(_to_sympy, (f.num, f.den, g.num, g.den))
+        for h, cross in ((f + g, fn * gd + gn * fd), (f - g, fn * gd - gn * fd),
+                         (g - f, gn * fd - fn * gd)):
+            kinds["zero"] += h.is_zero
+            wn, wd = cross.cancel(fd * gd, include=True)
+            hn, hd = _to_sympy(h.num), _to_sympy(h.den)
+            assert (hn * wd - wn * hd).is_zero
+            coeffs = hd.coeffs()
+            assert all(c.denominator == 1 for c in coeffs)
+            assert gcd(*(int(c.numerator) for c in coeffs)) == 1
+            assert hd.LC(order="grlex") > 0
+            if h.is_zero:
+                assert h.den == Polynomial.one(V)
+            else:
+                assert hn.gcd(hd).is_ground
+    assert min(kinds.values()) >= 15, kinds

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -183,6 +184,52 @@ def test_decompose_prints_exactly_on_inversion_seeds(seed):
     rep = random_additive_rep(seed, n=2 + seed % 3, max_types=3,
                               max_deg=3, coeff_bound=9)
     assert str(decompose(generate(rep))) == DECOMPOSED[seed]
+
+
+# (seed, variables) -> (sha256 of each generated component's str, str of its
+# decomposition): the slow criterion-5 tail seeds 104 and 178, whose
+# residual updates are the largest sums, and a four-variable seed
+TAIL_ROUND_TRIPS = {
+    (104, 4): (
+        ("fd60880ea1fb9ef2c10b2507cd197d70bccab02b3fb16f4a8b30b7b4a7938b33",
+         "bde0cb8116af1eb31447d9c05d655688649957b26e8227c70f286260c90e7c5c",
+         "93c3b17ff65ff23d4901be71e3b4061de1b9635e43371b2bdc1d947b2357af53",
+         "11fcb8bf6cd78595b7483830761097c931f7caf0bf1fc916371df19645f7faa7"),
+        "(exact = (-12*x^3 + 36*x^2*y + 6*x^2*z + 36*x^2*w - 36*x*y^2"
+        " - 12*x*y*z - 72*x*y*w + 3*x*z^2 - 12*x*z*w - 36*x*w^2 + 12*y^3"
+        " + 6*y^2*z + 36*y^2*w - 3*y*z^2 + 12*y*z*w + 36*y*w^2 - 3/2*z^3"
+        " - 3*z^2*w + 6*z*w^2 + 12*w^3 - 137/4*x^2 + 273/4*x*y + 3/8*x*z"
+        " + 64*x*w - 34*y^2 - 1/2*y*z - 255/4*y*w + 11/4*z^2 - 21/8*z*w"
+        " - 119/4*w^2 - 113/8*x + 14*y + 17/4*z + 95/8*w - 5)"
+        "/(2*x - 2*y + z - 2*w + 1); uniform = {(2,-2,-1,-2):"
+        " (-64*Z - 8)/(3*Z^2 - 8*Z), (1,0,2,1): -81/8/(8*Z^2 - 9)})"),
+    (178, 3): (
+        ("866ddeb0be224b39b52702e89a85ac4594a7146bf6358fc355c5985e2b0e6bf1",
+         "70feafeef3ad94da7fab1e1bf77dd64857da7b2154e1b519147d96cb8c916c90",
+         "3a9ffc408ab5131e2d64112a088620f2f6a4c5e68101ead2624c6b67a373e8c3"),
+        "(exact = 1/2*x^2 + x*y + 1/2*x*z + 1/2*y^2 + 1/2*y*z + 1/8*z^2"
+        " - 65/48*x - 89/48*y - 65/96*z; uniform = {(1,0,0): -1/Z^3,"
+        " (2,2,1): 69/32/(8*Z + 3), (2,-1,1): 1/6/(3*Z^3 - 1)})"),
+    (77, 4): (
+        ("0a39cd5b2aeed91422d5429b179d0eeb6958f92ae27a045411c810bff7a1c6cf",
+         "0c22e10ded67e29381e0a48c42ecd14f9dcb4213b1db19010c7ad4c017a15d84",
+         "b4acef80c6d204511bee6a8fb2f3ab732ca6579cef026536ec32981eccc07887",
+         "d72ebf82e5f0df1310d38838b7232a236326135ac057267038dac3803f059fb8"),
+        "(exact = (9/16*x^3 + 27/16*x^2*z + 9/8*x^2*w + 9/2*x*z*w - 9/4*z^3"
+        " + 9/2*z^2*w + 9/16*x^2 + 63/16*x*z - 9/8*x*w + 45/8*z^2 - 9/4*z*w"
+        " - 9/8*x - 9/4*z - 1)/(x - z + 2*w + 2); uniform = {(1,0,2,0):"
+        " -27/8*Z/(4*Z^2 + 3), (0,1,0,0): -4/7/Z^2})"),
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(TAIL_ROUND_TRIPS))
+def test_round_trip_prints_exactly_on_tail_seeds(seed, n):
+    digests, decomposed = TAIL_ROUND_TRIPS[seed, n]
+    rep = random_additive_rep(seed, n=n, max_types=3, max_deg=3, coeff_bound=9)
+    form = generate(rep)
+    assert tuple(sha256(str(f).encode()).hexdigest()
+                 for f in form.components) == digests
+    assert str(decompose(form)) == decomposed
 
 
 def test_round_trip_b_on_fixtures():
