@@ -15,7 +15,7 @@ import sys
 from .errors import DivisionByZero, InvalidInput, NotAWZForm, ParseError
 from .intlinear import IntegerLinearType, integer_linear_decompose
 from .orbital import orbital_residue
-from .parser import parse_expression, parse_polynomial
+from .parser import MAX_LITERAL_DIGITS, parse_expression, parse_polynomial
 from .shifts import WZForm, is_wz_form
 from .wzform import (AdditiveRepresentation, conjugate_polygamma, decompose,
                      generate, random_additive_rep)
@@ -88,9 +88,18 @@ def _read_text(path):
                            f"at byte {exc.start}") from None
 
 
+def _json_int(text):
+    # the interpreter's integer-string limit is lifted while a command runs,
+    # so JSON numbers get the parser's bound on literals
+    if len(text.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise InvalidInput(f"JSON integer literal longer than "
+                           f"{MAX_LITERAL_DIGITS} digits")
+    return int(text)
+
+
 def _load_rep(path):
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(_read_text(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"malformed JSON in {path}: {exc}")
     return rep_from_json(doc)
@@ -261,8 +270,9 @@ def run_command(argv, out=None, err=None):
     """Dispatch one command line; returns the process exit status.
 
     Exact results can have more digits than the interpreter's integer-string
-    limit allows to print, so the limit is lifted while the command runs; the
-    parser bounds literals itself (``parser.MAX_LITERAL_DIGITS``).
+    limit allows to print, so the limit is lifted while the command runs,
+    once its arguments are parsed.  Integer literals in expressions and in
+    JSON documents are bounded by ``parser.MAX_LITERAL_DIGITS`` instead.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -270,9 +280,10 @@ def run_command(argv, out=None, err=None):
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is not None:
         saved = sys.get_int_max_str_digits()
-        set_limit(0)
     try:
         args = parser.parse_args(argv)
+        if set_limit is not None:
+            set_limit(0)
         return args.run(args, out, err)
     except _UsageError as exc:
         print(f"error: {exc}", file=err)

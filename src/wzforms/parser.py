@@ -68,9 +68,9 @@ class _Tokenizer:
                 col += 1
                 continue
             start = (line, col)
-            if c.isdigit():
+            if c.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("int", text[i:j], start))
                 col += j - i
@@ -306,11 +306,7 @@ class _Parser:
     def integer(self, tok):
         if len(tok[1]) > MAX_LITERAL_DIGITS:
             self.fail("integer literal too long", tok)
-        try:
-            return int(tok[1])
-        except ValueError:
-            # a digit that int() does not read, such as a superscript
-            self.fail("not a decimal integer literal", tok)
+        return int(tok[1])
 
     def atom(self):
         tok = self.toks.next()

@@ -136,13 +136,9 @@ class RationalFunction:
             g, num0, den0 = b, a + c, b
         else:
             g = poly_gcd(b, d)
-            if g.is_constant:
-                # coprime denominators: g == 1, nothing to divide out
-                num0, den0 = a * d + c * b, b * d
-            else:
-                b1 = b.divexact(g)
-                num0 = a * d.divexact(g) + c * b1
-                den0 = b1 * d
+            b1 = b.divexact(g)
+            num0 = a * d.divexact(g) + c * b1
+            den0 = b1 * d
         if num0.is_zero:
             return RationalFunction.zero(self.vars)
         if g.is_constant:

@@ -271,6 +271,21 @@ def test_exact_results_print_past_the_integer_string_limit(tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_long_json_integers_are_refused(tmp_path):
+    doc = tmp_path / "r.json"
+    long = "1" + "0" * 4999
+    doc.write_text('{"vars": ["x", "y"], "exact": "0", '
+                   '"uniform": [{"type": [%s, 1], "r": "1"}]}' % long)
+    for command in ("generate", "conjugate"):
+        status, out, err = run([command, "--in", str(doc)])
+        assert (status, out) == (3, "")
+        assert err == "error: JSON integer literal longer than 4300 digits\n"
+    if hasattr(sys, "get_int_max_str_digits"):
+        # a long integer argument is refused under the interpreter's own limit
+        status, out, err = run(["fuzz", "--seed", long])
+        assert (status, out) == (3, "") and "invalid int value" in err
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch):
     def broken(components):
         raise RuntimeError("unexpected\nstate")

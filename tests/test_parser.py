@@ -183,7 +183,7 @@ HOSTILE = (
     ("(x+y+z+1)^-1000", 1, 10),
     ("(x+y+z+1)^20*(x+y+z+1)^20", 1, 13),
     ("(x+y+z+1)^20/(x+1)*(x+y+z+1)^20", 1, 19),
-    ("x*\u00b2", 1, 3),  # a superscript two is a digit to str.isdigit only
+    ("x*\u00b2", 1, 3),  # a superscript two is not a decimal digit
 )
 
 
