@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidInput
-from .factor import factor_polynomial
-from .polys import Polynomial
+from .factor import _change_of_variables
+from .polys import Polynomial, _substitute
 from .rationals import RationalFunction, _int_entries
 
 
@@ -54,17 +54,16 @@ _ZVARS = ("Z",)
 def _univariate_along(p, v):
     """The univariate P with ``p == P(v . x)``, or None when there is none.
 
-    P is unique: it is p on the axis of the first nonzero entry v_k, with
-    x_k -> Z/v_k and every other variable -> 0.
+    The change of variables that puts y = v . x in slot k is invertible, so
+    p is P(v . x) exactly when its image involves slot k alone, and then the
+    image is P(y).
     """
-    k = next(i for i, a in enumerate(v) if a)
-    zero = Polynomial.zero(_ZVARS)
-    images = {name: zero for name in p.vars}
-    images[p.vars[k]] = Polynomial.variable("Z", _ZVARS) * Fraction(1, v[k])
-    P = p.compose(images, _ZVARS)
-    if P.compose({"Z": Polynomial.linear_form(v, p.vars)}, p.vars) != p:
+    k, images = _change_of_variables(v)
+    ints, den = p._scaled_ints()
+    image = _substitute(ints, images, len(v))
+    if any(a for e in image for i, a in enumerate(e) if i != k):
         return None
-    return P
+    return Polynomial._raw(_ZVARS, {(e[k],): Fraction(c, den) for e, c in image.items()})
 
 
 def integer_linear_decompose(p):
@@ -72,10 +71,11 @@ def integer_linear_decompose(p):
     vector v, or return None.
 
     The candidate direction is read off the top homogeneous part (which must
-    be a constant multiple of a power of the linear form) and the candidate
-    is confirmed by exact recomposition, so a non-None answer is always
-    sound.  The sign of v makes P's leading coefficient positive when the
-    degree is odd and the first nonzero entry of v positive otherwise.
+    be a constant multiple of a power of the linear form) and is confirmed
+    by the exact change of variables of ``_univariate_along``, so a non-None
+    answer is always sound.  The sign of v makes P's leading coefficient
+    positive when the degree is odd and the first nonzero entry of v
+    positive otherwise.
     """
     if not isinstance(p, Polynomial):
         raise InvalidInput("integer_linear_decompose expects a Polynomial")
@@ -114,41 +114,23 @@ def integer_linear_decompose(p):
 def integer_linear_type_rf(f):
     """Write a rational function as ``u(v . x)`` with univariate u, or None.
 
-    Requires every irreducible factor of the numerator and denominator to be
-    integer-linear of one common type.
+    The denominator (the numerator when the denominator is 1) fixes v: it
+    is P(v . x) exactly when each of its irreducible factors is P_j(v . x)
+    with the same v.  The numerator must then follow v too.
     """
     if isinstance(f, Polynomial):
         f = RationalFunction(f)
     if f.is_constant:
         raise InvalidInput("constant rational functions have every type")
-    vtype = None
-    num_parts = []
-    den_parts = []
-    for poly, sink in ((f.num, num_parts), (f.den, den_parts)):
-        if poly.is_constant:
-            sink.append((Polynomial.constant(poly.constant_value(), _ZVARS), 1))
-            continue
-        cont, factors = factor_polynomial(poly)
-        sink.append((Polynomial.constant(cont, _ZVARS), 1))
-        for base, mult in factors:
-            got = integer_linear_decompose(base)
-            if got is None:
-                return None
-            P, v = got
-            if vtype is None:
-                vtype = v
-            elif v.entries != vtype.entries:
-                return None
-            sink.append((P, mult))
-    if vtype is None:
-        raise InvalidInput("constant rational functions have every type")
-    num_u = Polynomial.one(_ZVARS)
-    for P, mult in num_parts:
-        num_u = num_u * P ** mult
-    den_u = Polynomial.one(_ZVARS)
-    for P, mult in den_parts:
-        den_u = den_u * P ** mult
-    return RationalFunction(num_u, den_u), vtype
+    den_is_one = f.den.is_constant
+    got = integer_linear_decompose(f.num.primitive() if den_is_one else f.den)
+    if got is None:
+        return None
+    P, vtype = got
+    num = _univariate_along(f.num, vtype)
+    if num is None:
+        return None
+    return RationalFunction(num, Polynomial.one(_ZVARS) if den_is_one else P), vtype
 
 
 # ---------------------------------------------------------------------- #
@@ -168,46 +150,31 @@ class UnimodularCompletion:
         return self.matrix[0]
 
     def determinant(self):
-        return _det(self.matrix)
+        return _eliminate(self.matrix)[0]
 
 
-def _det(rows):
+def _eliminate(rows):
+    """``(det, inverse)`` of a square matrix by one Gauss-Jordan pass over
+    the rationals; the inverse is None when the determinant is 0."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+         for r, row in enumerate(rows)]
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
         det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _invert(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if r == c else 0)
-                                       for c in range(n)]
-         for r, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise InvalidInput("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
         m[col] = [a * inv for a in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return det, tuple(tuple(row[n:]) for row in m)
 
 
 def _xgcd(a, b):
@@ -248,7 +215,7 @@ def _complete(v):
 
 
 def _det_int(rows):
-    d = _det(rows)
+    d = _eliminate(rows)[0]
     if d.denominator != 1:
         raise AssertionError(f"integer matrix has determinant {d}")
     return int(d)
@@ -271,4 +238,4 @@ def complete_unimodular(v):
         elif d != target:
             raise AssertionError(f"completion of {v} has determinant {d}")
     matrix = tuple(tuple(row) for row in rows)
-    return UnimodularCompletion(matrix, _invert(matrix))
+    return UnimodularCompletion(matrix, _eliminate(matrix)[1])

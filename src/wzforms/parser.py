@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError
-from .polys import Polynomial, _join_signed
+from .polys import Polynomial, _render_terms
 from .rationals import RationalFunction
 
 # Five parser frames per parenthesis level keep MAX_DEPTH well inside the
@@ -358,21 +358,7 @@ def latex_polynomial(p, var_name=None):
     names = list(p.vars)
     if var_name is not None and len(names) == 1:
         names[0] = var_name
-    pieces = []
-    for e, c in p.sorted_terms():
-        mono = " ".join(
-            f"{names[i]}^{{{k}}}" if k > 1 else names[i]
-            for i, k in enumerate(e) if k
-        )
-        mag = abs(c)
-        if not mono:
-            body = _latex_fraction(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_latex_fraction(mag)} {mono}"
-        pieces.append(("-" if c < 0 else "+", body))
-    return _join_signed(pieces)
+    return _render_terms(p, names, " ", lambda name, k: f"{name}^{{{k}}}", _latex_fraction)
 
 
 def _latex_fraction(q):

@@ -435,24 +435,29 @@ class Polynomial:
     # printing
 
     def __str__(self):
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{self.vars[i]}^{k}" if k > 1 else self.vars[i]
-                for i, k in enumerate(e) if k
-            )
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        return _join_signed(pieces)
+        return _render_terms(self, self.vars, "*", lambda name, k: f"{name}^{k}", str)
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={self.vars})"
+
+
+def _render_terms(p, names, mul, power, scalar):
+    """The terms of p, highest first, joined by ``_join_signed``: ``mul``
+    joins a coefficient and the factors of a monomial, ``power(name, k)``
+    writes an exponent k > 1 and ``scalar`` a coefficient's magnitude."""
+    pieces = []
+    for e, c in p.sorted_terms():
+        mono = mul.join(power(names[i], k) if k > 1 else names[i]
+                        for i, k in enumerate(e) if k)
+        mag = abs(c)
+        if not mono:
+            body = scalar(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{scalar(mag)}{mul}{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    return _join_signed(pieces)
 
 
 def _join_signed(pieces):

@@ -21,6 +21,7 @@ from sympy.polys.polyerrors import NotInvertible
 from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
+from .parser import _latex_fraction, latex_polynomial, latex_rational
 from .polys import Polynomial, _join_signed
 from .rationals import (RationalFunction, _dense_coeffs, _partial_fraction_full,
                         _series_inverse, _series_mul, _taylor_at,
@@ -70,10 +71,6 @@ class AdditiveRepresentation:
     @property
     def types(self):
         return [vtype for vtype, _ in self.parts]
-
-    @property
-    def r_map(self):
-        return {vtype.entries: r for vtype, r in self.parts}
 
     def __str__(self):
         body = ", ".join(f"{vtype}: {r}" for vtype, r in self.parts)
@@ -161,7 +158,6 @@ def decompose(form):
                 f"residual component still involves {vars[:k]}")
         summed, terms = _reduce_structured(f1, k)
         level = {}
-        order = []
         for rep, _, layers in terms:
             got = integer_linear_decompose(rep)
             if got is None:
@@ -180,13 +176,10 @@ def decompose(form):
                 u = level.get(vtype.entries)
                 add = RationalFunction(alpha) / q_rf ** t
                 level[vtype.entries] = add if u is None else u + add
-            if vtype.entries not in order:
-                order.append(vtype.entries)
         mu = Fraction(0)
         level_parts = []
-        for key in order:
+        for key, u in level.items():
             vtype = IntegerLinearType(key)
-            u = level[key]
             step = key[k]
             rhs = u.shifted((1,)) - u
             r = solve_step_difference(rhs, step)
@@ -258,70 +251,44 @@ class PolygammaExpression:
     rational_part: RationalFunction
     terms: tuple
 
-    def _term_str(self, term):
-        vars = self.rational_part.vars
-        form = Polynomial.linear_form(term.vtype.entries, vars)
-        if isinstance(term.shift, RootShift):
-            arg = f"{form} + A" if not form.is_zero else "A"
-            w = term.shift.weight
-            ws = ""
-            if w != 1:  # a unit weight is omitted, like a unit coefficient
-                ws = f"({w})*" if len(w.terms) > 1 else f"{w}*"
-            body = f"RootSum({term.shift.poly}, A -> {ws}psi^({term.order})({arg}))"
-        else:
-            if term.shift:
-                form = form + term.shift
-            body = f"psi^({term.order})({form})"
-        return body
+    def _render(self, rational, poly, root, group, psi, root_sum, coefficient):
+        """The one walker behind ``__str__`` and ``latex``, which differ only
+        in the format pieces: ``poly(p, var_name)`` writes a polynomial, and
+        ``root`` names the summation variable of a root sum."""
+        pieces = []
+        if not self.rational_part.is_zero:
+            pieces.append(("+", rational(self.rational_part)))
+        for term in self.terms:
+            form = term.vtype.form(self.rational_part.vars)
+            if isinstance(term.shift, RootShift):
+                body = psi(term.order, f"{poly(form)} + {root}")
+                w = term.shift.weight
+                if w != 1:  # a unit weight is omitted, like a unit coefficient
+                    body = group(poly(w, root), len(w.terms) > 1) + body
+                body = root_sum(poly(term.shift.poly, root), body)
+            else:
+                body = psi(term.order, poly(form + term.shift))
+            c = term.coefficient
+            if abs(c) != 1:
+                body = coefficient(abs(c), body)
+            pieces.append(("-" if c < 0 else "+", body))
+        return _join_signed(pieces)
 
     def __str__(self):
-        pieces = []
-        if not self.rational_part.is_zero:
-            pieces.append(("+", str(self.rational_part)))
-        for term in self.terms:
-            c = term.coefficient
-            body = self._term_str(term)
-            mag = abs(c)
-            if mag != 1:
-                body = f"{mag}*{body}"
-            pieces.append(("-" if c < 0 else "+", body))
-        return _join_signed(pieces)
+        return self._render(
+            str, lambda p, var_name=None: str(p), "A",
+            lambda w, many: f"({w})*" if many else f"{w}*",
+            lambda t, arg: f"psi^({t})({arg})",
+            lambda q, body: f"RootSum({q}, A -> {body})",
+            lambda c, body: f"{c}*{body}")
 
     def latex(self):
-        from .parser import latex_polynomial, latex_rational
-
-        vars = self.rational_part.vars
-        pieces = []
-        if not self.rational_part.is_zero:
-            pieces.append(("+", latex_rational(self.rational_part)))
-        for term in self.terms:
-            form = Polynomial.linear_form(term.vtype.entries, vars)
-            if isinstance(term.shift, RootShift):
-                root = r"\alpha"
-                arg = latex_polynomial(form) + " + " + root if not form.is_zero \
-                    else root
-                qtex = latex_polynomial(term.shift.poly, var_name=root)
-                w = term.shift.weight
-                wtex = ""
-                if w != 1:
-                    wtex = latex_polynomial(w, var_name=root)
-                    if len(w.terms) > 1:
-                        wtex = rf"\left({wtex}\right)"
-                    wtex += r" \, "
-                body = (rf"\sum_{{{qtex} = 0}} {wtex}"
-                        rf"\psi^{{({term.order})}}\!\left({arg}\right)")
-            else:
-                if term.shift:
-                    form = form + term.shift
-                body = rf"\psi^{{({term.order})}}\!\left({latex_polynomial(form)}\right)"
-            c = term.coefficient
-            mag = abs(c)
-            if mag != 1:
-                num, den = mag.numerator, mag.denominator
-                cs = str(num) if den == 1 else rf"\tfrac{{{num}}}{{{den}}}"
-                body = f"{cs} {body}"
-            pieces.append(("-" if c < 0 else "+", body))
-        return _join_signed(pieces)
+        return self._render(
+            latex_rational, latex_polynomial, r"\alpha",
+            lambda w, many: (rf"\left({w}\right)" if many else w) + r" \, ",
+            lambda t, arg: rf"\psi^{{({t})}}\!\left({arg}\right)",
+            lambda q, body: rf"\sum_{{{q} = 0}} {body}",
+            lambda c, body: f"{_latex_fraction(c)} {body}")
 
 
 def conjugate_polygamma(rep):

@@ -3,11 +3,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
 from wzforms import (InvalidInput, IntegerLinearType, Polynomial,
                      RationalFunction, apply_shift, complete_unimodular,
                      integer_linear_decompose, integer_linear_type_rf,
                      substitute_linear)
+from wzforms.factor import factor_polynomial
+from wzforms.intlinear import _univariate_along
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -136,6 +139,119 @@ def test_rf_type_pairwise_shift_invariance():
                     ei[i] = vtype[j]
                     ej[j] = vtype[i]
                     assert apply_shift(f, tuple(ei)) == apply_shift(f, tuple(ej))
+
+
+def _type_rf_by_factors(f):
+    """Oracle: the factor-by-factor algorithm.  Every irreducible factor of
+    the numerator and denominator must be integer-linear of one type."""
+    if f.is_constant:
+        raise InvalidInput("constant rational functions have every type")
+    vtype = None
+    parts = []
+    for poly in (f.num, f.den):
+        cont, factors = factor_polynomial(poly) if not poly.is_constant \
+            else (poly.constant_value(), ())
+        u = Polynomial.constant(cont, Zv)
+        for base, mult in factors:
+            got = integer_linear_decompose(base)
+            if got is None:
+                return None
+            P, v = got
+            if vtype is None:
+                vtype = v
+            elif v.entries != vtype.entries:
+                return None
+            u = u * P ** mult
+        parts.append(u)
+    return RationalFunction(*parts), vtype
+
+
+_NO_UNIT_DIRECTIONS = ((2, 3), (3, -2), (2, 0, 3), (3, -2, 0), (2, 3, -3, 0),
+                       (2, 0, 3, -5))
+
+
+def _random_type_input(rng):
+    """A rational function in 1-4 variables built from factors P(v . x)
+    along one or two directions (entries -3..3), signed fractional
+    contents, sometimes a factor that is not integer-linear, and sometimes
+    no factor at all."""
+    n = rng.randint(1, 4)
+    vars = ("x", "y", "z", "w")[:n]
+    directions = []
+    wanted = rng.randint(1, 2)
+    while len(directions) < wanted:
+        pool = [d for d in _NO_UNIT_DIRECTIONS if len(d) == n]
+        if pool and rng.random() < 0.3:
+            v = rng.choice(pool)
+        else:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+        if not any(v):
+            continue
+        g = gcd(*v)
+        directions.append(tuple(e // g for e in v))
+    bare = rng.random() < 0.1
+    parts = []
+    for _ in range(2):
+        content = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+        p = Polynomial.constant(content, vars)
+        for _ in range(0 if bare else rng.choice((0, 1, 1, 2))):
+            coeffs = {(k,): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for k in range(rng.randint(1, 2) + 1)}
+            coeffs[(len(coeffs) - 1,)] = Fraction(rng.choice((-2, -1, 1, 3)))
+            P = Polynomial(Zv, coeffs)
+            p = p * P.compose({"Z": Polynomial.linear_form(rng.choice(directions), vars)},
+                              vars)
+        parts.append(p)
+    if n > 1 and not bare and rng.random() < 0.15:
+        a, b = (Polynomial.variable(name, vars) for name in vars[:2])
+        parts[rng.randrange(2)] *= a * b + 1
+    return RationalFunction(*parts)
+
+
+def test_rf_type_agrees_with_factor_by_factor_oracle():
+    rng = random.Random(71)
+    seen = {"typed": 0, "none": 0, "invalid": 0}
+    for _ in range(320):
+        f = _random_type_input(rng)
+        try:
+            expect = _type_rf_by_factors(f)
+        except InvalidInput:
+            with pytest.raises(InvalidInput):
+                integer_linear_type_rf(f)
+            seen["invalid"] += 1
+            continue
+        got = integer_linear_type_rf(f)
+        if expect is None:
+            assert got is None, f
+            seen["none"] += 1
+        else:
+            assert got is not None, f
+            assert got[0] == expect[0] and got[1].entries == expect[1].entries, f
+            seen["typed"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("v", [(2, 3), (3, -2, 0), (2, 0, 3, -5)])
+def test_univariate_along_directions_without_unit_entry(v):
+    # the change of variables divides by an entry of magnitude 2 or 3
+    n = len(v)
+    vars = ("x", "y", "z", "w")[:n]
+    syms = sympy.symbols(vars)
+    zs = sympy.Symbol("Z")
+    form = sum(a * s for a, s in zip(v, syms))
+    rng = random.Random(73)
+    for _ in range(8):
+        coeffs = {(k,): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for k in range(rng.randint(0, 3) + 1)}
+        P = Polynomial(Zv, coeffs)
+        Psym = sum((sympy.Rational(c.numerator, c.denominator) * zs ** k
+                    for (k,), c in coeffs.items()), sympy.Integer(0))
+        expanded = sympy.Poly(sympy.expand(Psym.subs(zs, form)), *syms)
+        p = Polynomial(vars, {tuple(map(int, e)): Fraction(int(c.p), int(c.q))
+                              for e, c in expanded.terms()})
+        assert _univariate_along(p, v) == P
+        x0, x1 = Polynomial.variable(vars[0], vars), Polynomial.variable(vars[1], vars)
+        assert _univariate_along(p + x0 * x1, v) is None
 
 
 # ---------------------------------------------------------------------- #

@@ -86,6 +86,20 @@ def test_latex_forms():
         r"x^{2} y - \tfrac{1}{2}"
 
 
+def test_text_and_latex_pins():
+    # exponents of two digits, fractional coefficients, a negative leading term
+    p = parse_polynomial("-x^10*y + 3/4*x*y^2 - 2*z^12 + 5/3", V)
+    assert str(p) == "-2*z^12 - x^10*y + 3/4*x*y^2 + 5/3"
+    expect = r"-2 z^{12} - x^{10} y + \tfrac{3}{4} x y^{2} + \tfrac{5}{3}"
+    assert latex_polynomial(p) == expect
+    # var_name renames the variable of a univariate polynomial only
+    assert latex_polynomial(p, var_name=r"\alpha") == expect
+    q = parse_polynomial("-2/3*Z^11 + 7/2*Z^2 - Z + 4", ("Z",))
+    assert str(q) == "-2/3*Z^11 + 7/2*Z^2 - Z + 4"
+    assert latex_polynomial(q, var_name=r"\alpha") == \
+        r"-\tfrac{2}{3} \alpha^{11} + \tfrac{7}{2} \alpha^{2} - \alpha + 4"
+
+
 # ---------------------------------------------------------------------- #
 # differential checks against sympy, and hostile input
 
