@@ -37,7 +37,8 @@ from functools import lru_cache
 import sympy
 
 from .errors import InvalidInput
-from .polys import Polynomial, _int_divexact, _substitute, _unit
+from .polys import (_MASK, Polynomial, _int_divexact, _pack, _shift, _substitute,
+                    _unit_key, _unpack)
 
 _symbol_cache: dict[str, sympy.Symbol] = {}
 _YVARS = ("y",)
@@ -55,8 +56,10 @@ def _symbols(names):
 
 
 def _to_sympy(terms, vars):
-    """sympy Poly over ZZ with the given integer term map."""
-    return sympy.Poly.from_dict(terms, *_symbols(vars), domain=sympy.ZZ)
+    """sympy Poly over ZZ with the given integer term map on packed keys."""
+    n = len(vars)
+    return sympy.Poly.from_dict({_unpack(k, n): c for k, c in terms.items()},
+                                *_symbols(vars), domain=sympy.ZZ)
 
 
 def _from_sympy(spoly, vars):
@@ -79,8 +82,8 @@ def _change_of_variables(v):
     for l, a in enumerate(v):
         if a:
             c = Fraction(1 if l == k else -a, v[k])
-            image[_unit(n, l)] = c.numerator if c.denominator == 1 else c
-    return k, [image if i == k and image != {_unit(n, k): 1} else None for i in range(n)]
+            image[_unit_key(n, l)] = c.numerator if c.denominator == 1 else c
+    return k, [image if i == k and image != {_unit_key(n, k): 1} else None for i in range(n)]
 
 
 # ---------------------------------------------------------------------- #
@@ -90,16 +93,16 @@ def _change_of_variables(v):
 def _directions(terms, vars):
     """The directions v of the linear factors of the top homogeneous part,
     each primitive with its first nonzero entry positive."""
-    d = max(map(sum, terms))
-    top = {e: c for e, c in terms.items() if sum(e) == d}
     n = len(vars)
+    d = max(terms) >> 32 * n
+    top = {_unpack(k, n): c for k, c in terms.items() if k >> 32 * n == d}
     j = max(range(n), key=lambda i: max(e[i] for e in top))
-    found = [_unit(n, j)] if all(e[j] for e in top) else []
+    found = [tuple(int(i == j) for i in range(n))] if all(e[j] for e in top) else []
     if n == 1:
         return found
     # T is homogeneous, so dropping x_j's exponent loses no term
     others = [i for i in range(n) if i != j]
-    dehom = _to_sympy({e[:j] + e[j + 1:]: c for e, c in top.items()},
+    dehom = _to_sympy({_pack(e[:j] + e[j + 1:]): c for e, c in top.items()},
                       [vars[i] for i in others])
     for fac, _ in dehom.factor_list()[1]:
         if fac.total_degree() == 1:
@@ -114,13 +117,16 @@ def _directions(terms, vars):
 def _block(terms, v):
     """The content of the term map over Q[v . x] as a primitive sympy Poly
     in y, or None when it is constant."""
+    n = len(v)
     slot, images = _change_of_variables(v)
+    sh, w, y = _shift(n, slot), _unit_key(n, slot), _unit_key(1, 0)
     # x_k's image divides by v_k: v_k ** deg clears every denominator but
     # may leave an integer content, which the gcd keeps and primitive drops
-    scale = abs(v[slot]) ** max(e[slot] for e in terms)
+    scale = abs(v[slot]) ** max(k >> sh & _MASK for k in terms)
     coeffs = {}
-    for e, c in _substitute(terms, images, len(v)).items():
-        coeffs.setdefault(e[:slot] + (0,) + e[slot + 1:], {})[(e[slot],)] = int(c * scale)
+    for k, c in _substitute(terms, images, n).items():
+        e = k >> sh & _MASK
+        coeffs.setdefault(k - e * w, {})[e * y] = int(c * scale)
     block = None
     for cs in sorted(coeffs.values(), key=len):
         u = _to_sympy(cs, _YVARS)
@@ -128,6 +134,13 @@ def _block(terms, v):
         if block.degree() < 1:
             return None
     return block.primitive()[1]
+
+
+def _along(u, v):
+    """The integer term map of u(v . x) for a univariate sympy Poly u."""
+    n = len(v)
+    images = [{_unit_key(n, k): a for k, a in enumerate(v) if a}]
+    return _substitute({_pack(e): int(c) for e, c in u.terms()}, images, n)
 
 
 @lru_cache(maxsize=8192)
@@ -157,27 +170,22 @@ def factor_polynomial(p):
         block = _block(rest, v)
         if block is None:
             continue
-        # u(v . x) for a univariate u
-        along = [{_unit(n, k): a for k, a in enumerate(v) if a}]
-        found.extend((_substitute({e: int(c) for e, c in fac.terms()}, along, n), mult)
+        found.extend((Polynomial._from_view(p.vars, _along(fac, v)), mult)
                      for fac, mult in block.factor_list()[1])
         # rest and the block are primitive with positive leading
         # coefficients, so a block of full degree leaves 1
-        if block.degree() == max(map(sum, rest)):
-            rest = {(0,) * n: 1}
+        if block.degree() == max(rest) >> 32 * n:
+            rest = {0: 1}
         else:
-            rest = _int_divexact(
-                rest, _substitute({e: int(c) for e, c in block.terms()}, along, n))
+            rest = _int_divexact(rest, _along(block, v), n)
             if rest is None:
                 raise AssertionError("integer-linear block does not divide")
-    if any(map(any, rest)):
+    if any(rest):
         scoeff, sfactors = _to_sympy(rest, p.vars).factor_list()
         cont *= int(scoeff)
-        found.extend((dict(fac.terms()), mult) for fac, mult in sfactors)
+        found.extend((_from_sympy(fac, p.vars), mult) for fac, mult in sfactors)
     factors = []
-    for terms, mult in found:
-        q = Polynomial(p.vars, {tuple(int(e) for e in exps): Fraction(int(c))
-                                for exps, c in terms.items()})
+    for q, mult in found:
         cont *= q.content() ** mult
         factors.append((q.primitive(), int(mult)))
     factors.sort(key=lambda fm: fm[0].sort_key())

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .errors import InvalidInput
 from .factor import _change_of_variables
-from .polys import Polynomial, _substitute
+from .polys import _MASK, Polynomial, _shift, _substitute, _unit_key
 from .rationals import RationalFunction, _int_entries
 
 
@@ -58,12 +60,17 @@ def _univariate_along(p, v):
     p is P(v . x) exactly when its image involves slot k alone, and then the
     image is P(y).
     """
+    n = len(v)
     k, images = _change_of_variables(v)
+    sh, w, z = _shift(n, k), _unit_key(n, k), _unit_key(1, 0)
     ints, den = p._scaled_ints()
-    image = _substitute(ints, images, len(v))
-    if any(a for e in image for i, a in enumerate(e) if i != k):
-        return None
-    return Polynomial._raw(_ZVARS, {(e[k],): Fraction(c, den) for e, c in image.items()})
+    out = {}
+    for key, c in _substitute(ints, images, n).items():
+        e = key >> sh & _MASK
+        if key != e * w:
+            return None
+        out[e * z] = c
+    return Polynomial._from_values(_ZVARS, out, den)
 
 
 def integer_linear_decompose(p):
@@ -82,22 +89,21 @@ def integer_linear_decompose(p):
     if p.is_constant:
         raise InvalidInput("constant polynomials have every type")
     d = p.total_degree()
-    top = {e: c for e, c in p.terms.items() if sum(e) == d}
     n = len(p.vars)
-    pivot = min(i for e in top for i in range(n) if e[i])
-    lead_exps = tuple(d if i == pivot else 0 for i in range(n))
-    A = top.get(lead_exps)
+    # the integer view's keys and coefficients (their common denominator
+    # cancels in the ratios below)
+    terms, _ = p._scaled_ints()
+    top = reduce(or_, (k for k in terms if k >> 32 * n == d))
+    pivot = min(i for i in range(n) if top >> _shift(n, i) & _MASK)
+    A = terms.get(d * _unit_key(n, pivot))
     if A is None:
         return None
     ratios = [Fraction(0)] * n
     ratios[pivot] = Fraction(1)
     for j in range(n):
-        if j == pivot:
-            continue
-        e = tuple((d - 1 if i == pivot else 0) + (1 if i == j else 0)
-                  for i in range(n))
-        B = top.get(e, Fraction(0))
-        ratios[j] = B / (d * A)
+        if j != pivot:
+            B = terms.get((d - 1) * _unit_key(n, pivot) + _unit_key(n, j), 0)
+            ratios[j] = Fraction(B, d * A)
     scale = lcm(*(r.denominator for r in ratios))
     ints = [int(r * scale) for r in ratios]
     g = gcd(*ints)

@@ -15,10 +15,14 @@ printed canonical form is the identity.
 
 Hostile input is refused with a ParseError at the offending token: nesting
 of parentheses, unary minuses and exponents deeper than MAX_DEPTH, any
-exponent, tower values included, larger than MAX_EXPONENT in magnitude, an
-integer literal of more than MAX_LITERAL_DIGITS digits, and any product of
-two multi-term polynomials, each step of a power included, whose term counts
-multiply past MAX_TERMS.  Each is checked before the value is computed.
+exponent, tower values included, larger than MAX_EXPONENT in magnitude, a
+power k > 1 of a single term that takes one of its exponents past
+MAX_EXPONENT (so nested powers cannot multiply the bound), an integer
+literal of more than MAX_LITERAL_DIGITS digits, any product of two
+multi-term polynomials, each step of a power included, whose term counts
+multiply past MAX_TERMS.  Each is checked before the value is computed.  A
+product with a single term that makes an exponent reach the kernel's
+EXPONENT_LIMIT of 2**31 is refused too, before it becomes a Polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError
-from .polys import Polynomial, _render_terms
+from .polys import EXPONENT_LIMIT, Polynomial, _render_terms
 from .rationals import RationalFunction
 
 # Five parser frames per parenthesis level keep MAX_DEPTH well inside the
@@ -227,22 +231,29 @@ class _Parser:
             self.fail(f"product of {n} and {m} terms exceeds {MAX_TERMS}", tok)
 
     def times(self, p, q, tok):
-        """``p*q``; a single-term factor multiplies exponent tuples directly."""
+        """``p*q``; a single-term factor adds its exponent tuple directly,
+        and the product is refused when an exponent reaches the kernel's
+        EXPONENT_LIMIT."""
         self.bound(p, q, tok)
         if len(p.terms) != 1:
             p, q = q, p
         if len(p.terms) != 1:
             return p * q
         (m, c), = p.terms.items()
-        return Polynomial._raw(p.vars, {tuple(map(int.__add__, m, e)): c * d
-                                        for e, d in q.terms.items()})
+        terms = {tuple(map(int.__add__, m, e)): c * d for e, d in q.terms.items()}
+        if any(m) and max(map(max, terms), default=0) >= EXPONENT_LIMIT:
+            self.fail(f"exponent reaches {EXPONENT_LIMIT}", tok)
+        return Polynomial._raw(p.vars, terms)
 
     def raise_to(self, p, k, tok):
         """``p^k`` for k >= 0 by the square-and-multiply steps of
         ``Polynomial.__pow__``, each bounded like a product; a single term
-        scales its exponent tuple."""
+        scales its exponent tuple, refused before it is computed when k > 1
+        would take an exponent past MAX_EXPONENT."""
         if len(p.terms) == 1:
             (m, c), = p.terms.items()
+            if k > 1 and max(m, default=0) * k > MAX_EXPONENT:
+                self.fail(f"power of a single term exceeds exponent {MAX_EXPONENT}", tok)
             return Polynomial._raw(p.vars, {tuple(k * i for i in m): c ** k})
         result = Polynomial.one(p.vars)
         while k:

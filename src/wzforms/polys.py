@@ -6,38 +6,117 @@ names.  The variable order is immutable and every canonical form (leading
 term, printing, sign normalization) is taken with respect to graded
 lexicographic order on it.
 
+There is one integer view per polynomial, ``Polynomial._scaled_ints``: an
+integer term map and a common denominator in lowest terms.  All arithmetic,
+content, gcds, substitution and the inputs of :mod:`wzforms.factor` run on
+it.  The results of the kernel keep the view they computed, and the public
+``terms`` map (exponent tuple to ``Fraction``) is built from the view only
+when it is read.
+
+Packed monomial keys.  The view keys a monomial in n variables by one int::
+
+    key = deg << 32*n | e_0 << 32*(n-1) | ... | e_{n-1}
+
+with the total degree ``deg`` in the unbounded top field and one 32-bit
+field per variable below it.  Integer order on keys is graded
+lexicographic order, so the leading monomial is ``max(keys)``, and a
+monomial product is one int addition.  Every exponent stays below
+``EXPONENT_LIMIT`` = 2**31, which keeps bit 31 of each field, its guard
+bit, clear.  So a sum of two keys never carries from one field into the
+next, and an exponent that reaches the limit shows as a set guard bit:
+``InvalidInput`` is raised wherever one would arise (the validating
+constructor, a product or power, a substitution).  Whether the monomial
+``b`` divides ``a`` is one subtraction: with G the guard bits of all n
+fields, ``t = (a + G) - b`` keeps every guard bit of G set exactly when no
+field of b exceeds that of a, and then ``t - G`` is the quotient's key.
+
 Shifts, :meth:`Polynomial.compose` and the changes of variables in
 :mod:`wzforms.factor` all run on one substitution kernel, ``_substitute``.
 Evaluation at a point stays outside it, where it is several times faster.
-
-There is one integer view per polynomial, built on first use by
-``Polynomial._scaled_ints`` and kept: arithmetic, content, gcds and the
-inputs of :mod:`wzforms.factor` all read their integers from it.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
+from struct import Struct
 
 from .errors import DivisionByZero, InvalidInput
+
+EXPONENT_LIMIT = 1 << 31
+_MASK = (1 << 32) - 1
 
 
 def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+# ---------------------------------------------------------------------- #
+# packed monomial keys
+
+
+def _pack(exps):
+    """The key of an exponent tuple."""
+    key = sum(exps)
+    for e in exps:
+        key = key << 32 | e
+    return key
+
+
+@lru_cache(maxsize=None)
+def _layout(n):
+    """``(guards, size, unpack_from)`` for keys in n variables: the guard
+    bits of the n fields, and a struct reader that gives the exponent tuple
+    of a key from its ``size`` big-endian bytes at offset 8 (the total
+    degree, below n * 2**31, fits in the first 8 bytes)."""
+    return (sum(1 << (32 * j + 31) for j in range(n)), 4 * n + 8,
+            Struct(f">{n}L").unpack_from)
+
+
+def _unpack(key, n):
+    _, size, unpack_from = _layout(n)
+    return unpack_from(key.to_bytes(size, "big"), 8)
+
+
+def _shift(n, i):
+    """Bit position of x_i's field."""
+    return 32 * (n - 1 - i)
+
+
+def _unit_key(n, i):
+    """The key of x_i, which is also what one more power of x_i adds."""
+    return 1 << 32 * n | 1 << _shift(n, i)
+
+
+def _check_guards(keys, guards):
+    """Raise InvalidInput when a key has one of the guard bits set."""
+    if reduce(or_, keys, 0) & guards:
+        raise InvalidInput(f"an exponent reaches 2**31 = {EXPONENT_LIMIT}")
+
+
+def _scaled(values):
+    """(integer map, common denominator) of a map with int or Fraction
+    values."""
+    den = 1
+    for c in values.values():
+        if type(c) is not int and c.denominator != 1:
+            den = den * c.denominator // gcd(den, c.denominator)
+    return {k: c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for k, c in values.items()}, den
+
+
 class Polynomial:
     """Immutable multivariate polynomial with rational coefficients.
 
-    ``terms`` maps exponent tuples (one entry per variable, nonnegative) to
-    nonzero coefficients.  Two polynomials are equal iff they have the same
-    variable tuple and the same term map.
+    ``terms`` maps exponent tuples (one entry per variable, nonnegative and
+    below 2**31) to nonzero coefficients.  Two polynomials are equal iff
+    they have the same variable tuple and the same term map.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_ints")
+    __slots__ = ("vars", "_terms", "_hash", "_ints")
 
     def __init__(self, vars, terms):
         vars = tuple(vars)
@@ -50,121 +129,202 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
                 raise InvalidInput(f"bad exponent vector {exps} for variables {vars}")
+            if n and max(exps) >= EXPONENT_LIMIT:
+                raise InvalidInput(f"exponent vector {exps} has an entry of 2**31 or more")
             clean[exps] = c
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ints", None)
 
     @classmethod
     def _raw(cls, vars, terms):
         """Trusted constructor: terms already canonical (tuple exponents of
-        the right length, nonzero Fraction values)."""
+        the right length and below 2**31, nonzero Fraction values)."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "vars", vars)
-        object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "_terms", terms)
         object.__setattr__(obj, "_hash", None)
         object.__setattr__(obj, "_ints", None)
         return obj
 
+    @classmethod
+    def _from_view(cls, vars, ints, den=1):
+        """Trusted constructor from an integer view in lowest terms: packed
+        keys with clear guard bits, nonzero ints, and gcd(content, den) = 1."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vars", vars)
+        object.__setattr__(obj, "_terms", None)
+        object.__setattr__(obj, "_hash", None)
+        object.__setattr__(obj, "_ints", (ints, den))
+        return obj
+
+    @classmethod
+    def _from_ints(cls, vars, ints, den=1):
+        """The polynomial ``ints / den`` for packed keys with clear guard
+        bits and nonzero int values: the view brought to lowest terms."""
+        if den != 1:
+            g = den
+            for c in ints.values():
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            else:
+                ints = {k: c // g for k, c in ints.items()}
+                den //= g
+        return cls._from_view(vars, ints, den)
+
+    @classmethod
+    def _from_values(cls, vars, values, den=1):
+        """As :meth:`_from_ints` for int or Fraction values."""
+        ints, d = _scaled(values)
+        return cls._from_ints(vars, ints, den * d)
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self):
+        """The term map, exponent tuple to nonzero Fraction; built from the
+        integer view on first use and kept: callers must not change it."""
+        terms = self._terms
+        if terms is None:
+            ints, den = self._ints
+            _, size, unpack_from = _layout(len(self.vars))
+            if den == 1:
+                terms = {unpack_from(k.to_bytes(size, "big"), 8): Fraction(c)
+                         for k, c in ints.items()}
+            else:
+                terms = {unpack_from(k.to_bytes(size, "big"), 8): Fraction(c, den)
+                         for k, c in ints.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def _scaled_ints(self):
+        """(integer term map on packed keys, common denominator), in lowest
+        terms, with terms*1/den == self; built on first use and kept:
+        callers must not change the map."""
+        view = self._ints
+        if view is None:
+            terms = self._terms
+            den = 1
+            for c in terms.values():
+                if c.denominator != 1:
+                    den = den * c.denominator // gcd(den, c.denominator)
+            if den == 1:
+                ints = {_pack(e): c.numerator for e, c in terms.items()}
+            else:
+                ints = {_pack(e): c.numerator * (den // c.denominator)
+                        for e, c in terms.items()}
+            view = (ints, den)
+            object.__setattr__(self, "_ints", view)
+        return view
 
     # ------------------------------------------------------------------ #
     # constructors
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        return cls._from_view(tuple(vars), {})
 
     @classmethod
     def one(cls, vars):
-        return cls.constant(1, vars)
+        return cls._from_view(tuple(vars), {0: 1})
 
     @classmethod
     def constant(cls, value, vars):
-        vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): Fraction(value)})
+        value = Fraction(value)
+        return cls._from_view(tuple(vars), {0: value.numerator} if value else {},
+                              value.denominator)
 
     @classmethod
     def variable(cls, name, vars):
         vars = tuple(vars)
         if name not in vars:
             raise InvalidInput(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {exps: Fraction(1)})
+        return cls._from_view(vars, {_unit_key(len(vars), vars.index(name)): 1})
 
     @classmethod
     def linear_form(cls, coeffs, vars, shift=0):
         """Build ``sum(coeffs[i]*vars[i]) + shift``."""
         vars = tuple(vars)
-        if len(coeffs) != len(vars):
+        n = len(vars)
+        if len(coeffs) != n:
             raise InvalidInput("coefficient vector length must match variables")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = tuple(1 if j == i else 0 for j in range(len(vars)))
-                terms[e] = Fraction(c)
-        p = cls(vars, terms)
+        values = {_unit_key(n, i): Fraction(c) for i, c in enumerate(coeffs) if c}
         if shift:
-            p = p + cls.constant(shift, vars)
-        return p
+            values[0] = Fraction(shift)
+        return cls._from_values(vars, values)
 
     # ------------------------------------------------------------------ #
     # basic queries
 
+    # The two tests below, like sorted_terms, read whichever map a
+    # polynomial has, so that a term map from the parser is not packed only
+    # to be tested.
+
     @property
     def is_zero(self):
-        return not self.terms
+        terms = self._terms
+        return not (self._ints[0] if terms is None else terms)
 
     @property
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        terms = self._terms
+        if terms is None:
+            # the constant monomial's key is 0, and no other key is
+            return not any(self._ints[0])
+        return all(not any(e) for e in terms)
 
     def constant_value(self):
         if not self.is_constant:
             raise InvalidInput("polynomial is not constant")
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        ints, den = self._scaled_ints()
+        return Fraction(ints.get(0, 0), den)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        ints, _ = self._scaled_ints()
+        return max(ints) >> 32 * len(self.vars) if ints else -1
 
     def degree_in(self, i):
         """Degree in the i-th variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        ints, _ = self._scaled_ints()
+        sh = _shift(len(self.vars), i)
+        return max(k >> sh & _MASK for k in ints) if ints else -1
 
     def variables_present(self):
         """Indices of variables occurring with positive exponent."""
-        present = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    present.add(i)
-        return sorted(present)
+        seen = reduce(or_, self._scaled_ints()[0], 0)
+        n = len(self.vars)
+        return [i for i in range(n) if seen >> _shift(n, i) & _MASK]
 
     def sorted_terms(self):
-        """Terms in decreasing graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """Terms in decreasing graded lexicographic order, read from the map
+        the polynomial has: printing a result of the kernel builds no
+        ``terms`` map, since packed keys sort in that order."""
+        terms = self._terms
+        if terms is not None:
+            return sorted(terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        ints, den = self._ints
+        _, size, unpack_from = _layout(len(self.vars))
+        return [(unpack_from(k.to_bytes(size, "big"), 8), Fraction(c, den))
+                for k, c in sorted(ints.items(), reverse=True)]
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        ints, den = self._scaled_ints()
+        if not ints:
             raise InvalidInput("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        k = max(ints)
+        return _unpack(k, len(self.vars)), Fraction(ints[k], den)
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sort_key(self):
         """Total order key used to sort factor lists deterministically."""
-        return (self.total_degree(), len(self.terms),
-                tuple((e, c) for e, c in self.sorted_terms()))
+        return (self.total_degree(), len(self), tuple(self.sorted_terms()))
 
     # ------------------------------------------------------------------ #
     # arithmetic
@@ -173,32 +333,38 @@ class Polynomial:
         if self.vars != other.vars:
             raise InvalidInput(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """``self + sign * other`` on the integer views."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.vars)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_vars(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        ints1, d1 = self._scaled_ints()
+        ints2, d2 = other._scaled_ints()
+        den = d1 * d2 // gcd(d1, d2)
+        m1, m2 = den // d1, sign * (den // d2)
+        out = dict(ints1) if m1 == 1 else {k: c * m1 for k, c in ints1.items()}
+        get = out.get
+        for k, c in ints2.items():
+            s = get(k, 0) + c * m2
             if s:
-                terms[e] = s
+                out[k] = s
             else:
-                terms.pop(e, None)
-        return Polynomial._raw(self.vars, terms)
+                del out[k]
+        return Polynomial._from_ints(self.vars, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        ints, den = self._scaled_ints()
+        return Polynomial._from_view(self.vars, {k: -c for k, c in ints.items()}, den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.vars)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -210,47 +376,27 @@ class Polynomial:
             if other == 1:
                 return self  # immutable, so the product by 1 is self
             other = Fraction(other)
-            return Polynomial._raw(self.vars,
-                                   {e: c * other for e, c in self.terms.items()})
+            ints, den = self._scaled_ints()
+            a = other.numerator
+            return Polynomial._from_ints(
+                self.vars, {k: c * a for k, c in ints.items()}, den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_vars(other)
-        # scaled-integer accumulation: one Fraction per result term
         ints1, d1 = self._scaled_ints()
         ints2, d2 = other._scaled_ints()
         terms = {}
         get = terms.get
-        for e1, n1 in ints1.items():
-            for e2, n2 in ints2.items():
-                e = tuple(map(int.__add__, e1, e2))
-                s = get(e, 0) + n1 * n2
+        for k1, n1 in ints1.items():
+            for k2, n2 in ints2.items():
+                k = k1 + k2
+                s = get(k, 0) + n1 * n2
                 if s:
-                    terms[e] = s
+                    terms[k] = s
                 else:
-                    del terms[e]
-        den = d1 * d2
-        if den == 1:
-            wrapped = {e: Fraction(c) for e, c in terms.items()}
-        else:
-            wrapped = {}
-            for e, c in terms.items():
-                f = Fraction(c, den)
-                if f:
-                    wrapped[e] = f
-        return Polynomial._raw(self.vars, wrapped)
-
-    def _scaled_ints(self):
-        """(integer term map, common denominator) with terms*1/den == self,
-        built on first use and kept: callers must not change the map."""
-        view = self._ints
-        if view is None:
-            den = 1
-            for c in self.terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            view = ({e: c.numerator * (den // c.denominator)
-                     for e, c in self.terms.items()}, den)
-            object.__setattr__(self, "_ints", view)
-        return view
+                    del terms[k]
+        _check_guards(terms, _layout(len(self.vars))[0])
+        return Polynomial._from_ints(self.vars, terms, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -272,16 +418,23 @@ class Polynomial:
             return self.is_constant and self.constant_value() == other
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        # both views are in lowest terms, so they are equal iff the terms are
+        return self.vars == other.vars and self._scaled_ints() == other._scaled_ints()
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            ints, den = self._scaled_ints()
+            h = hash((self.vars, frozenset(ints.items()), den))
             object.__setattr__(self, "_hash", h)
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.is_zero
+
+    def __len__(self):
+        """The number of terms."""
+        terms = self._terms
+        return len(self._ints[0] if terms is None else terms)
 
     # ------------------------------------------------------------------ #
     # content and normalization
@@ -289,22 +442,23 @@ class Polynomial:
     def content(self):
         """Signed rational content: ``self / content`` is integer-primitive
         with positive graded-lex leading coefficient.  Zero for zero."""
-        if not self.terms:
-            return Fraction(0)
         ints, den = self._scaled_ints()
-        _, lc = self.leading()
+        if not ints:
+            return Fraction(0)
         g = _int_content(ints)
-        return Fraction(g if lc > 0 else -g, den)
+        return Fraction(g if ints[max(ints)] > 0 else -g, den)
 
     def primitive(self):
         """Integer-primitive associate with positive leading coefficient."""
-        if not self.terms:
-            return self
         ints, den = self._scaled_ints()
-        g = int(self.content() * den)
+        if not ints:
+            return self
+        g = _int_content(ints)
+        if ints[max(ints)] < 0:
+            g = -g
         if g == 1 and den == 1:
             return self
-        return Polynomial._raw(self.vars, {e: Fraction(c // g) for e, c in ints.items()})
+        return Polynomial._from_view(self.vars, {k: c // g for k, c in ints.items()})
 
     # ------------------------------------------------------------------ #
     # views and substitution
@@ -312,26 +466,43 @@ class Polynomial:
     def coeffs_in(self, i):
         """Coefficients as a polynomial in the i-th variable: a map from
         exponent of that variable to a Polynomial free of it."""
+        ints, den = self._scaled_ints()
+        n = len(self.vars)
+        sh, w = _shift(n, i), _unit_key(n, i)
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            rest = e[:i] + (0,) + e[i + 1:]
-            out.setdefault(k, {})[rest] = c
-        return {k: Polynomial(self.vars, t) for k, t in out.items()}
+        for k, c in ints.items():
+            e = k >> sh & _MASK
+            out.setdefault(e, {})[k - e * w] = c
+        return {e: Polynomial._from_ints(self.vars, t, den) for e, t in out.items()}
 
     @classmethod
     def from_coeffs_in(cls, coeffs, i, vars):
         """Inverse of :meth:`coeffs_in`."""
-        terms = {}
-        for k, p in coeffs.items():
-            for e, c in p.terms.items():
-                full = e[:i] + (e[i] + k,) + e[i + 1:]
-                s = terms.get(full, 0) + c
+        vars = tuple(vars)
+        n = len(vars)
+        w = _unit_key(n, i)
+        if any(not 0 <= e < EXPONENT_LIMIT for e in coeffs):
+            raise InvalidInput("exponents must be nonnegative and below 2**31")
+        den = 1
+        for p in coeffs.values():
+            if p.vars != vars:
+                raise InvalidInput(f"variable mismatch: {p.vars} vs {vars}")
+            d = p._scaled_ints()[1]
+            den = den * d // gcd(den, d)
+        out = {}
+        get = out.get
+        for e, p in coeffs.items():
+            ints, d = p._scaled_ints()
+            m, off = den // d, e * w
+            for k, c in ints.items():
+                k += off
+                s = get(k, 0) + c * m
                 if s:
-                    terms[full] = s
+                    out[k] = s
                 else:
-                    terms.pop(full, None)
-        return cls(vars, terms)
+                    del out[k]
+        _check_guards(out, _layout(n)[0])
+        return cls._from_ints(vars, out, den)
 
     def shift_var(self, i, m):
         """Substitute ``x_i -> x_i + m`` for an integer or rational m."""
@@ -346,9 +517,8 @@ class Polynomial:
             raise InvalidInput("offsets must be integers or Fractions")
         if not any(offsets):
             return self
-        zero = (0,) * n
         return self._substituted(
-            [{_unit(n, i): 1, zero: m} if m else None for i, m in enumerate(offsets)],
+            [{_unit_key(n, i): 1, 0: m} if m else None for i, m in enumerate(offsets)],
             self.vars)
 
     def compose(self, images, new_vars=None):
@@ -373,15 +543,15 @@ class Polynomial:
             new_vars)
 
     def _values(self):
-        """The term map with int values when they are all integers."""
+        """The term map on packed keys, with int values when they are all
+        integers."""
         ints, den = self._scaled_ints()
-        return ints if den == 1 else self.terms
+        return ints if den == 1 else {k: Fraction(c, den) for k, c in ints.items()}
 
     def _substituted(self, images, vars):
-        """The kernel on the scaled integer terms, as a Polynomial in vars."""
+        """The kernel on the integer view, as a Polynomial in vars."""
         ints, den = self._scaled_ints()
-        got = _substitute(ints, images, len(vars)).items()
-        return Polynomial._raw(vars, {e: Fraction(c, den) for e, c in got})
+        return Polynomial._from_values(vars, _substitute(ints, images, len(vars)), den)
 
     def eval_at(self, point):
         """Evaluate at a rational point given per variable name.
@@ -389,10 +559,11 @@ class Polynomial:
         Sums the scaled integer terms with one power table per variable, so
         an integer point costs integer products only and one Fraction."""
         ints, den = self._scaled_ints()
+        _, size, unpack_from = _layout(len(self.vars))
         tables = {}
         total = 0
-        for e, c in ints.items():
-            for i, k in enumerate(e):
+        for key, c in ints.items():
+            for i, k in enumerate(unpack_from(key.to_bytes(size, "big"), 8)):
                 if k:
                     table = tables.get(i)
                     if table is None:
@@ -414,22 +585,24 @@ class Polynomial:
                 raise DivisionByZero("division of polynomial by zero")
             return self * (Fraction(1) / Fraction(other))
         self._check_same_vars(other)
-        if other.is_zero:
-            raise DivisionByZero("division of polynomial by zero")
-        if other.is_constant:
-            return self * (1 / other.constant_value())
-        if self.is_zero:
-            return self
-        ip, dp = self._scaled_ints()
         io, do = other._scaled_ints()
+        if not io:
+            raise DivisionByZero("division of polynomial by zero")
+        if not any(io):
+            return self * Fraction(do, io[0])
+        ip, dp = self._scaled_ints()
+        if not ip:
+            return self
         # by Gauss's lemma a primitive divisor leaves an integer quotient
         # whenever there is one over Q, so one integer division decides
         g = _int_content(io)
-        got = _int_divexact(ip, {e: c // g for e, c in io.items()} if g > 1 else io)
+        got = _int_divexact(ip, {k: c // g for k, c in io.items()} if g > 1 else io,
+                            len(self.vars))
         if got is None:
             return None
-        scale = Fraction(do, dp * g)
-        return Polynomial._raw(self.vars, {e: c * scale for e, c in got.items()})
+        if do != 1:
+            got = {k: c * do for k, c in got.items()}
+        return Polynomial._from_ints(self.vars, got, dp * g)
 
     # ------------------------------------------------------------------ #
     # printing
@@ -474,48 +647,49 @@ def _join_signed(pieces):
 # substitution
 
 
-def _unit(n, i):
-    return tuple(int(k == i) for k in range(n))
-
-
 def _substitute(terms, images, n):
     """The one substitution kernel: ``sum(c * prod(images[i] ** e[i]))``
     over the terms, as a term map in n variables.
 
-    ``images[i]`` is a term map in the n result variables, or None to keep
-    x_i, which needs n to be the number of input variables.  Values may be
-    ints or Fractions; zero sums are dropped as they arise.  Horner's rule
-    runs in each substituted variable in turn, and the terms are split only
-    down to the last substituted variable: the rest of each exponent is
-    copied.
+    ``terms`` is keyed by packed keys in ``len(images)`` variables.
+    ``images[i]`` is a map on packed keys in the n result variables, or None
+    to keep x_i, which needs n to be the number of input variables.  Values
+    may be ints or Fractions; zero sums are dropped as they arise.  Horner's
+    rule runs in each substituted variable in turn, and the terms are split
+    only down to the last substituted variable: the rest of each key is
+    kept.  An exponent of 2**31 or more in the result raises InvalidInput.
     """
     subs = [(i, image) for i, image in enumerate(images) if image is not None]
     # into another space every variable has an image, so the rest is 0
-    return _horner(terms, subs, (0,) * n if len(images) != n else None)
+    return _horner(terms, subs, len(images), len(images) != n, _layout(n)[0])
 
 
-def _horner(terms, subs, zero):
+def _horner(terms, subs, n, into, guards):
     if not subs:
         return dict(terms)
     (i, image), rest = subs[0], subs[1:]
+    sh, w = _shift(n, i), _unit_key(n, i)
+    last = into and not rest
     coeffs = {}
-    for e, c in terms.items():
-        key = zero if zero is not None and not rest else e[:i] + (0,) + e[i + 1:]
-        coeffs.setdefault(e[i], {})[key] = c
+    for k, c in terms.items():
+        e = k >> sh & _MASK
+        coeffs.setdefault(e, {})[0 if last else k - e * w] = c
     acc = {}
-    for k in range(max(coeffs, default=-1), -1, -1):
-        prod = coeffs.get(k, {})
+    for e in range(max(coeffs, default=-1), -1, -1):
+        prod = coeffs.get(e, {})
         if rest:
-            prod = _horner(prod, rest, zero)
-        get = prod.get
-        for e1, c1 in acc.items():
-            for e2, c2 in image.items():
-                e = tuple(map(int.__add__, e1, e2))
-                s = get(e, 0) + c1 * c2
-                if s:
-                    prod[e] = s
-                else:
-                    del prod[e]
+            prod = _horner(prod, rest, n, into, guards)
+        if acc:
+            get = prod.get
+            for k1, c1 in acc.items():
+                for k2, c2 in image.items():
+                    k = k1 + k2
+                    s = get(k, 0) + c1 * c2
+                    if s:
+                        prod[k] = s
+                    else:
+                        del prod[k]
+            _check_guards(prod, guards)
         acc = prod
     return acc
 
@@ -528,19 +702,18 @@ def _horner(terms, subs, zero):
 # when the heuristic gives up.
 
 
-def _int_eval_at(terms, i, xi):
-    """Evaluate an integer term map at ``x_i = xi``; result drops x_i."""
-    powers = {0: 1}
+def _int_eval_at(terms, n, i, xi):
+    """Evaluate an integer term map in n variables at ``x_i = xi``; the
+    result's keys have x_i's field clear."""
+    sh, w = _shift(n, i), _unit_key(n, i)
+    powers = [1]
     out = {}
-    for e, c in terms.items():
-        k = e[i]
-        if k not in powers:
-            p = powers[max(powers)]
-            for j in range(max(powers) + 1, k + 1):
-                p *= xi
-                powers[j] = p
-        rest = e[:i] + (0,) + e[i + 1:]
-        s = out.get(rest, 0) + c * powers[k]
+    for k, c in terms.items():
+        e = k >> sh & _MASK
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        rest = k - e * w
+        s = out.get(rest, 0) + c * powers[e]
         if s:
             out[rest] = s
         else:
@@ -564,91 +737,100 @@ def _int_primitive(terms):
     return dict(terms)
 
 
-def _int_divexact(p, q):
-    """Exact quotient of integer term maps, or None."""
+def _int_divexact(p, q, n):
+    """Exact quotient of integer term maps in n variables, or None."""
     if not p:
         return {}
-    lead_e = max(q, key=_grlex_key)
-    lead_c = q[lead_e]
+    guards = _layout(n)[0]
+    lead = max(q)
+    lead_c = q[lead]
     rem = dict(p)
-    heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
+    heap = [-k for k in rem]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     quo = {}
     while rem:
-        while heap:
-            _, neg = heap[0]
-            e = tuple(-x for x in neg)
-            if e in rem:
-                break
-            heapq.heappop(heap)
-        c = rem[e]
-        t = tuple(a - b for a, b in zip(e, lead_e))
-        if any(x < 0 for x in t) or c % lead_c:
+        k = -heap[0]
+        while k not in rem:
+            pop(heap)
+            k = -heap[0]
+        c = rem[k]
+        # lead divides k iff no field of k - lead borrows a guard bit
+        t = k + guards - lead
+        if t & guards != guards or c % lead_c:
             return None
+        t -= guards
         qc = c // lead_c
         quo[t] = qc
-        for e2, c2 in q.items():
-            full = tuple(a + b for a, b in zip(t, e2))
+        for k2, c2 in q.items():
+            full = t + k2
             old = rem.get(full)
-            s = (old if old is not None else 0) - qc * c2
-            if s:
-                if old is None:
-                    heapq.heappush(heap, (-sum(full), tuple(-x for x in full)))
-                rem[full] = s
+            if old is None:
+                # the monomials of an exact quotient times q stay below
+                # p's degrees, so an exponent of 2**31 means no quotient
+                if full & guards:
+                    return None
+                rem[full] = -qc * c2
+                push(heap, -full)
             else:
-                rem.pop(full, None)
+                s = old - qc * c2
+                if s:
+                    rem[full] = s
+                else:
+                    del rem[full]
     return quo
 
 
-def _heu_gcd(p, q):
-    """Heuristic gcd of integer term maps over ZZ (content included), or
-    None when six evaluation points in a row fail at some level.
+def _heu_gcd(p, q, n):
+    """Heuristic gcd of integer term maps in n variables over ZZ (content
+    included), or None when six evaluation points in a row fail at some
+    level.
 
     Per level: strip integer contents (their gcd is the content of the
-    answer), evaluate one variable at a large point, recurse, reconstruct a
-    candidate from the balanced base-xi digits, and accept only after exact
-    trial division of both primitive parts.
+    answer), evaluate the last variable present at a large point, recurse,
+    reconstruct a candidate from the balanced base-xi digits, and accept
+    only after exact trial division of both primitive parts.
     """
     cp = _int_content(p)
     cq = _int_content(q)
     cg = gcd(cp, cq)
     pp = {e: c // cp for e, c in p.items()} if cp > 1 else p
     qq = {e: c // cq for e, c in q.items()} if cq > 1 else q
-    n = len(next(iter(p)))
-    pv = {i for e in pp for i, k in enumerate(e) if k}
-    qv = {i for e in qq for i, k in enumerate(e) if k}
-    if not pv or not qv:
-        return {(0,) * n: cg}
-    i = max(pv | qv)
+    if not any(pp) or not any(qq):
+        return {0: cg}
+    # the lowest nonzero field of all keys is the last variable present
+    seen = reduce(or_, pp, 0) | reduce(or_, qq, 0)
+    i = n - 1 - ((seen & -seen).bit_length() - 1) // 32
+    w = _unit_key(n, i)
     norm = min(max(abs(c) for c in pp.values()), max(abs(c) for c in qq.values()))
     xi = 2 * norm + 29
     for _ in range(6):
-        pe = _int_eval_at(pp, i, xi)
-        qe = _int_eval_at(qq, i, xi)
+        pe = _int_eval_at(pp, n, i, xi)
+        qe = _int_eval_at(qq, n, i, xi)
         if pe and qe:
-            ge = _heu_gcd(pe, qe)
+            ge = _heu_gcd(pe, qe, n)
             if ge is None:
                 return None
             cand = {}
             level = 0
             while ge:
                 nxt = {}
-                for e, c in ge.items():
+                for k, c in ge.items():
                     r = c % xi
                     if 2 * r > xi:
                         r -= xi
                     if r:
-                        cand[e[:i] + (level,) + e[i + 1:]] = r
+                        cand[k + level * w] = r
                     c = (c - r) // xi
                     if c:
-                        nxt[e] = c
+                        nxt[k] = c
                 ge = nxt
                 level += 1
             cand = _int_primitive(cand)
             # a primitive constant candidate is +-1, which divides everything
-            if cand and (len(cand) == 1 and not any(next(iter(cand)))
-                         or _int_divexact(pp, cand) is not None
-                         and _int_divexact(qq, cand) is not None):
+            if cand and (len(cand) == 1 and 0 in cand
+                         or _int_divexact(pp, cand, n) is not None
+                         and _int_divexact(qq, cand, n) is not None):
                 if cg > 1:
                     cand = {e: c * cg for e, c in cand.items()}
                 return cand
@@ -681,9 +863,9 @@ def _gcd_cached(p, q):
         return pp
     pi, _ = pp._scaled_ints()
     qi, _ = qq._scaled_ints()
-    got = _heu_gcd(pi, qi)
+    got = _heu_gcd(pi, qi, len(p.vars))
     if got is None:
         from .factor import _from_sympy, _to_sympy  # factor imports this module
         return _from_sympy(_to_sympy(pi, p.vars).gcd(_to_sympy(qi, p.vars)),
                            p.vars).primitive()
-    return Polynomial(p.vars, {e: Fraction(c) for e, c in got.items()}).primitive()
+    return Polynomial._from_view(p.vars, got).primitive()

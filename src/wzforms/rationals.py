@@ -256,7 +256,7 @@ class RationalFunction:
         if self.den.is_constant:
             return str(self.num)
         num_s = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.num) > 1:
             num_s = f"({num_s})"
         den_s = str(self.den)
         if not _is_bare_denominator(self.den):
@@ -269,9 +269,9 @@ class RationalFunction:
 
 def _is_bare_denominator(p):
     # Safe without parentheses after '/': a single power of one variable.
-    if len(p.terms) != 1:
+    if len(p) != 1:
         return False
-    (exps, c), = p.terms.items()
+    exps, c = p.leading()
     return c == 1 and sum(1 for e in exps if e) == 1
 
 

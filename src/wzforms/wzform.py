@@ -264,7 +264,7 @@ class PolygammaExpression:
                 body = psi(term.order, f"{poly(form)} + {root}")
                 w = term.shift.weight
                 if w != 1:  # a unit weight is omitted, like a unit coefficient
-                    body = group(poly(w, root), len(w.terms) > 1) + body
+                    body = group(poly(w, root), len(w) > 1) + body
                 body = root_sum(poly(term.shift.poly, root), body)
             else:
                 body = psi(term.order, poly(form + term.shift))
@@ -362,8 +362,8 @@ def _root_sum_terms(base, layers, vtype):
                                 power, t)
             for s in range(1, t + 1):
                 weights[s] = weights[s] + local[t - s]
-    flipped_base = Polynomial(_AVARS, {(k,): c * (-1) ** k for (k,), c in
-                                       base.terms.items()}).primitive()
+    flipped_base = base.compose(
+        {base.vars[0]: -Polynomial.variable(_AVARS[0], _AVARS)}).primitive()
     out = []
     for s in range(1, m + 1):
         if weights[s].is_zero:

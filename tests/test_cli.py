@@ -230,6 +230,17 @@ def test_parse_error_exit_code(tmp_path):
     assert status == 3 and "undeclared" in err
 
 
+def test_exponent_overflow_exits_3(tmp_path):
+    """(x^2148000 + 1)^1000 passes every parser bound, and its last square
+    would reach x^(2^31): the kernel refuses it, and the CLI exits 3."""
+    p = tmp_path / "f.txt"
+    p.write_text("(" + "*".join(["x^1000"] * 2148) + " + 1)^1000\n")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n")
+    status, _, err = run(["verify", "--vars", "x,y", str(p), str(zero)])
+    assert status == 3 and "2**31" in err
+
+
 def _decimal(text):
     """The value of a decimal string, read in pieces short enough for the
     interpreter's integer-string limit."""

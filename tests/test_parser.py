@@ -6,10 +6,11 @@ import sympy
 from sympy.parsing.sympy_parser import parse_expr
 
 from conftest import random_rational
-from wzforms import (DivisionByZero, ParseError, RationalFunction, generate,
-                     parse_expression, parse_polynomial, random_additive_rep)
+from wzforms import (DivisionByZero, ParseError, Polynomial, RationalFunction,
+                     generate, parse_expression, parse_polynomial,
+                     random_additive_rep)
 from wzforms.cli import run_command
-from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, latex_polynomial,
+from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, latex_polynomial,
                             latex_rational)
 
 V = ("x", "y", "z")
@@ -198,6 +199,10 @@ HOSTILE = (
     ("(x+y+z+1)^20*(x+y+z+1)^20", 1, 13),
     ("(x+y+z+1)^20/(x+1)*(x+y+z+1)^20", 1, 19),
     ("x*\u00b2", 1, 3),  # a superscript two is not a decimal digit
+    # a power of a single term may not take an exponent past MAX_EXPONENT:
+    # unbounded, the first asks for x^1000000000
+    ("((x^1000)^1000)^1000", 1, 10),
+    ("(x^2)^501", 1, 6),
 )
 
 
@@ -213,6 +218,18 @@ def test_hostile_input_is_a_parse_error(text, line, column, tmp_path):
                        out=io.StringIO(), err=io.StringIO()) == 3
 
 
+def test_single_term_product_stops_at_the_kernel_ceiling():
+    # reaching 2^31 by x^1000*x^1000*... would take a 15 MB input, so the
+    # product step is called on a term already near the ceiling
+    parser = _Parser("x", V)
+    tok = parser.toks.peek()
+    top = Polynomial(V, {(2**31 - 1, 0, 0): 1})
+    assert parser.times(top, parse_polynomial("y + z", V), tok) == \
+        top * parse_polynomial("y + z", V)
+    with pytest.raises(ParseError, match="2147483648"):
+        parser.times(parse_polynomial("x", V), top, tok)
+
+
 def test_exponent_limits_and_towers():
     xv = parse_expression("x", V)
     assert parse_expression(f"x^{MAX_EXPONENT}", V) == xv**MAX_EXPONENT
@@ -221,6 +238,9 @@ def test_exponent_limits_and_towers():
     assert parse_expression("x^2^3^0", V) == xv**2
     # the largest step, 489 by 513 terms, is within MAX_TERMS
     assert parse_expression(f"(x+1)^{MAX_EXPONENT}", V) == (xv + 1)**MAX_EXPONENT
+    # a single term's power is bounded by its exponents, not by the base's
+    assert parse_expression("(x^2)^500", V) == xv**1000
+    assert parse_expression("(x*y)^1000", V) == parse_expression("x^1000*y^1000", V)
     with pytest.raises(DivisionByZero):
         parse_expression("x^0^-1", V)
     with pytest.raises(DivisionByZero):

@@ -50,7 +50,7 @@ def gcd_routes(monkeypatch):
     for route in ("heuristic", "sympy"):
         polys._gcd_cached.cache_clear()
         if route == "sympy":
-            monkeypatch.setattr(polys, "_heu_gcd", lambda p, q: None)
+            monkeypatch.setattr(polys, "_heu_gcd", lambda p, q, n: None)
         yield route
     polys._gcd_cached.cache_clear()
 
@@ -106,9 +106,9 @@ def test_heuristic_gcd_trial_divides_only_non_unit_candidates(monkeypatch):
     divisors = []
     original = polys._int_divexact
 
-    def counting(p, q):
+    def counting(p, q, n):
         divisors.append(q)
-        return original(p, q)
+        return original(p, q, n)
 
     monkeypatch.setattr(polys, "_int_divexact", counting)
     rng = random.Random(17)
@@ -130,8 +130,8 @@ def test_heuristic_gcd_trial_divides_only_non_unit_candidates(monkeypatch):
         polys._gcd_cached.cache_clear()
         divisors.clear()
         assert poly_gcd(a * b, c * d * e) == Polynomial.one(V)
-        unit_divisions += sum(len(q) == 1 and not any(next(iter(q)))
-                              for q in divisors)
+        # the constant monomial's packed key is 0
+        unit_divisions += sum(len(q) == 1 and 0 in q for q in divisors)
         divisors.clear()
         got = poly_gcd(a * b, a * c)
         assert got == a.primitive()
@@ -325,3 +325,270 @@ def test_eval_at_matches_shift_and_fraction_powers():
     assert (3 * y**2 - 1).eval_at({"y": 2}) == 11
     assert Polynomial.zero(V).eval_at({}) == 0
     assert isinstance(x.eval_at({"x": 4}), Fraction)
+
+
+# ---------------------------------------------------------------------- #
+# The kernel against its tuple-keyed form.  These are the product, exact
+# division, substitution and heuristic gcd as they were written on exponent
+# tuples, kept as the oracle for the kernel on packed keys.
+
+
+def _tuple_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(int.__add__, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def _tuple_divexact(p, q):
+    if not p:
+        return {}
+    lead_e = max(q, key=_grlex)
+    lead_c = q[lead_e]
+    rem = dict(p)
+    quo = {}
+    while rem:
+        e = max(rem, key=_grlex)
+        c = rem[e]
+        t = tuple(a - b for a, b in zip(e, lead_e))
+        if any(x < 0 for x in t) or c % lead_c:
+            return None
+        qc = c // lead_c
+        quo[t] = qc
+        for e2, c2 in q.items():
+            full = tuple(a + b for a, b in zip(t, e2))
+            s = rem.get(full, 0) - qc * c2
+            if s:
+                rem[full] = s
+            else:
+                rem.pop(full, None)
+    return quo
+
+
+def _tuple_substitute(terms, images, n):
+    """sum(c * prod(images[i] ** e[i])); a None image keeps x_i."""
+    out = {}
+    for e, c in terms.items():
+        acc = {tuple(k if images[i] is None else 0 for i, k in enumerate(e))
+               if len(images) == n else (0,) * n: c}
+        for i, k in enumerate(e):
+            if images[i] is not None:
+                for _ in range(k):
+                    acc = _tuple_mul(acc, images[i])
+        for e2, c2 in acc.items():
+            s = out.get(e2, 0) + c2
+            if s:
+                out[e2] = s
+            else:
+                out.pop(e2, None)
+    return out
+
+
+def _tuple_eval_at(terms, i, xi):
+    out = {}
+    for e, c in terms.items():
+        rest = e[:i] + (0,) + e[i + 1:]
+        s = out.get(rest, 0) + c * xi ** e[i]
+        if s:
+            out[rest] = s
+        else:
+            out.pop(rest, None)
+    return out
+
+
+def _tuple_content(terms):
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+    return g
+
+
+def _tuple_heu_gcd(p, q):
+    cp, cq = _tuple_content(p), _tuple_content(q)
+    cg = gcd(cp, cq)
+    pp = {e: c // cp for e, c in p.items()}
+    qq = {e: c // cq for e, c in q.items()}
+    n = len(next(iter(p)))
+    pv = {i for e in pp for i, k in enumerate(e) if k}
+    qv = {i for e in qq for i, k in enumerate(e) if k}
+    if not pv or not qv:
+        return {(0,) * n: cg}
+    i = max(pv | qv)
+    norm = min(max(abs(c) for c in pp.values()), max(abs(c) for c in qq.values()))
+    xi = 2 * norm + 29
+    for _ in range(6):
+        pe, qe = _tuple_eval_at(pp, i, xi), _tuple_eval_at(qq, i, xi)
+        if pe and qe:
+            ge = _tuple_heu_gcd(pe, qe)
+            if ge is None:
+                return None
+            cand, level = {}, 0
+            while ge:
+                nxt = {}
+                for e, c in ge.items():
+                    r = c % xi
+                    if 2 * r > xi:
+                        r -= xi
+                    if r:
+                        cand[e[:i] + (level,) + e[i + 1:]] = r
+                    c = (c - r) // xi
+                    if c:
+                        nxt[e] = c
+                ge = nxt
+                level += 1
+            g = _tuple_content(cand) if cand else 0
+            cand = {e: c // g for e, c in cand.items()} if g > 1 else cand
+            if cand and (len(cand) == 1 and not any(next(iter(cand)))
+                         or _tuple_divexact(pp, cand) is not None
+                         and _tuple_divexact(qq, cand) is not None):
+                return {e: c * cg for e, c in cand.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _int_map(rng, n, top=9, max_terms=5, bound=20):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, top) if rng.random() < 0.6 else 0 for _ in range(n))
+        terms[e] = rng.choice([c for c in range(-bound, bound + 1) if c])
+    return terms
+
+
+def _poly(vars, terms):
+    return Polynomial(vars, {e: Fraction(c) for e, c in terms.items()})
+
+
+def _as_ints(p):
+    return {e: int(c) for e, c in p.terms.items()}
+
+
+LIMIT = 2**31
+
+
+def test_kernel_matches_tuple_oracle():
+    """Products, exact divisions, substitutions and gcds in 1-6 variables
+    agree with the tuple-keyed oracle on 360 seeded integer term maps."""
+    rng = random.Random(2031)
+    gcds = 0
+    for case in range(360):
+        n = 1 + case % 6
+        vars = tuple(f"v{i}" for i in range(n))
+        a, b = _int_map(rng, n), _int_map(rng, n)
+        # a primitive divisor leaves an integer quotient when there is one
+        b = {e: c // _tuple_content(b) for e, c in b.items()}
+        pa, pb = _poly(vars, a), _poly(vars, b)
+        ab = _tuple_mul(a, b)
+        assert _as_ints(pa * pb) == ab
+        # exact division of a product, and of a product plus a stray term
+        assert _as_ints((pa * pb).divexact(pb)) == _tuple_divexact(ab, b) == a
+        stray = dict(ab)
+        e = tuple(rng.randint(0, 9) for _ in range(n))
+        stray[e] = stray.get(e, 0) + 1 or 1
+        got = _poly(vars, stray).divexact(pb)
+        expected = _tuple_divexact(stray, b)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert _as_ints(got) == expected
+        # a shift in at most two variables, and a substitution by small
+        # images into the same variables
+        moved = rng.sample(range(n), min(n, 2))
+        offsets = tuple(rng.randint(-3, 3) if i in moved else 0 for i in range(n))
+        shift_images = [{tuple(int(j == i) for j in range(n)): 1, (0,) * n: m} if m
+                        else None for i, m in enumerate(offsets)]
+        assert _as_ints(pa.shifted(offsets)) == _tuple_substitute(a, shift_images, n)
+        if case % 3 == 0:
+            small = _int_map(rng, n, top=3, max_terms=3)
+            images = [_int_map(rng, n, top=1, max_terms=2, bound=3) for _ in range(n)]
+            got = _poly(vars, small).compose(
+                {name: _poly(vars, img) for name, img in zip(vars, images)})
+            assert _as_ints(got) == _tuple_substitute(small, images, n)
+        # gcds of products with a common factor, when the oracle answers
+        g = _int_map(rng, n, top=3, max_terms=3, bound=5)
+        x1, x2 = _tuple_mul(g, _int_map(rng, n, top=3)), _tuple_mul(g, b)
+        if x1 and x2 and any(map(any, x1)) and any(map(any, x2)):
+            expected = _tuple_heu_gcd(x1, x2)
+            if expected is not None:
+                polys._gcd_cached.cache_clear()
+                assert poly_gcd(_poly(vars, x1), _poly(vars, x2)) == \
+                    _poly(vars, expected).primitive()
+                gcds += 1
+    polys._gcd_cached.cache_clear()
+    assert gcds >= 200
+
+
+def test_kernel_near_the_exponent_ceiling():
+    """Exponents near 2**31 - 1 multiply, divide and keep their variables
+    through a shift exactly as the tuple-keyed oracle says."""
+    rng = random.Random(2147)
+    for case in range(60):
+        n = 1 + case % 4
+        vars = tuple(f"v{i}" for i in range(n))
+        high = tuple(LIMIT - 1 - rng.randint(0, 20) if rng.random() < 0.5 else 0
+                     for _ in range(n))
+        room = tuple(LIMIT - 1 - h for h in high)
+        a = {tuple(h + rng.randint(0, min(r, 9) // 2) for h, r in zip(high, room)):
+             rng.randint(1, 9) for _ in range(3)}
+        b = {tuple(rng.randint(0, min(r, 9) // 2) for r in room): rng.choice((-2, 1, 3))
+             for _ in range(3)}
+        pa, pb = _poly(vars, a), _poly(vars, b)
+        ab = _tuple_mul(a, b)
+        assert _as_ints(pa * pb) == ab
+        assert _as_ints((pa * pb).divexact(pb)) == a
+        # shift only the variables whose exponents are small
+        offsets = tuple(0 if h else rng.randint(1, 3) for h in high)
+        images = [{tuple(int(j == i) for j in range(n)): 1, (0,) * n: m} if m else None
+                  for i, m in enumerate(offsets)]
+        assert _as_ints(pa.shifted(offsets)) == _tuple_substitute(a, images, n)
+        assert pa.total_degree() == max(map(sum, a))
+        assert pa.leading()[0] == max(a, key=_grlex)
+
+
+def test_division_fails_on_a_negative_quotient_exponent():
+    """The leading coefficient divides and the degrees allow it, but one
+    exponent of the quotient's monomial would be negative."""
+    assert (x * y**2).divexact(x**2 * y) is None
+    rng = random.Random(5)
+    for case in range(100):
+        n = 2 + case % 5
+        vars = tuple(f"v{i}" for i in range(n))
+        e = [rng.randint(1, 9) for _ in range(n)]
+        j, k = rng.sample(range(n), 2)
+        moved = list(e)
+        moved[j] += 1
+        moved[k] -= 1
+        c = rng.randint(1, 9)
+        p = {tuple(e): 2 * c}
+        q = {tuple(moved): c}
+        if rng.random() < 0.5:  # a cofactor keeps both leading terms
+            co = {(0,) * n: 1, tuple(int(i == k) for i in range(n)): -3}
+            p = _tuple_mul(p, co)
+        assert _tuple_divexact(p, q) is None
+        assert _poly(vars, p).divexact(_poly(vars, q)) is None
+
+
+def test_exponent_ceiling():
+    top = Polynomial(V, {(LIMIT - 1, 0, 0): 1})
+    assert str(top) == f"x^{LIMIT - 1}"
+    assert str(top * y) == f"x^{LIMIT - 1}*y"
+    assert (top * y).divexact(y) == top
+    with pytest.raises(InvalidInput, match="2\\*\\*31"):
+        Polynomial(("x",), {(LIMIT,): 1})
+    half = Polynomial(V, {(LIMIT // 2, 0, 0): 1})
+    with pytest.raises(InvalidInput, match="2\\*\\*31"):
+        half * half
+    with pytest.raises(InvalidInput, match="2\\*\\*31"):
+        half ** 2
+    with pytest.raises(InvalidInput, match="2\\*\\*31"):
+        (x**2 + 1).compose({"x": half + y, "y": y, "z": z})
+    with pytest.raises(InvalidInput, match="2\\*\\*31"):
+        Polynomial.from_coeffs_in({1: top}, 0, V)
