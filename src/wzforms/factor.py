@@ -38,7 +38,7 @@ import sympy
 
 from .errors import InvalidInput
 from .polys import (_MASK, Polynomial, _int_divexact, _pack, _shift, _substitute,
-                    _unit_key, _unpack)
+                    _unit_key, _unpacked)
 
 _symbol_cache: dict[str, sympy.Symbol] = {}
 _YVARS = ("y",)
@@ -58,7 +58,7 @@ def _symbols(names):
 def _to_sympy(terms, vars):
     """sympy Poly over ZZ with the given integer term map on packed keys."""
     n = len(vars)
-    return sympy.Poly.from_dict({_unpack(k, n): c for k, c in terms.items()},
+    return sympy.Poly.from_dict(dict(_unpacked(terms.items(), n)),
                                 *_symbols(vars), domain=sympy.ZZ)
 
 
@@ -95,7 +95,7 @@ def _directions(terms, vars):
     each primitive with its first nonzero entry positive."""
     n = len(vars)
     d = max(terms) >> 32 * n
-    top = {_unpack(k, n): c for k, c in terms.items() if k >> 32 * n == d}
+    top = dict(_unpacked(((k, c) for k, c in terms.items() if k >> 32 * n == d), n))
     j = max(range(n), key=lambda i: max(e[i] for e in top))
     found = [tuple(int(i == j) for i in range(n))] if all(e[j] for e in top) else []
     if n == 1:

@@ -5,8 +5,9 @@ parentheses; ``^`` binds tightest (right-associative, integer exponents
 only), then unary minus, then ``* /``, then ``+ -``.
 
 Evaluation is eager, but a polynomial subexpression stays a Polynomial: the
-polynomial summands of one sum go into a single term map, a single-term
-factor multiplies exponent tuples, and ``/`` by a nonzero constant scales.
+polynomial summands of one sum go into a single term map on the packed keys
+of :mod:`wzforms.polys`, products run on its kernel, and ``/`` by a nonzero
+constant scales.
 A value is lifted to a canonical RationalFunction only at ``/`` by a
 non-constant divisor or at a negative power, so canonical reduction (and
 its gcd) happens once, at the lift, or when ``parse_expression`` returns.
@@ -21,16 +22,16 @@ MAX_EXPONENT (so nested powers cannot multiply the bound), an integer
 literal of more than MAX_LITERAL_DIGITS digits, any product of two
 multi-term polynomials, each step of a power included, whose term counts
 multiply past MAX_TERMS.  Each is checked before the value is computed.  A
-product with a single term that makes an exponent reach the kernel's
-EXPONENT_LIMIT of 2**31 is refused too, before it becomes a Polynomial.
+product that makes an exponent reach the kernel's EXPONENT_LIMIT of 2**31,
+which the kernel refuses with InvalidInput, is a ParseError at its token.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, ParseError
-from .polys import EXPONENT_LIMIT, Polynomial, _render_terms
+from .errors import DivisionByZero, InvalidInput, ParseError
+from .polys import Polynomial, _render_terms, _unit_key
 from .rationals import RationalFunction
 
 # Five parser frames per parenthesis level keep MAX_DEPTH well inside the
@@ -110,9 +111,7 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.vars = vars = tuple(vars)
         n = len(vars)
-        self.unit = (0,) * n
-        self.monomials = {v: tuple(int(i == j) for j in range(n))
-                          for i, v in enumerate(vars)}
+        self.monomials = {v: _unit_key(n, i) for i, v in enumerate(vars)}
         self.depth = 0
 
     def fail(self, message, tok):
@@ -145,12 +144,15 @@ class _Parser:
         while True:
             value = self.term()
             if isinstance(value, Polynomial):
-                for e, c in value.terms.items():
-                    old = terms.get(e)
+                ints, den = value._scaled_ints()
+                for k, c in ints.items():
+                    if den != 1:
+                        c = Fraction(c, den)
+                    old = terms.get(k)
                     if negate:
-                        terms[e] = -c if old is None else old - c
+                        terms[k] = -c if old is None else old - c
                     else:
-                        terms[e] = c if old is None else old + c
+                        terms[k] = c if old is None else old + c
             else:
                 if negate:
                     value = -value
@@ -160,7 +162,7 @@ class _Parser:
                 break
             self.toks.next()
             negate = tok[0] == "-"
-        poly = Polynomial._raw(self.vars, {e: c for e, c in terms.items() if c})
+        poly = Polynomial._from_values(self.vars, {k: c for k, c in terms.items() if c})
         if rational is None:
             return poly
         return rational + _lift(poly) if poly else rational
@@ -226,35 +228,27 @@ class _Parser:
     def bound(self, p, q, tok):
         """Refuse ``p*q`` before it is computed when both polynomials have
         several terms and their term counts multiply past MAX_TERMS."""
-        n, m = len(p.terms), len(q.terms)
+        n, m = len(p), len(q)
         if n > 1 and m > 1 and n * m > MAX_TERMS:
             self.fail(f"product of {n} and {m} terms exceeds {MAX_TERMS}", tok)
 
     def times(self, p, q, tok):
-        """``p*q``; a single-term factor adds its exponent tuple directly,
-        and the product is refused when an exponent reaches the kernel's
-        EXPONENT_LIMIT."""
+        """``p*q``, bounded as ``bound`` says; an exponent that reaches the
+        kernel's EXPONENT_LIMIT is a ParseError at tok."""
         self.bound(p, q, tok)
-        if len(p.terms) != 1:
-            p, q = q, p
-        if len(p.terms) != 1:
+        try:
             return p * q
-        (m, c), = p.terms.items()
-        terms = {tuple(map(int.__add__, m, e)): c * d for e, d in q.terms.items()}
-        if any(m) and max(map(max, terms), default=0) >= EXPONENT_LIMIT:
-            self.fail(f"exponent reaches {EXPONENT_LIMIT}", tok)
-        return Polynomial._raw(p.vars, terms)
+        except InvalidInput as exc:
+            self.fail(str(exc), tok)
 
     def raise_to(self, p, k, tok):
         """``p^k`` for k >= 0 by the square-and-multiply steps of
-        ``Polynomial.__pow__``, each bounded like a product; a single term
-        scales its exponent tuple, refused before it is computed when k > 1
-        would take an exponent past MAX_EXPONENT."""
-        if len(p.terms) == 1:
-            (m, c), = p.terms.items()
-            if k > 1 and max(m, default=0) * k > MAX_EXPONENT:
-                self.fail(f"power of a single term exceeds exponent {MAX_EXPONENT}", tok)
-            return Polynomial._raw(p.vars, {tuple(k * i for i in m): c ** k})
+        ``Polynomial.__pow__``, each bounded like a product; a power k > 1
+        of a single term is refused before it is computed when it would
+        take an exponent past MAX_EXPONENT."""
+        if len(p) == 1 and k > 1 and max(map(p.degree_in, range(len(p.vars))),
+                                         default=0) * k > MAX_EXPONENT:
+            self.fail(f"power of a single term exceeds exponent {MAX_EXPONENT}", tok)
         result = Polynomial.one(p.vars)
         while k:
             if k & 1:
@@ -323,12 +317,12 @@ class _Parser:
         tok = self.toks.next()
         if tok[0] == "int":
             k = self.integer(tok)
-            return Polynomial._raw(self.vars, {self.unit: Fraction(k)} if k else {})
+            return Polynomial.constant(k, self.vars)
         if tok[0] == "name":
-            exps = self.monomials.get(tok[1])
-            if exps is None:
+            key = self.monomials.get(tok[1])
+            if key is None:
                 self.fail(f"undeclared identifier {tok[1]!r}", tok)
-            return Polynomial._raw(self.vars, {exps: Fraction(1)})
+            return Polynomial._from_view(self.vars, {key: 1})
         if tok[0] == "(":
             self.enter(tok)
             value = self.expr()

@@ -9,9 +9,9 @@ lexicographic order on it.
 There is one integer view per polynomial, ``Polynomial._scaled_ints``: an
 integer term map and a common denominator in lowest terms.  All arithmetic,
 content, gcds, substitution and the inputs of :mod:`wzforms.factor` run on
-it.  The results of the kernel keep the view they computed, and the public
-``terms`` map (exponent tuple to ``Fraction``) is built from the view only
-when it is read.
+it.  Every constructor builds the view, and the results of the kernel keep
+the view they computed; the public ``terms`` map (exponent tuple to
+``Fraction``) is built from it only when it is read.
 
 Packed monomial keys.  The view keys a monomial in n variables by one int::
 
@@ -50,10 +50,6 @@ EXPONENT_LIMIT = 1 << 31
 _MASK = (1 << 32) - 1
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
-
-
 # ---------------------------------------------------------------------- #
 # packed monomial keys
 
@@ -76,9 +72,11 @@ def _layout(n):
             Struct(f">{n}L").unpack_from)
 
 
-def _unpack(key, n):
+def _unpacked(items, n):
+    """The (exponent tuple, value) pairs of (key, value) pairs in n
+    variables, as a list."""
     _, size, unpack_from = _layout(n)
-    return unpack_from(key.to_bytes(size, "big"), 8)
+    return [(unpack_from(k.to_bytes(size, "big"), 8), c) for k, c in items]
 
 
 def _shift(n, i):
@@ -98,8 +96,8 @@ def _check_guards(keys, guards):
 
 
 def _scaled(values):
-    """(integer map, common denominator) of a map with int or Fraction
-    values."""
+    """(integer map, common denominator), in lowest terms, of a map with
+    int or Fraction values."""
     den = 1
     for c in values.values():
         if type(c) is not int and c.denominator != 1:
@@ -113,7 +111,8 @@ class Polynomial:
 
     ``terms`` maps exponent tuples (one entry per variable, nonnegative and
     below 2**31) to nonzero coefficients.  Two polynomials are equal iff
-    they have the same variable tuple and the same term map.
+    they have the same variable tuple and the same term map.  Every
+    constructor builds the integer view; ``_terms`` only caches ``terms``.
     """
 
     __slots__ = ("vars", "_terms", "_hash", "_ints")
@@ -131,22 +130,11 @@ class Polynomial:
                 raise InvalidInput(f"bad exponent vector {exps} for variables {vars}")
             if n and max(exps) >= EXPONENT_LIMIT:
                 raise InvalidInput(f"exponent vector {exps} has an entry of 2**31 or more")
-            clean[exps] = c
+            clean[_pack(exps)] = c
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ints", None)
-
-    @classmethod
-    def _raw(cls, vars, terms):
-        """Trusted constructor: terms already canonical (tuple exponents of
-        the right length and below 2**31, nonzero Fraction values)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "vars", vars)
-        object.__setattr__(obj, "_terms", terms)
-        object.__setattr__(obj, "_hash", None)
-        object.__setattr__(obj, "_ints", None)
-        return obj
+        object.__setattr__(self, "_ints", _scaled(clean))
 
     @classmethod
     def _from_view(cls, vars, ints, den=1):
@@ -190,35 +178,18 @@ class Polynomial:
         terms = self._terms
         if terms is None:
             ints, den = self._ints
-            _, size, unpack_from = _layout(len(self.vars))
+            pairs = _unpacked(ints.items(), len(self.vars))
             if den == 1:
-                terms = {unpack_from(k.to_bytes(size, "big"), 8): Fraction(c)
-                         for k, c in ints.items()}
+                terms = {e: Fraction(c) for e, c in pairs}
             else:
-                terms = {unpack_from(k.to_bytes(size, "big"), 8): Fraction(c, den)
-                         for k, c in ints.items()}
+                terms = {e: Fraction(c, den) for e, c in pairs}
             object.__setattr__(self, "_terms", terms)
         return terms
 
     def _scaled_ints(self):
         """(integer term map on packed keys, common denominator), in lowest
-        terms, with terms*1/den == self; built on first use and kept:
-        callers must not change the map."""
-        view = self._ints
-        if view is None:
-            terms = self._terms
-            den = 1
-            for c in terms.values():
-                if c.denominator != 1:
-                    den = den * c.denominator // gcd(den, c.denominator)
-            if den == 1:
-                ints = {_pack(e): c.numerator for e, c in terms.items()}
-            else:
-                ints = {_pack(e): c.numerator * (den // c.denominator)
-                        for e, c in terms.items()}
-            view = (ints, den)
-            object.__setattr__(self, "_ints", view)
-        return view
+        terms, with terms*1/den == self: callers must not change the map."""
+        return self._ints
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -259,22 +230,14 @@ class Polynomial:
     # ------------------------------------------------------------------ #
     # basic queries
 
-    # The two tests below, like sorted_terms, read whichever map a
-    # polynomial has, so that a term map from the parser is not packed only
-    # to be tested.
-
     @property
     def is_zero(self):
-        terms = self._terms
-        return not (self._ints[0] if terms is None else terms)
+        return not self._ints[0]
 
     @property
     def is_constant(self):
-        terms = self._terms
-        if terms is None:
-            # the constant monomial's key is 0, and no other key is
-            return not any(self._ints[0])
-        return all(not any(e) for e in terms)
+        # the constant monomial's key is 0, and no other key is
+        return not any(self._ints[0])
 
     def constant_value(self):
         if not self.is_constant:
@@ -300,16 +263,12 @@ class Polynomial:
         return [i for i in range(n) if seen >> _shift(n, i) & _MASK]
 
     def sorted_terms(self):
-        """Terms in decreasing graded lexicographic order, read from the map
-        the polynomial has: printing a result of the kernel builds no
-        ``terms`` map, since packed keys sort in that order."""
-        terms = self._terms
-        if terms is not None:
-            return sorted(terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """Terms in decreasing graded lexicographic order, read from the
+        integer view, whose keys sort in that order: printing builds no
+        ``terms`` map."""
         ints, den = self._ints
-        _, size, unpack_from = _layout(len(self.vars))
-        return [(unpack_from(k.to_bytes(size, "big"), 8), Fraction(c, den))
-                for k, c in sorted(ints.items(), reverse=True)]
+        return [(e, Fraction(c, den))
+                for e, c in _unpacked(sorted(ints.items(), reverse=True), len(self.vars))]
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
@@ -317,7 +276,8 @@ class Polynomial:
         if not ints:
             raise InvalidInput("zero polynomial has no leading term")
         k = max(ints)
-        return _unpack(k, len(self.vars)), Fraction(ints[k], den)
+        (e, c), = _unpacked(((k, ints[k]),), len(self.vars))
+        return e, Fraction(c, den)
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
@@ -433,8 +393,7 @@ class Polynomial:
 
     def __len__(self):
         """The number of terms."""
-        terms = self._terms
-        return len(self._ints[0] if terms is None else terms)
+        return len(self._ints[0])
 
     # ------------------------------------------------------------------ #
     # content and normalization
@@ -559,11 +518,10 @@ class Polynomial:
         Sums the scaled integer terms with one power table per variable, so
         an integer point costs integer products only and one Fraction."""
         ints, den = self._scaled_ints()
-        _, size, unpack_from = _layout(len(self.vars))
         tables = {}
         total = 0
-        for key, c in ints.items():
-            for i, k in enumerate(unpack_from(key.to_bytes(size, "big"), 8)):
+        for exps, c in _unpacked(ints.items(), len(self.vars)):
+            for i, k in enumerate(exps):
                 if k:
                     table = tables.get(i)
                     if table is None:
