@@ -246,9 +246,10 @@ class _Parser:
         ``Polynomial.__pow__``, each bounded like a product; a power k > 1
         of a single term is refused before it is computed when it would
         take an exponent past MAX_EXPONENT."""
-        if len(p) == 1 and k > 1 and max(map(p.degree_in, range(len(p.vars))),
-                                         default=0) * k > MAX_EXPONENT:
-            self.fail(f"power of a single term exceeds exponent {MAX_EXPONENT}", tok)
+        if len(p) == 1:
+            if k > 1 and max(p.leading()[0], default=0) * k > MAX_EXPONENT:
+                self.fail(f"power of a single term exceeds exponent {MAX_EXPONENT}", tok)
+            return p ** k
         result = Polynomial.one(p.vars)
         while k:
             if k & 1:
@@ -317,7 +318,7 @@ class _Parser:
         tok = self.toks.next()
         if tok[0] == "int":
             k = self.integer(tok)
-            return Polynomial.constant(k, self.vars)
+            return Polynomial._from_view(self.vars, {0: k} if k else {})
         if tok[0] == "name":
             key = self.monomials.get(tok[1])
             if key is None:

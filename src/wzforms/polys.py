@@ -242,23 +242,23 @@ class Polynomial:
     def constant_value(self):
         if not self.is_constant:
             raise InvalidInput("polynomial is not constant")
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         return Fraction(ints.get(0, 0), den)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        ints, _ = self._scaled_ints()
+        ints, _ = self._ints
         return max(ints) >> 32 * len(self.vars) if ints else -1
 
     def degree_in(self, i):
         """Degree in the i-th variable; -1 for the zero polynomial."""
-        ints, _ = self._scaled_ints()
+        ints, _ = self._ints
         sh = _shift(len(self.vars), i)
         return max(k >> sh & _MASK for k in ints) if ints else -1
 
     def variables_present(self):
         """Indices of variables occurring with positive exponent."""
-        seen = reduce(or_, self._scaled_ints()[0], 0)
+        seen = reduce(or_, self._ints[0], 0)
         n = len(self.vars)
         return [i for i in range(n) if seen >> _shift(n, i) & _MASK]
 
@@ -272,7 +272,7 @@ class Polynomial:
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         if not ints:
             raise InvalidInput("zero polynomial has no leading term")
         k = max(ints)
@@ -300,8 +300,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_vars(other)
-        ints1, d1 = self._scaled_ints()
-        ints2, d2 = other._scaled_ints()
+        ints1, d1 = self._ints
+        ints2, d2 = other._ints
         den = d1 * d2 // gcd(d1, d2)
         m1, m2 = den // d1, sign * (den // d2)
         out = dict(ints1) if m1 == 1 else {k: c * m1 for k, c in ints1.items()}
@@ -320,7 +320,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         return Polynomial._from_view(self.vars, {k: -c for k, c in ints.items()}, den)
 
     def __sub__(self, other):
@@ -330,21 +330,21 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return Polynomial.zero(self.vars)
             if other == 1:
                 return self  # immutable, so the product by 1 is self
             other = Fraction(other)
-            ints, den = self._scaled_ints()
+            ints, den = self._ints
             a = other.numerator
             return Polynomial._from_ints(
                 self.vars, {k: c * a for k, c in ints.items()}, den * other.denominator)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         self._check_same_vars(other)
-        ints1, d1 = self._scaled_ints()
-        ints2, d2 = other._scaled_ints()
+        ints1, d1 = self._ints
+        ints2, d2 = other._ints
         terms = {}
         get = terms.get
         for k1, n1 in ints1.items():
@@ -379,11 +379,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         # both views are in lowest terms, so they are equal iff the terms are
-        return self.vars == other.vars and self._scaled_ints() == other._scaled_ints()
+        return self.vars == other.vars and self._ints == other._ints
 
     def __hash__(self):
         if self._hash is None:
-            ints, den = self._scaled_ints()
+            ints, den = self._ints
             h = hash((self.vars, frozenset(ints.items()), den))
             object.__setattr__(self, "_hash", h)
         return self._hash
@@ -401,7 +401,7 @@ class Polynomial:
     def content(self):
         """Signed rational content: ``self / content`` is integer-primitive
         with positive graded-lex leading coefficient.  Zero for zero."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         if not ints:
             return Fraction(0)
         g = _int_content(ints)
@@ -409,7 +409,7 @@ class Polynomial:
 
     def primitive(self):
         """Integer-primitive associate with positive leading coefficient."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         if not ints:
             return self
         g = _int_content(ints)
@@ -425,7 +425,7 @@ class Polynomial:
     def coeffs_in(self, i):
         """Coefficients as a polynomial in the i-th variable: a map from
         exponent of that variable to a Polynomial free of it."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         n = len(self.vars)
         sh, w = _shift(n, i), _unit_key(n, i)
         out = {}
@@ -446,12 +446,12 @@ class Polynomial:
         for p in coeffs.values():
             if p.vars != vars:
                 raise InvalidInput(f"variable mismatch: {p.vars} vs {vars}")
-            d = p._scaled_ints()[1]
+            d = p._ints[1]
             den = den * d // gcd(den, d)
         out = {}
         get = out.get
         for e, p in coeffs.items():
-            ints, d = p._scaled_ints()
+            ints, d = p._ints
             m, off = den // d, e * w
             for k, c in ints.items():
                 k += off
@@ -504,12 +504,12 @@ class Polynomial:
     def _values(self):
         """The term map on packed keys, with int values when they are all
         integers."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         return ints if den == 1 else {k: Fraction(c, den) for k, c in ints.items()}
 
     def _substituted(self, images, vars):
         """The kernel on the integer view, as a Polynomial in vars."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         return Polynomial._from_values(vars, _substitute(ints, images, len(vars)), den)
 
     def eval_at(self, point):
@@ -517,7 +517,7 @@ class Polynomial:
 
         Sums the scaled integer terms with one power table per variable, so
         an integer point costs integer products only and one Fraction."""
-        ints, den = self._scaled_ints()
+        ints, den = self._ints
         tables = {}
         total = 0
         for exps, c in _unpacked(ints.items(), len(self.vars)):
@@ -543,12 +543,12 @@ class Polynomial:
                 raise DivisionByZero("division of polynomial by zero")
             return self * (Fraction(1) / Fraction(other))
         self._check_same_vars(other)
-        io, do = other._scaled_ints()
+        io, do = other._ints
         if not io:
             raise DivisionByZero("division of polynomial by zero")
         if not any(io):
             return self * Fraction(do, io[0])
-        ip, dp = self._scaled_ints()
+        ip, dp = self._ints
         if not ip:
             return self
         # by Gauss's lemma a primitive divisor leaves an integer quotient
@@ -819,8 +819,8 @@ def _gcd_cached(p, q):
     qq = q.primitive()
     if pp == qq:
         return pp
-    pi, _ = pp._scaled_ints()
-    qi, _ = qq._scaled_ints()
+    pi, _ = pp._ints
+    qi, _ = qq._ints
     got = _heu_gcd(pi, qi, len(p.vars))
     if got is None:
         from .factor import _from_sympy, _to_sympy  # factor imports this module
