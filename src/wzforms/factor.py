@@ -7,11 +7,24 @@ off with univariate algebra, and only what is left goes to sympy's
 multivariate factoring (Wang's algorithm with Hensel lifting):
 
 1. Directions.  A factor P(v.x) of degree d contributes c*(v.x)^d to the
-   top homogeneous part T of the input, so v is a linear factor of T.  T is
-   dehomogenized in its variable x_j of largest degree and factored; each
-   linear factor a_0 + sum a_k x_k gives a candidate v with a_0 in slot j,
-   and x_j itself, the one linear factor that dehomogenizing loses, is a
-   candidate when it divides T.
+   top homogeneous part T of the input, so v is a linear factor of T.  The
+   linear factors of T are lifted one variable at a time from univariate
+   factorizations, with exact divisions on the integer kernel and no
+   multivariate factoring.  Let d = deg T and x_j its variable of largest
+   degree.  T(x_j = 1) is nonzero of degree at most d in each variable, so
+   it does not vanish on all of the grid {0..d}^(n-1) (the combinatorial
+   Nullstellensatz): take the first point s there, s_j = 1, with
+   T(s) != 0.  When s != e_j, x_l = y_l + s_l*y_j moves s to e_j; every
+   linear factor L then has y_j-coefficient L(s) != 0, and T holds y_j^d.
+   So for each other variable y_l the binary form T|{y_j, y_l} is nonzero,
+   and the rational roots of its univariate factorization are the only
+   ratios b_l/a that a factor a*y_j + ... + b_l*y_l can have.  Each partial
+   form that survives is extended by each ratio, and kept only if it
+   divides T restricted to the variables seen so far.  Every restriction
+   of a factor of T survives, and at most d distinct linear forms divide a
+   form of degree d, so a level keeps at most d forms; the survivors of
+   the last level are the linear factors of T, mapped back by
+   v_l = b_l, v_j = a - sum s_l*b_l.
 2. Blocks.  A linear change of variables over Q puts y = v.x in one slot.
    The content of the input over Q[y], the gcd of its coefficients in the
    other variables, is exactly the product of the factors that depend on
@@ -25,20 +38,23 @@ multivariate factoring (Wang's algorithm with Hensel lifting):
 Every step is exact, so no factor is missed.  All factors are re-normalized
 to this package's canonical form (integer-primitive, positive graded-lex
 leading coefficient, deterministic order) and verified by recombination.
-The conversion to sympy also carries the gcd fallback of
-:mod:`wzforms.polys`.
+The blocks' gcds run on the kernel's one integer gcd, ``polys._int_gcd``,
+and the conversion to sympy also carries its fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from .errors import InvalidInput
-from .polys import (_MASK, Polynomial, _int_divexact, _pack, _shift, _substitute,
-                    _unit_key, _unpacked)
+from .polys import (_MASK, Polynomial, _int_content, _int_divexact, _int_eval_at,
+                    _int_gcd, _shift, _substitute, _unit_key, _unpacked)
 
 _symbol_cache: dict[str, sympy.Symbol] = {}
 _YVARS = ("y",)
@@ -92,31 +108,80 @@ def _change_of_variables(v):
 
 def _directions(terms, vars):
     """The directions v of the linear factors of the top homogeneous part,
-    each primitive with its first nonzero entry positive."""
+    each primitive with its first nonzero entry positive, lifted from the
+    linear factors of its binary restrictions (module docstring, step 1)."""
     n = len(vars)
     d = max(terms) >> 32 * n
-    top = dict(_unpacked(((k, c) for k, c in terms.items() if k >> 32 * n == d), n))
-    j = max(range(n), key=lambda i: max(e[i] for e in top))
-    found = [tuple(int(i == j) for i in range(n))] if all(e[j] for e in top) else []
+    top = {k: c for k, c in terms.items() if k >> 32 * n == d}
+    degrees = [max(k >> _shift(n, i) & _MASK for k in top) for i in range(n)]
+    j = degrees.index(max(degrees))
     if n == 1:
-        return found
-    # T is homogeneous, so dropping x_j's exponent loses no term
+        return [(1,)]
     others = [i for i in range(n) if i != j]
-    dehom = _to_sympy({_pack(e[:j] + e[j + 1:]): c for e, c in top.items()},
-                      [vars[i] for i in others])
-    for fac, _ in dehom.factor_list()[1]:
-        if fac.total_degree() == 1:
-            v = [0] * n
-            for exps, c in fac.terms():
-                v[others[exps.index(1)] if any(exps) else j] = int(c)
-            sign = 1 if next(a for a in v if a) > 0 else -1
-            found.append(tuple(sign * a for a in v))
+    s = _point(top, n, j, d)
+    if any(s[l] for l in others):
+        # x_l = y_l + s_l*y_j moves s to e_j: each factor's y_j-coefficient
+        # becomes its value at s, which is nonzero because T(s) is
+        top = _substitute(top, [{_unit_key(n, l): 1, _unit_key(n, j): s[l]}
+                                if l != j and s[l] else None for l in range(n)], n)
+    fields = [_MASK << _shift(n, i) for i in range(n)]
+    unseen = off_j = sum(fields) - fields[j]
+    sh = _shift(n, j)
+    forms = [[int(i == j) for i in range(n)]]
+    for l in others:
+        # the binary form T|{y_j, y_l} holds y_j^d, so it is nonzero and
+        # each of its linear factors a*y_j + b*y_l has a > 0
+        binary = _dense(((k, c) for k, c in top.items() if not k & (off_j - fields[l])),
+                        sh, d)
+        unseen -= fields[l]
+        part = {k: c for k, c in top.items() if not k & unseen}
+        lifted = []
+        for fac, _ in dup_factor_list(binary, ZZ)[1]:
+            if len(fac) != 2:
+                continue
+            a, b = int(fac[0]), int(fac[1])
+            for form in forms:
+                w = [a * c for c in form]
+                w[l] = b * form[j]
+                g = gcd(*w)
+                w = [c // g for c in w]
+                # at most d forms divide T restricted to the variables seen
+                if _int_divexact(part, {_unit_key(n, i): c for i, c in enumerate(w) if c},
+                                 n) is not None:
+                    lifted.append(w)
+        forms = lifted
+    found = []
+    for w in forms:
+        v = list(w)
+        v[j] = w[j] - sum(s[l] * w[l] for l in others)
+        g = gcd(*v)
+        if next(c for c in v if c) < 0:
+            g = -g
+        found.append(tuple(c // g for c in v))
     return found
 
 
+def _point(top, n, j, d):
+    """The first point s of the grid {0..d}^(n-1) with s_j = 1, in lex
+    order, at which the top part T does not vanish.  Entry by entry, s_i is
+    the least value that leaves T, at the entries fixed so far, a nonzero
+    polynomial: one of degree at most d in x_i has such a value in 0..d,
+    and it is zero on the whole subgrid when it is zero as a polynomial."""
+    s = [int(i == j) for i in range(n)]
+    if d * _unit_key(n, j) in top:  # T(e_j) is the coefficient of x_j^d
+        return s
+    rest = _int_eval_at(top, n, j, 1)
+    for i in range(n):
+        if i != j:
+            s[i] = next(a for a in range(d + 1) if _int_eval_at(rest, n, i, a))
+            rest = _int_eval_at(rest, n, i, s[i])
+    return s
+
+
 def _block(terms, v):
-    """The content of the term map over Q[v . x] as a primitive sympy Poly
-    in y, or None when it is constant."""
+    """The content of the term map over Q[v . x] as a dense univariate list
+    over ZZ, highest coefficient first, primitive with a positive leading
+    coefficient; None when it is constant."""
     n = len(v)
     slot, images = _change_of_variables(v)
     sh, w, y = _shift(n, slot), _unit_key(n, slot), _unit_key(1, 0)
@@ -129,18 +194,31 @@ def _block(terms, v):
         coeffs.setdefault(k - e * w, {})[e * y] = int(c * scale)
     block = None
     for cs in sorted(coeffs.values(), key=len):
-        u = _to_sympy(cs, _YVARS)
-        block = u if block is None else block.gcd(u)
-        if block.degree() < 1:
+        block = cs if block is None else _int_gcd(block, cs, _YVARS)
+        if not any(block):
             return None
-    return block.primitive()[1]
+    lead = max(block)
+    g = _int_content(block) if block[lead] > 0 else -_int_content(block)
+    return _dense(((k, c // g) for k, c in block.items()), 0, lead & _MASK)
+
+
+def _dense(pairs, sh, d):
+    """sympy's dense list over ZZ, coefficient of x^d first, of (key, int)
+    pairs with one pair per exponent of x, read from the key's field at bit
+    sh: the other variables are set to 1."""
+    dense = [ZZ(0)] * (d + 1)
+    for k, c in pairs:
+        dense[d - (k >> sh & _MASK)] = ZZ(c)
+    return dense
 
 
 def _along(u, v):
-    """The integer term map of u(v . x) for a univariate sympy Poly u."""
-    n = len(v)
+    """The integer term map of u(v . x) for a dense univariate list u over
+    ZZ, highest coefficient first."""
+    n, d = len(v), len(u) - 1
     images = [{_unit_key(n, k): a for k, a in enumerate(v) if a}]
-    return _substitute({_pack(e): int(c) for e, c in u.terms()}, images, n)
+    return _substitute({(d - i) * _unit_key(1, 0): int(c) for i, c in enumerate(u) if c},
+                       images, n)
 
 
 @lru_cache(maxsize=8192)
@@ -171,10 +249,10 @@ def factor_polynomial(p):
         if block is None:
             continue
         found.extend((Polynomial._from_view(p.vars, _along(fac, v)), mult)
-                     for fac, mult in block.factor_list()[1])
+                     for fac, mult in dup_factor_list(block, ZZ)[1])
         # rest and the block are primitive with positive leading
         # coefficients, so a block of full degree leaves 1
-        if block.degree() == max(rest) >> 32 * n:
+        if len(block) - 1 == max(rest) >> 32 * n:
             rest = {0: 1}
         else:
             rest = _int_divexact(rest, _along(block, v), n)

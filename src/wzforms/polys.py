@@ -696,12 +696,26 @@ def _int_primitive(terms):
 
 
 def _int_divexact(p, q, n):
-    """Exact quotient of integer term maps in n variables, or None."""
+    """Exact quotient of integer term maps in n variables, or None.
+
+    In a monomial order the least term of an exact product is the product
+    of the least terms, as the leading term is of the leading terms.  So
+    the quotient's trailing key is known before the loop, a division that
+    cannot be exact is refused there, and the loop stops at the first
+    quotient key below it: x^N / (x - 1) takes no step, not N.
+    """
     if not p:
         return {}
     guards = _layout(n)[0]
     lead = max(q)
     lead_c = q[lead]
+    low_p, low_q = min(p), min(q)
+    low = low_p + guards - low_q
+    if low & guards != guards or p[low_p] % q[low_q]:
+        return None
+    low -= guards
+    if low > max(p) - lead:
+        return None
     rem = dict(p)
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -718,6 +732,8 @@ def _int_divexact(p, q, n):
         if t & guards != guards or c % lead_c:
             return None
         t -= guards
+        if t < low:
+            return None
         qc = c // lead_c
         quo[t] = qc
         for k2, c2 in q.items():
@@ -819,11 +835,17 @@ def _gcd_cached(p, q):
     qq = q.primitive()
     if pp == qq:
         return pp
-    pi, _ = pp._ints
-    qi, _ = qq._ints
-    got = _heu_gcd(pi, qi, len(p.vars))
+    return Polynomial._from_view(p.vars, _int_gcd(pp._ints[0], qq._ints[0],
+                                                  p.vars)).primitive()
+
+
+def _int_gcd(p, q, vars):
+    """The gcd over ZZ of nonzero integer term maps in vars, content
+    included, sign unnormalized: the heuristic, or sympy's gcd when it
+    gives up."""
+    got = _heu_gcd(p, q, len(vars))
     if got is None:
-        from .factor import _from_sympy, _to_sympy  # factor imports this module
-        return _from_sympy(_to_sympy(pi, p.vars).gcd(_to_sympy(qi, p.vars)),
-                           p.vars).primitive()
-    return Polynomial._from_view(p.vars, got).primitive()
+        from .factor import _to_sympy  # factor imports this module
+        got = {_pack(e): int(c)
+               for e, c in _to_sympy(p, vars).gcd(_to_sympy(q, vars)).terms()}
+    return got

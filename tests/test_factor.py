@@ -5,6 +5,10 @@ the way the package does: integer-primitive factors with positive
 graded-lex leading coefficient, sorted by ``sort_key``, the rest in the
 content.  Inputs are seeded products of integer-linear factors P(v.x) and a
 few factors that are not integer-linear.
+
+The directions found by lifting the linear factors of the top part's binary
+restrictions are checked against an oracle that factors the dehomogenized
+top part as a multivariate polynomial.
 """
 
 import random
@@ -14,8 +18,9 @@ from math import gcd
 import pytest
 import sympy
 
-from wzforms import Polynomial, parse_polynomial
-from wzforms.factor import factor_polynomial
+from wzforms import Polynomial, parse_polynomial, polys
+from wzforms.factor import _directions, factor_polynomial
+from wzforms.polys import _int_divexact, _unpacked
 
 VARS = ("x", "y", "z", "w")
 NOT_INTEGER_LINEAR = (
@@ -111,3 +116,117 @@ CASES = [
 def test_factor_matches_sympy_on_chosen_products(vars, text):
     p = parse_polynomial(text, vars)
     assert factor_polynomial(p) == reference(p)
+
+
+def directions_by_factoring(terms, vars):
+    """The directions of the linear factors of the top homogeneous part of
+    a packed integer term map, from sympy's multivariate factor_list of
+    that part dehomogenized in its variable x_j of largest degree; x_j
+    itself, which dehomogenizing loses, is added when it divides."""
+    n = len(vars)
+    d = max(terms) >> 32 * n
+    top = dict(_unpacked(((k, c) for k, c in terms.items() if k >> 32 * n == d), n))
+    j = max(range(n), key=lambda i: max(e[i] for e in top))
+    found = {tuple(int(i == j) for i in range(n))} if all(e[j] for e in top) else set()
+    others = [i for i in range(n) if i != j]
+    dehom = sympy.Poly.from_dict({e[:j] + e[j + 1:]: c for e, c in top.items()},
+                                 *sympy.symbols([vars[i] for i in others]),
+                                 domain=sympy.ZZ)
+    for fac, _ in dehom.factor_list()[1]:
+        if fac.total_degree() == 1:
+            v = [0] * n
+            for exps, c in fac.terms():
+                v[others[exps.index(1)] if any(exps) else j] = int(c)
+            sign = 1 if next(a for a in v if a) > 0 else -1
+            found.add(tuple(sign * a for a in v))
+    return found
+
+
+def directions(p):
+    """The lifted directions of p, as a set, with no repeats."""
+    got = _directions(p.primitive()._scaled_ints()[0], p.vars)
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+NOT_LINEAR = NOT_INTEGER_LINEAR + ("x^2 + y*z", "x*z - y^2 + 1")
+
+
+def random_linear_product(seed):
+    """A product of linear forms in 2-4 variables with entries -3..3, some
+    zero, some forms repeated, times 0-2 forms that are not linear."""
+    rng = random.Random(f"directions-{seed}")
+    n = 2 + seed % 3
+    vars = VARS[:n]
+    pool = []
+    while len(pool) < rng.randint(1, 4):
+        form = [rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(n + 1)]
+        if any(form[:n]):
+            pool.append(form)
+    p = Polynomial.one(vars)
+    for _ in range(rng.randint(1, 5)):
+        form = rng.choice(pool)
+        p = p * Polynomial.linear_form(form[:n], vars, form[n])
+    for _ in range(rng.randint(0, 2)):
+        text = rng.choice([t for t in NOT_LINEAR if n > 2 or "z" not in t])
+        p = p * parse_polynomial(text, vars)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_directions_match_multivariate_factoring(seed):
+    p = random_linear_product(seed)
+    assert directions(p) == directions_by_factoring(p.primitive()._scaled_ints()[0],
+                                                    p.vars)
+
+
+DIRECTION_CASES = [
+    # tops with no pure power of any variable: the change of variables runs
+    (("x", "y"), "(x + 1)*(y + 1)"),
+    (("x", "y", "z"), "(x + y + 1)*(z + 2)*(x - z)"),
+    (("x", "y", "z"), "x*y*z + 1"),
+    # the (x, z) plane splits and is lifted first; the lift to y prunes both
+    (("x", "z", "y"), "x^2 + y^2 - z^2"),
+    # both planes split, and no lift of the two ratios divides
+    (("x", "y", "z"), "x^2 - y^2 - z^2"),
+    # five distinct forms that agree on the coordinate plane z = 0: the one
+    # ratio of the first level lifts to five at the next
+    (("x", "y", "z"),
+     "(x + y - 2*z)*(x + y - z + 1)*(x + y)*(x + y + z - 1)*(x + y + 2*z + 3)"),
+]
+
+
+@pytest.mark.parametrize("vars,text", DIRECTION_CASES)
+def test_directions_on_chosen_tops(vars, text):
+    p = parse_polynomial(text, vars)
+    assert directions(p) == directions_by_factoring(p._scaled_ints()[0], vars)
+    assert factor_polynomial(p) == reference(p)
+
+
+def test_lifting_through_a_shared_plane_keeps_all_five():
+    vars, text = DIRECTION_CASES[-1]
+    assert directions(parse_polynomial(text, vars)) == {
+        (1, 1, -2), (1, 1, -1), (1, 1, 0), (1, 1, 1), (1, 1, 2)}
+
+
+def test_sympy_gcd_fallback_gives_the_same_factors(monkeypatch):
+    inputs = [random_product(seed) for seed in range(1, 48, 3)]
+    inputs += [parse_polynomial(text, vars) for vars, text in CASES + DIRECTION_CASES]
+    factor_polynomial.cache_clear()
+    polys._gcd_cached.cache_clear()
+    expected = [factor_polynomial(p) for p in inputs]
+    gave_up = []
+
+    def give_up(p, q, n):
+        gave_up.append(n)
+
+    monkeypatch.setattr(polys, "_heu_gcd", give_up)
+    factor_polynomial.cache_clear()
+    polys._gcd_cached.cache_clear()
+    try:
+        assert [factor_polynomial(p) for p in inputs] == expected
+    finally:
+        factor_polynomial.cache_clear()
+        polys._gcd_cached.cache_clear()
+    # the blocks' gcds run in one variable y
+    assert 1 in gave_up

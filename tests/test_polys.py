@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -574,6 +575,18 @@ def test_division_fails_on_a_negative_quotient_exponent():
             p = _tuple_mul(p, co)
         assert _tuple_divexact(p, q) is None
         assert _poly(vars, p).divexact(_poly(vars, q)) is None
+
+
+@pytest.mark.parametrize("root", [3, 1])
+def test_division_that_cannot_be_exact_stops_before_the_loop(root):
+    """x^(2**31 - 2) / (x - root): the trailing coefficient -3 does not
+    divide 1, and for x - 1 the quotient's trailing monomial x^(2**31 - 2)
+    lies above its leading one.  One step per quotient term would take
+    2**31 - 2 steps."""
+    big = {polys._pack((LIMIT - 2,)): 1}
+    start = time.perf_counter()
+    assert polys._int_divexact(big, {polys._pack((1,)): 1, 0: -root}, 1) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exponent_ceiling():
