@@ -15,7 +15,8 @@ import sys
 from .errors import DivisionByZero, InvalidInput, NotAWZForm, ParseError
 from .intlinear import IntegerLinearType, integer_linear_decompose
 from .orbital import orbital_residue
-from .parser import MAX_LITERAL_DIGITS, parse_expression, parse_polynomial
+from .parser import (MAX_LITERAL_DIGITS, _Tokenizer, parse_expression,
+                     parse_polynomial)
 from .shifts import WZForm, is_wz_form
 from .wzform import (AdditiveRepresentation, conjugate_polygamma, decompose,
                      generate, random_additive_rep)
@@ -106,6 +107,15 @@ def _load_rep(path):
 
 
 def _distinct(vars):
+    """The variable names of --vars or of a document: each one that the
+    parser reads as exactly one name token, and no two alike."""
+    for name in vars:
+        try:
+            tokens = [tok[:2] for tok in _Tokenizer(name).tokens]
+        except ParseError:
+            tokens = None
+        if tokens != [("name", name), ("end", "")]:
+            raise InvalidInput(f"{name!r} is not a variable name")
     if len(set(vars)) != len(vars):
         raise InvalidInput(f"duplicate variable names in {', '.join(vars)}")
     return vars

@@ -340,8 +340,9 @@ def _partial_fraction_full(f, i):
     coefficient in x is l, gives ``l**k * num == q*D + r`` with deg r < deg D,
     so ``f == q/(l**k*c) + r/(l**k*c*D)``.  A constant l is divided out of D
     first, so that k == 0.  The polynomial part costs one gcd; the remainder
-    goes to the layer routines as ``(coefficients of r, l**k*c)``, all of it
-    polynomials.
+    goes, as ``(coefficients of r, l**k*c)``, to the one fraction-free b-adic
+    peel of :func:`_layers_by_inversion`, which serves every base, linear or
+    not.  All of it runs on polynomials.
     """
     vars = f.vars
     if f.is_zero:
@@ -378,7 +379,7 @@ def _partial_fraction_full(f, i):
 
 
 def _layers_by_inversion(R, U, b, m, i):
-    """Layer numerators over b**m for a base b of degree d > 1 in x = x_i.
+    """Layer numerators over b**m for a base b of degree d >= 1 in x = x_i.
 
     Over K = Q(other variables) the layers a_m, ..., a_1, each of degree
     below d in x, are the b-adic digits of R/U modulo b**m:
@@ -403,6 +404,10 @@ def _layers_by_inversion(R, U, b, m, i):
     not constant enters through pseudo-remainders, whose powers of l are
     divided out once per layer.  No gcd runs until each layer is made
     canonical.
+
+    A linear base (d == 1) needs no inversion: M is the 1 x 1 matrix whose
+    entry, the pseudo-remainder l**e*U mod b, is det, and w == l**e.  So
+    every base, linear or not, takes this one route.
     """
     P, c = R
     vars = b.vars
@@ -510,8 +515,8 @@ def _exact_quotient(p, q):
 
 def _taylor_at(coeffs, rho, m):
     """First m Taylor coefficients at ``x = rho`` by repeated synthetic
-    division.  Coefficients and rho are elements of one ring: rational
-    functions here, algebraic numbers (sympy ``ANP``) for root sums."""
+    division.  Coefficients and rho are elements of one ring, such as the
+    algebraic numbers (sympy ``ANP``) of a root sum."""
     cs = list(coeffs)
     zero = rho - rho
     out = []
@@ -546,8 +551,8 @@ def _series_mul(a, b, m):
 
 
 def _series_inverse(u, m):
-    """First m coefficients of ``1/u``; ``u[0] ** -1`` inverts a rational
-    function and an algebraic number alike."""
+    """First m coefficients of ``1/u`` over a field whose elements invert
+    with ``** -1``, such as the algebraic numbers of a root sum."""
     inv0 = u[0] ** -1
     out = [inv0]
     for k in range(1, m):
@@ -560,28 +565,10 @@ def _series_inverse(u, m):
     return out
 
 
+# perfbench/tracing.py resolves this name; it goes when ROADMAP item 1 drops
+# the rationals.linear_pole boundary
 def _layers_at_linear_pole(R, U, b, m, i):
-    """Layer numerators over b**m for a base linear in the variable, via the
-    local expansion at its root; avoids extended-gcd inversion.  R is
-    ``(P, c)`` as for :func:`_layers_by_inversion`."""
-    P, c = R
-    bc = b.coeffs_in(i)
-    c1 = RationalFunction(bc[1])
-    c0 = RationalFunction(bc[0]) if 0 in bc else RationalFunction.zero(b.vars)
-    rho = -(c0 / c1)
-    one = Polynomial.one(b.vars)
-    # a polynomial over 1 is already canonical
-    rser = _taylor_at([RationalFunction._trusted(a, one) for a in P], rho, m)
-    user = _taylor_at([RationalFunction._trusted(a, one) for a in _dense_coeffs(U, i)],
-                      rho, m)
-    local = _series_mul(rser, _series_inverse(user, m), m)
-    c = RationalFunction(c)
-    layers = {}
-    for t in range(1, m + 1):
-        a = local[m - t]
-        if not a.is_zero:
-            layers[t] = a / (c * c1 ** (m - t))
-    return layers
+    return _layers_by_inversion(R, U, b, m, i)
 
 
 def _dense_coeffs(p, i):

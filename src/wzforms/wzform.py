@@ -99,14 +99,17 @@ def generate(rep):
     if not isinstance(rep, AdditiveRepresentation):
         raise InvalidInput("generate expects an AdditiveRepresentation")
     vars = rep.vars
-    components = []
-    for i in range(len(vars)):
-        # the small range sums first, the exact part's difference last
-        f = RationalFunction.zero(vars)
-        for vtype, r in rep.parts:
-            f = f + signed_range_sum(r, vtype, i, vars)
-        components.append(f + delta(rep.exact_part, i))
-    return WZForm._trusted(vars, components)
+    return WZForm._trusted(vars, [_component(rep.exact_part, rep.parts, i, vars)
+                                  for i in range(len(vars))])
+
+
+def _component(exact, parts, i, vars):
+    """``delta_i(exact)`` plus the signed range sums of the uniform parts:
+    the small range sums first, the exact part's difference last."""
+    f = RationalFunction.zero(vars)
+    for vtype, r in parts:
+        f = f + signed_range_sum(r, vtype, i, vars)
+    return f + delta(exact, i)
 
 
 # ---------------------------------------------------------------------- #
@@ -122,9 +125,9 @@ def decompose(form):
     integer-linear, its layer numerators must follow the same direction, and
     the collected univariate data must admit a rational solution of the
     matching step-difference equation.  Then f_k is exactly delta_k(g) plus
-    signed range sums.  For every later f_j, the same terms' j-difference and
-    range sums are summed first and subtracted from f_j once, which keeps
-    each pair's compatibility.
+    signed range sums.  For every later f_j, the j-th component that
+    ``generate`` builds from the same terms is subtracted from f_j once,
+    which keeps each pair's compatibility.
 
     Why the answer is exact: after level k, f_k is fully accounted for, and
     later levels subtract from f_j only terms free of x_k.  So the pair
@@ -199,10 +202,7 @@ def decompose(form):
         exact = exact + g_level
         for j in range(k + 1, n):
             # one subtraction from the large residual per level
-            sub = delta(g_level, j)
-            for vtype, r in level_parts:
-                sub = sub + signed_range_sum(r, vtype, j, vars)
-            fs[j] = fs[j] - sub
+            fs[j] = fs[j] - _component(g_level, level_parts, j, vars)
         parts.extend(level_parts)
     rep = AdditiveRepresentation(vars, exact, parts)
     object.__setattr__(form, "_rep", rep)

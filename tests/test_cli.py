@@ -206,18 +206,27 @@ def test_boolean_direction_entries_exit_3(tmp_path):
             assert err == "error: type entries must be integers\n"
 
 
+# --vars lists, with a word of the error: names that repeat, and names that
+# no expression can name because they are not one name token
+BAD_VARS = [("x,x", "duplicate"), ("x+1,y", "not a variable name"),
+            ("a b,c", "not a variable name"), ("1x,y", "not a variable name")]
+
+
 def test_duplicate_vars_option_exits_3(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("x\n")
-    status, out, err = run(["verify", "--vars", "x,x", str(p), str(p)])
-    assert (status, out) == (3, "") and "duplicate" in err
+    for names, word in BAD_VARS:
+        status, out, err = run(["verify", "--vars", names, str(p), str(p)])
+        assert (status, out) == (3, "") and word in err
 
 
 def test_duplicate_vars_in_document_exits_3(tmp_path):
     doc = tmp_path / "rep.json"
-    doc.write_text(json.dumps({"vars": ["x", "x"], "exact": "0", "uniform": []}))
-    status, out, err = run(["generate", "--in", str(doc)])
-    assert (status, out) == (3, "") and "duplicate" in err
+    for names, word in BAD_VARS:
+        doc.write_text(json.dumps({"vars": names.split(","), "exact": "0",
+                                   "uniform": []}))
+        status, out, err = run(["generate", "--in", str(doc)])
+        assert (status, out) == (3, "") and word in err
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -9,6 +9,8 @@ from conftest import random_polynomial, random_rational
 from wzforms import (DivisionByZero, Polynomial, RationalFunction, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
+from wzforms.rationals import (_dense_coeffs, _layers_at_linear_pole,
+                               _series_inverse, _series_mul, _taylor_at)
 
 V = ("x", "y")
 x = Polynomial.variable("x", V)
@@ -202,6 +204,53 @@ def test_partial_fraction_at_poles_with_non_constant_leading_coefficients():
             total = total + a / RationalFunction(b) ** t
         assert total == f
     assert seen_general and seen_pseudo
+
+
+def _taylor_layers(R, U, b, m, i):
+    """Test oracle: the layers of R/U over b**m at a base b = c1*x + c0
+    linear in x = x_i, from the local expansion at its root rho = -c0/c1 in
+    rational-function arithmetic.  If R/U == sum_k s_k*(x - rho)**k near
+    rho, then b**t == c1**t*(x - rho)**t makes the layer of order t equal
+    to s_(m-t)/c1**(m-t)."""
+    P, c = R
+    bc = b.coeffs_in(i)
+    c1 = RationalFunction(bc[1])
+    c0 = RationalFunction(bc[0]) if 0 in bc else RationalFunction.zero(b.vars)
+    rho = -(c0 / c1)
+    rser = _taylor_at([RationalFunction(a) for a in P], rho, m)
+    user = _taylor_at([RationalFunction(a) for a in _dense_coeffs(U, i)], rho, m)
+    local = _series_mul(rser, _series_inverse(user, m), m)
+    c = RationalFunction(c)
+    return {t: local[m - t] / (c * c1 ** (m - t))
+            for t in range(1, m + 1) if not local[m - t].is_zero}
+
+
+def test_linear_pole_layers_match_the_taylor_route():
+    # seeded linear bases in x, y or z with multiplicity 1-3, many of them
+    # with a leading coefficient that is not constant
+    V3 = ("x", "y", "z")
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(60):
+        i = rng.randrange(3)
+        u, v, w = (Polynomial.variable(V3[(i + k) % 3], V3) for k in range(3))
+        linear = [u, u + v, 2 * u - w + 1, (v + 2) * u + w**2 - 1,
+                  (w - 1) * u + v, v * u + w, 3 * u + 2 * v * w - 5]
+        b = rng.choice(linear)
+        m = rng.randint(1, 3)
+        U = Polynomial.one(V3)
+        for q in rng.sample([q for q in linear if q != b] + [u**2 + v + 1],
+                            rng.randint(0, 2)):
+            U = U * q ** rng.randint(1, 2)
+        # R == P/c with deg P < deg(b**m*U) in the variable and c free of it
+        top = m + U.degree_in(i)
+        P = _dense_coeffs(random_polynomial(rng, V3, max_terms=6, max_deg=top + 1,
+                                            nonzero=True), i)[:top]
+        c = rng.choice([Polynomial.one(V3), v + 2, 2 * w - 3, v * w + 1])
+        layers = _layers_at_linear_pole((P, c), U, b, m, i)
+        assert layers == _taylor_layers((P, c), U, b, m, i)
+        seen.add((m, b.coeffs_in(i)[1].is_constant))
+    assert seen == {(m, const) for m in (1, 2, 3) for const in (True, False)}
 
 
 def test_antidifference_examples():

@@ -164,7 +164,12 @@ def test_round_trip_on_seeded_representations():
 
 
 DECOMPOSED = {
-    # criterion-5 seeds whose partial fractions invert at poles of degree 2 and 3
+    # criterion-5 seeds whose partial fractions peel poles of degree 2 and 3,
+    # and (18, 43) linear poles only, of multiplicity 3, along directions
+    # with an entry 2
+    18: "(exact = -7*x; uniform = {(1,-1): (-9*Z - 2)/Z^3, (2,1): -2/Z^3})",
+    43: "(exact = -1/(2*x + z + 2); uniform = {(2,0,-1): (3*Z - 1)/Z^3,"
+        " (2,1,2): 4/(3*Z + 4)})",
     130: "(exact = (5/6*x*y - 5/6*x*z - 5/3*y*z + 5/3*z^2 - 5/2*y + 5/2*z - 9)"
          "/(x - 2*z - 3); uniform = {(1,1,1): 7/9/Z^2, (2,0,1): 6*Z/(6*Z^2 - 7),"
          " (0,1,-1): -3/2/Z})",
