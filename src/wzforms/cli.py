@@ -15,8 +15,8 @@ import sys
 from .errors import DivisionByZero, InvalidInput, NotAWZForm, ParseError
 from .intlinear import IntegerLinearType, integer_linear_decompose
 from .orbital import orbital_residue
-from .parser import (MAX_LITERAL_DIGITS, _Tokenizer, parse_expression,
-                     parse_polynomial)
+from .parser import (MAX_LITERAL_DIGITS, parse_expression, parse_polynomial,
+                     variable_names)
 from .shifts import WZForm, is_wz_form
 from .wzform import (AdditiveRepresentation, conjugate_polygamma, decompose,
                      generate, random_additive_rep)
@@ -61,7 +61,7 @@ def rep_from_json(obj):
         raise InvalidInput(f"missing key {missing} in representation document")
     if not (isinstance(vars, list) and vars and all(isinstance(v, str) for v in vars)):
         raise InvalidInput("vars must be a nonempty list of names")
-    vars = _distinct(tuple(vars))
+    vars = variable_names(vars)
     if not isinstance(exact_text, str):
         raise InvalidInput("exact must be a string")
     if not (isinstance(uniform, list) and all(isinstance(e, dict) for e in uniform)):
@@ -106,26 +106,11 @@ def _load_rep(path):
     return rep_from_json(doc)
 
 
-def _distinct(vars):
-    """The variable names of --vars or of a document: each one that the
-    parser reads as exactly one name token, and no two alike."""
-    for name in vars:
-        try:
-            tokens = [tok[:2] for tok in _Tokenizer(name).tokens]
-        except ParseError:
-            tokens = None
-        if tokens != [("name", name), ("end", "")]:
-            raise InvalidInput(f"{name!r} is not a variable name")
-    if len(set(vars)) != len(vars):
-        raise InvalidInput(f"duplicate variable names in {', '.join(vars)}")
-    return vars
-
-
 def _parse_vars(text):
     vars = tuple(name.strip() for name in text.split(",") if name.strip())
     if not vars:
         raise InvalidInput("--vars needs a comma-separated list of names")
-    return _distinct(vars)
+    return variable_names(vars)
 
 
 def _read_components(paths, vars):

@@ -342,10 +342,30 @@ def _lift(value):
     return value
 
 
+def variable_names(vars):
+    """The declared variables as a tuple, when each is a string that the
+    parser reads as exactly one name token and no two are alike; otherwise
+    InvalidInput, so that nothing printed over them fails to parse back."""
+    vars = tuple(vars)
+    for name in vars:
+        tokens = None
+        if isinstance(name, str):
+            try:
+                tokens = [tok[:2] for tok in _Tokenizer(name).tokens]
+            except ParseError:
+                pass
+        if tokens != [("name", name), ("end", "")]:
+            raise InvalidInput(f"{name!r} is not a variable name")
+    if len(set(vars)) != len(vars):
+        raise InvalidInput(f"duplicate variable names in {', '.join(vars)}")
+    return vars
+
+
 def parse_expression(text, vars):
     """Parse infix text into a canonical RationalFunction over the declared
-    variables.  Raises ParseError with position info, or DivisionByZero."""
-    return _Parser(text, vars).parse()
+    variables, which :func:`variable_names` checks.  Raises ParseError with
+    position info, InvalidInput, or DivisionByZero."""
+    return _Parser(text, variable_names(vars)).parse()
 
 
 def parse_polynomial(text, vars):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .errors import DivisionByZero, InvalidInput
 from .factor import factor_polynomial
-from .polys import Polynomial, poly_gcd
+from .polys import Polynomial, _int_eval_at, _unit_key, poly_gcd
 
 
 def _int_entries(entries, what):
@@ -340,9 +341,17 @@ def _partial_fraction_full(f, i):
     coefficient in x is l, gives ``l**k * num == q*D + r`` with deg r < deg D,
     so ``f == q/(l**k*c) + r/(l**k*c*D)``.  A constant l is divided out of D
     first, so that k == 0.  The polynomial part costs one gcd; the remainder
-    goes, as ``(coefficients of r, l**k*c)``, to the one fraction-free b-adic
-    peel of :func:`_layers_by_inversion`, which serves every base, linear or
-    not.  All of it runs on polynomials.
+    goes, as ``R = (coefficients of r, l**k*c)``, to the layers of each base
+    b of multiplicity m.  The fraction-free b-adic peel of
+    :func:`_layers_by_inversion` serves a linear base, every base of a
+    univariate f, and every base the line route below does not answer.  A
+    base of degree d > 1 in x of a multivariate f first tries
+    :func:`_layers_on_a_line`: when b = P(v . x) is integer-linear, the peel
+    runs on one line where the other variables are small integers, the
+    layers found there are lifted along v, and one exact division by b**m
+    certifies them; it gives up, and the peel answers, when b is not
+    integer-linear, no good line is found or the certificate fails.  All of
+    it runs on polynomials.
     """
     vars = f.vars
     if f.is_zero:
@@ -373,9 +382,91 @@ def _partial_fraction_full(f, i):
         if b.degree_in(i) == 1:
             layers = _layers_at_linear_pole((r, c), U, b, m, i)
         else:
-            layers = _layers_by_inversion((r, c), U, b, m, i)
+            layers = _layers_on_a_line((r, c), U, b, m, i) if len(vars) > 1 else None
+            if layers is None:
+                layers = _layers_by_inversion((r, c), U, b, m, i)
         groups.append((b, m, layers))
     return poly_part, groups
+
+
+def _layers_on_a_line(R, U, b, m, i):
+    """The layers of :func:`_layers_by_inversion` at a base b = B(v . x) of
+    degree d > 1 in x = x_i, guessed from one line and certified; None when
+    b is not integer-linear, no line in the search is good, or the guess
+    fails its certificate.  R == P/c is given as there.
+
+    By the structure theorem the layers at such a base are, as a rule,
+    alpha_t(v . x) for univariate alpha_t.  On the line where every other
+    x_j is a small integer p_j, b is B(v_i*x + s) with s = sum v_j*p_j:
+    irreducible, with a constant leading coefficient.  A line is good when
+    c does not vanish there and U restricted to it is not divisible by b
+    restricted to it; the peel then runs on univariate data, and its layer
+    alpha_t(v_i*x + s) gives alpha_t(v . x) by one substitution of
+    x -> (v . x - s)/v_i.  The guess stands only if b**m divides
+    P - c*U*(a_m + a_{m-1}*b + ... + a_1*b**(m-1)) exactly: the layers are
+    the unique b-adic digits of R/U, so a guess that passes is the answer.
+    """
+    from .intlinear import integer_linear_decompose  # intlinear imports this module
+
+    got = integer_linear_decompose(b)
+    if got is None:
+        return None
+    v = got[1].entries
+    P, c = R
+    vars = b.vars
+    n = len(vars)
+    for point in _line_points(n, i):
+        c_line = _on_line(c, point)
+        if c_line.is_zero:
+            continue
+        b_line = _on_line(b, point)
+        U_line = _on_line(U, point)
+        if U_line.divexact(b_line) is not None:
+            continue
+        line = _layers_by_inversion(([_on_line(a, point) for a in P], c_line),
+                                    U_line, b_line, m, i)
+        break
+    else:
+        return None
+    s = sum(vj * pj for vj, pj in zip(v, point) if pj)
+    image = {_unit_key(n, j): Fraction(vj, v[i]) for j, vj in enumerate(v) if vj}
+    if s:
+        image[0] = Fraction(-s, v[i])
+    images = [image if j == i else None for j in range(n)]
+    # a line's layer is a polynomial in x, so its canonical denominator is 1
+    layers = {t: a.num._substituted(images, vars) for t, a in line.items()}
+    zero = Polynomial.zero(vars)
+    digits = layers.get(1, zero)
+    for t in range(2, m + 1):
+        digits = digits * b + layers.get(t, zero)
+    rest = Polynomial.from_coeffs_in(dict(enumerate(P)), i, vars) - c * U * digits
+    if rest.divexact(b ** m) is None:
+        return None
+    one = Polynomial.one(vars)
+    return {t: RationalFunction._trusted(a, one) for t, a in layers.items()}
+
+
+def _line_points(n, i):
+    """The values of the other variables on the lines that
+    :func:`_layers_on_a_line` tries, with None in slot i, in a fixed order:
+    the points of {-2..2}**(n-1) by largest entry r = 0, 1, 2, and in lex
+    order for each r.  A line is bad where c or the resultant of U and b in
+    x vanishes, both nonzero polynomials in the other variables; one of
+    degree below 5 in each of them is not zero on the whole grid."""
+    for r in range(3):
+        for point in product(range(-r, r + 1), repeat=n - 1):
+            if r in point or -r in point:
+                yield point[:i] + (None,) + point[i:]
+
+
+def _on_line(p, point):
+    """p with x_j = point[j] for every j where point[j] is not None."""
+    ints, den = p._scaled_ints()
+    n = len(p.vars)
+    for j, value in enumerate(point):
+        if value is not None:
+            ints = _int_eval_at(ints, n, j, value)
+    return Polynomial._from_ints(p.vars, ints, den)
 
 
 def _layers_by_inversion(R, U, b, m, i):
@@ -407,7 +498,11 @@ def _layers_by_inversion(R, U, b, m, i):
 
     A linear base (d == 1) needs no inversion: M is the 1 x 1 matrix whose
     entry, the pseudo-remainder l**e*U mod b, is det, and w == l**e.  So
-    every base, linear or not, takes this one route.
+    every base, linear or not, can take this one route.  At a multivariate
+    base of degree d > 1 the d x d solve over Q(other variables) builds
+    determinants that mostly cancel, so :func:`_layers_on_a_line` runs it
+    on one line, with constant entries, and certifies the lifted layers;
+    this full peel answers whenever that route gives up.
     """
     P, c = R
     vars = b.vars

@@ -6,8 +6,8 @@ import sympy
 from sympy.parsing.sympy_parser import parse_expr
 
 from conftest import random_rational
-from wzforms import (DivisionByZero, ParseError, Polynomial, RationalFunction,
-                     generate, parse_expression, parse_polynomial,
+from wzforms import (DivisionByZero, InvalidInput, ParseError, Polynomial,
+                     RationalFunction, generate, parse_expression, parse_polynomial,
                      random_additive_rep)
 from wzforms.cli import run_command
 from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, latex_polynomial,
@@ -42,6 +42,16 @@ def test_parse_syntax_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_expression("x +\n* y", V)
     assert err.value.line == 2 and err.value.column == 1
+
+
+def test_parse_refuses_variables_it_could_not_read_back():
+    # a name that is not one name token prints text that no parse reads
+    # back, so the declared variables are refused before any text is read
+    for vars in (("a b", "c"), ("x+1", "y"), ("1x",), ("x", "x"), ("x", 1)):
+        with pytest.raises(InvalidInput):
+            parse_expression("1", vars)
+    assert parse_expression("a_1 + b2", ("a_1", "b2")) == parse_expression(
+        "b2 + a_1", ["a_1", "b2"])
 
 
 def test_parse_trailing_garbage():

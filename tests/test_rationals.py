@@ -10,7 +10,9 @@ from wzforms import (DivisionByZero, Polynomial, RationalFunction, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
 from wzforms.rationals import (_dense_coeffs, _layers_at_linear_pole,
-                               _series_inverse, _series_mul, _taylor_at)
+                               _layers_by_inversion, _layers_on_a_line,
+                               _line_points, _on_line, _series_inverse,
+                               _series_mul, _taylor_at)
 
 V = ("x", "y")
 x = Polynomial.variable("x", V)
@@ -251,6 +253,123 @@ def test_linear_pole_layers_match_the_taylor_route():
         assert layers == _taylor_layers((P, c), U, b, m, i)
         seen.add((m, b.coeffs_in(i)[1].is_constant))
     assert seen == {(m, const) for m in (1, 2, 3) for const in (True, False)}
+
+
+# irreducible univariate P of degree 2-4, as coefficient lists lowest first
+_IRREDUCIBLE = [[1, 0, 1], [-2, 0, 3], [1, 1, 1], [-2, 0, 0, 1], [1, 1, 0, 2],
+                [1, 0, 0, 0, 1], [1, 1, 0, 0, 1]]
+
+
+def _along(coeffs, form):
+    """sum(coeffs[k] * form**k) for a univariate coefficient list."""
+    out = Polynomial.zero(form.vars)
+    for a in reversed(coeffs):
+        out = out * form + a
+    return out
+
+
+def _direction(rng, n, i):
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        if v[i] and gcd(*v) == 1:
+            return v
+
+
+def _line_case(rng, kind):
+    """(R, U, b, m, i, layers): R/U over b**m with known layers a_t, for
+    a base b = P(v . x) or, for kind "not integer-linear", x_i**2 + x_j**2 + 1.
+    The layers are alpha_t(v . x) except for kind "across", where x_j is
+    added to each.  Kind "trap" puts into U a P(v' . x + k) that equals
+    b = P(v . x + k) on the line through the origin, and kind "c at origin"
+    gives c a factor x_j.
+    """
+    n = rng.randint(2, 4)
+    vs = ("x", "y", "z", "w")[:n]
+    xs = [Polynomial.variable(name, vs) for name in vs]
+    i = rng.randrange(n)
+    j = rng.choice([k for k in range(n) if k != i])
+    v = _direction(rng, n, i)
+    form = Polynomial.linear_form(v, vs)
+    coeffs = rng.choice(_IRREDUCIBLE)
+    d = len(coeffs) - 1
+    k = rng.randint(-2, 2)
+    b = _along(coeffs, form + k).primitive()
+    if kind == "not integer-linear":
+        b = xs[i] ** 2 + xs[j] ** 2 + 1
+        d = 2
+    m = rng.randint(1, 3)
+    U = Polynomial.one(vs)
+    for _ in range(rng.randint(0, 1)):
+        U = U * rng.choice([xs[j] + 2 * xs[i] - 1, xs[i] ** 2 + xs[j] + 3,
+                            xs[i] - xs[j] ** 2])
+    if kind == "trap":
+        w = list(v)
+        w[j] += rng.choice([-1, 1])
+        U = U * _along(coeffs, Polynomial.linear_form(w, vs, k))
+    c = rng.choice([Polynomial.one(vs), 2 * xs[j] - 3, xs[j] * xs[j] + 1])
+    if kind == "c at origin":
+        c = c * xs[j]
+    layers = {}
+    for t in range(1, m + 1):
+        a = _along([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)],
+                   form)
+        if kind == "across":
+            a = a + xs[j]
+        if t == m and a.is_zero:
+            a = Polynomial.one(vs)
+        layers[t] = a
+    digits = Polynomial.zero(vs)
+    for t in range(1, m + 1):
+        digits = digits * b + layers[t]
+    W = random_polynomial(rng, vs, max_terms=2, max_deg=2)
+    P = _dense_coeffs(c * (U * digits + b ** m * W), i)
+    want = {t: RationalFunction(a) for t, a in layers.items() if not a.is_zero}
+    return (P, c), U, b, m, i, want
+
+
+def test_line_route_matches_the_peel():
+    # seeded bases of degree 2-4 in 2-4 variables, multiplicity 1-3: the
+    # line route answers exactly when the layers follow v and b is
+    # integer-linear, and then agrees with the peel
+    rng = random.Random(16)
+    seen, moved = set(), 0
+    for kind in ("along", "across", "not integer-linear", "trap", "c at origin"):
+        for _ in range(8):
+            R, U, b, m, i, want = _line_case(rng, kind)
+            peel = _layers_by_inversion(R, U, b, m, i)
+            assert peel == want
+            got = _layers_on_a_line(R, U, b, m, i)
+            if kind in ("across", "not integer-linear"):
+                assert got is None
+                continue
+            assert got == peel
+            seen.add((b.degree_in(i), len(b.vars), m))
+            # the search passed over the line through the origin
+            origin = next(_line_points(len(b.vars), i))
+            U0, b0 = _on_line(U, origin), _on_line(b, origin)
+            bad = _on_line(R[1], origin).is_zero or U0.divexact(b0) is not None
+            moved += bad
+            assert bad == (kind != "along")
+    assert {d for d, _, _ in seen} == {2, 3, 4}
+    assert {n for _, n, _ in seen} == {2, 3, 4}
+    assert {m for _, _, m in seen} == {1, 2, 3}
+    assert moved == 16
+
+
+def test_line_route_gives_up_on_layers_across_the_direction():
+    # y/((x + y)**2 + 1) in x: the layer y is not a function of x + y, so
+    # the certificate fails and partial_fraction takes the peel's answer
+    f = RationalFunction(y, (x + y) ** 2 + 1)
+    b = (x + y) ** 2 + 1
+    R = (_dense_coeffs(y, 0), Polynomial.one(V))
+    assert _layers_on_a_line(R, Polynomial.one(V), b, 1, 0) is None
+    assert partial_fraction(f, 0) == (RationalFunction.zero(V),
+                                      [(RationalFunction(y), b, 1)])
+    # and x**2 + y**2 + 1 is not integer-linear at all
+    g = RationalFunction(x, x**2 + y**2 + 1)
+    assert _layers_on_a_line((_dense_coeffs(x, 0), Polynomial.one(V)),
+                             Polynomial.one(V), x**2 + y**2 + 1, 1, 0) is None
+    assert partial_fraction(g, 0)[1] == [(RationalFunction(x), x**2 + y**2 + 1, 1)]
 
 
 def test_antidifference_examples():

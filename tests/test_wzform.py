@@ -166,10 +166,19 @@ def test_round_trip_on_seeded_representations():
 DECOMPOSED = {
     # criterion-5 seeds whose partial fractions peel poles of degree 2 and 3,
     # and (18, 43) linear poles only, of multiplicity 3, along directions
-    # with an entry 2
+    # with an entry 2; the tail seeds 104, 178 and 187 peel multivariate
+    # bases of degree 2 and 3, whose layers come from one line
     18: "(exact = -7*x; uniform = {(1,-1): (-9*Z - 2)/Z^3, (2,1): -2/Z^3})",
     43: "(exact = -1/(2*x + z + 2); uniform = {(2,0,-1): (3*Z - 1)/Z^3,"
         " (2,1,2): 4/(3*Z + 4)})",
+    104: "(exact = (-12*x^3 + 36*x^2*y + 6*x^2*z + 36*x^2*w - 36*x*y^2"
+         " - 12*x*y*z - 72*x*y*w + 3*x*z^2 - 12*x*z*w - 36*x*w^2 + 12*y^3"
+         " + 6*y^2*z + 36*y^2*w - 3*y*z^2 + 12*y*z*w + 36*y*w^2 - 3/2*z^3"
+         " - 3*z^2*w + 6*z*w^2 + 12*w^3 - 137/4*x^2 + 273/4*x*y + 3/8*x*z"
+         " + 64*x*w - 34*y^2 - 1/2*y*z - 255/4*y*w + 11/4*z^2 - 21/8*z*w"
+         " - 119/4*w^2 - 113/8*x + 14*y + 17/4*z + 95/8*w - 5)"
+         "/(2*x - 2*y + z - 2*w + 1); uniform = {(2,-2,-1,-2):"
+         " (-64*Z - 8)/(3*Z^2 - 8*Z), (1,0,2,1): -81/8/(8*Z^2 - 9)})",
     130: "(exact = (5/6*x*y - 5/6*x*z - 5/3*y*z + 5/3*z^2 - 5/2*y + 5/2*z - 9)"
          "/(x - 2*z - 3); uniform = {(1,1,1): 7/9/Z^2, (2,0,1): 6*Z/(6*Z^2 - 7),"
          " (0,1,-1): -3/2/Z})",
@@ -177,6 +186,14 @@ DECOMPOSED = {
          " + 1/8*y^3 - 1/2*y^2*z + 1/2*y*z^2 - 33/16*x^2 - 193/16*x*y - 1/8*x*z"
          " - 127/8*y^2 - 1/4*y*z - 7)/(x + 2*y); uniform = {(1,1,-1): -9/4/Z^3,"
          " (1,-1,2): -1/8*Z/(4*Z^2 + 1)})",
+    178: "(exact = 1/2*x^2 + x*y + 1/2*x*z + 1/2*y^2 + 1/2*y*z + 1/8*z^2"
+         " - 65/48*x - 89/48*y - 65/96*z; uniform = {(1,0,0): -1/Z^3,"
+         " (2,2,1): 69/32/(8*Z + 3), (2,-1,1): 1/6/(3*Z^3 - 1)})",
+    187: "(exact = (8*x^2*y + 4*x*y^2 - 8*x*y*z - 3/2*x*z^2 - 3/4*y*z^2"
+         " + 3/2*z^3 + 4/3*x^2 + 10/3*x*y + 17/6*x*z - 2/3*y^2 + 41/12*y*z"
+         " - 59/12*z^2 + 2/3*x - 2/3*y + 25/12*z + 4)/(2*x + y - 2*z + 1);"
+         " uniform = {(2,-2,1): (2/3*Z + 5/2)/(3*Z^3 - 2*Z),"
+         " (1,-2,-1): Z/(Z^3 + 9)})",
     193: "(exact = 8*x^2 - 8/7*x - 8/7*y - 4/7*z; uniform = {(2,2,1): 9/7/(Z + 1),"
          " (1,0,2): -6*Z^2/(3*Z^3 + 5)})",
     198: "(exact = -4*x*y; uniform = {(1,-1): -1/Z^3,"
