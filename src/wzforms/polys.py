@@ -515,23 +515,14 @@ class Polynomial:
     def eval_at(self, point):
         """Evaluate at a rational point given per variable name.
 
-        Sums the scaled integer terms with one power table per variable, so
-        an integer point costs integer products only and one Fraction."""
+        Folds ``_int_eval_at`` over the variables that occur, so an integer
+        point costs integer products only and one Fraction."""
         ints, den = self._ints
-        tables = {}
-        total = 0
-        for exps, c in _unpacked(ints.items(), len(self.vars)):
-            for i, k in enumerate(exps):
-                if k:
-                    table = tables.get(i)
-                    if table is None:
-                        v = Fraction(point[self.vars[i]])
-                        table = tables[i] = [1, v.numerator if v.denominator == 1 else v]
-                    while len(table) <= k:
-                        table.append(table[-1] * table[1])
-                    c *= table[k]
-            total += c
-        return Fraction(total, den)
+        n = len(self.vars)
+        for i in self.variables_present():
+            v = Fraction(point[self.vars[i]])
+            ints = _int_eval_at(ints, n, i, v.numerator if v.denominator == 1 else v)
+        return Fraction(ints.get(0, 0), den)
 
     # ------------------------------------------------------------------ #
     # division

@@ -242,6 +242,9 @@ class RationalFunction:
         Integer shifts preserve canonical form, so no re-reduction is needed;
         any other offset raises InvalidInput.
         """
+        offsets = tuple(offsets)
+        if len(offsets) != len(self.vars):
+            raise InvalidInput("offset vector length must match variables")
         offsets = _int_entries(offsets, "offset")
         if not any(offsets):
             return self

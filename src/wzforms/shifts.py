@@ -11,13 +11,14 @@ from .rationals import RationalFunction
 
 def apply_shift(f, m):
     """``f(x + m)`` for an integer offset vector m."""
-    if len(m) != len(f.vars):
-        raise InvalidInput("offset vector length must match variables")
     return f.shifted(m)
 
 
 def _unit_shift(f, i, step=1):
-    offsets = [0] * len(f.vars)
+    n = len(f.vars)
+    if i not in range(n):
+        raise InvalidInput(f"variable index {i!r} is not in 0..{n - 1}")
+    offsets = [0] * n
     offsets[i] = step
     return f.shifted(tuple(offsets))
 

@@ -129,6 +129,12 @@ def decompose(form):
     ``generate`` builds from the same terms is subtracted from f_j once,
     which keeps each pair's compatibility.
 
+    The uniform part u along v, with s = v[k], is the signed range sum
+    ``r(Z) + ... + r(Z+s-1)`` of one r, found as r = u + w with
+    ``w(Z+s) - w(Z) == u(Z+1) - u(Z+s)``.  u and w are proper, so u minus
+    the range sum of r is a proper rational fixed by Z -> Z+1: zero, and no
+    re-check is needed.  For s == 1 the right-hand side is zero.
+
     Why the answer is exact: after level k, f_k is fully accounted for, and
     later levels subtract from f_j only terms free of x_k.  So the pair
     (k, j) is compatible exactly when the residual of f_j is free of x_k,
@@ -176,33 +182,21 @@ def decompose(form):
                 if alpha is None:
                     raise NotAWZForm(
                         f"numerator {a} does not follow the direction {vtype}")
-                u = level.get(vtype.entries)
+                u = level.get(vtype)
                 add = RationalFunction(alpha) / q_rf ** t
-                level[vtype.entries] = add if u is None else u + add
-        mu = Fraction(0)
+                level[vtype] = add if u is None else u + add
         level_parts = []
-        for key, u in level.items():
-            vtype = IntegerLinearType(key)
-            step = key[k]
-            rhs = u.shifted((1,)) - u
-            r = solve_step_difference(rhs, step)
-            if r is None:
+        for vtype, u in level.items():
+            step = vtype[k]
+            w = solve_step_difference(u.shifted((1,)) - u.shifted((step,)), step)
+            if w is None:
                 raise NotAWZForm(
                     f"no rational solution for the uniform part of type {vtype}")
-            resid = u - cyclic_apply(r, 0, step)
-            if not resid.is_constant:
-                raise NotAWZForm(
-                    f"uniform part of type {vtype} is inconsistent")
-            mu += resid.constant_value()
-            level_parts.append((vtype, r))
-        g_level = summed
-        if mu:
-            g_level = g_level + RationalFunction(
-                Polynomial.variable(vars[k], vars) * mu)
-        exact = exact + g_level
+            level_parts.append((vtype, u + w))
+        exact = exact + summed
         for j in range(k + 1, n):
             # one subtraction from the large residual per level
-            fs[j] = fs[j] - _component(g_level, level_parts, j, vars)
+            fs[j] = fs[j] - _component(summed, level_parts, j, vars)
         parts.extend(level_parts)
     rep = AdditiveRepresentation(vars, exact, parts)
     object.__setattr__(form, "_rep", rep)

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_rational
 from wzforms import (InvalidInput, Polynomial, RationalFunction,
-                     abramov_reduce, delta, is_summable, partial_fraction,
-                     shift_equivalent, solve_step_difference)
+                     abramov_reduce, cyclic_apply, delta, is_summable,
+                     partial_fraction, shift_equivalent, solve_step_difference)
 from wzforms.factor import factor_polynomial
 
 V = ("x", "y", "z")
@@ -214,3 +214,39 @@ def test_solve_step_solution_has_no_constant_term():
 def test_solve_step_rejects_zero_step():
     with pytest.raises(InvalidInput):
         solve_step_difference(RationalFunction.zero(Zv), 0)
+
+
+def random_proper(rng):
+    """A proper fraction in Z over (Z+a)**m factors and, at times, an
+    irreducible quadratic."""
+    den = Polynomial.one(Zv)
+    for _ in range(rng.randint(1, 2)):
+        den = den * (Z + rng.randint(-3, 3)) ** rng.randint(1, 2)
+    if rng.random() < 0.5:
+        den = den * (Z**2 + rng.randint(1, 3))
+    num = Polynomial(Zv, {(k,): Fraction(rng.randint(-4, 4))
+                          for k in range(den.degree_in(0))})
+    return RationalFunction(num if not num.is_zero else Polynomial.one(Zv), den)
+
+
+def test_range_sum_equation_matches_the_difference_equation():
+    # decompose solves C_s r == u, with C_s the range sum of s unit shifts,
+    # as r = u + w with w(Z+s) - w(Z) == u(Z+1) - u(Z+s); the oracle is
+    # the solution of r(Z+s) - r(Z) == u(Z+1) - u(Z)
+    rng = random.Random(61)
+    cases = [(inv(Z, Zv), 2)]
+    for k in range(60):
+        s = (-2, -1, 1, 2, 3)[k % 5]
+        # half are range sums, so that a solution exists
+        u = random_proper(rng)
+        cases.append((cyclic_apply(u, 0, s) if k % 2 else u, s))
+    solved = 0
+    for u, s in cases:
+        oracle = solve_step_difference(u.shifted((1,)) - u, s)
+        w = solve_step_difference(u.shifted((1,)) - u.shifted((s,)), s)
+        assert (oracle is None) == (w is None), (u, s)
+        if oracle is not None:
+            solved += 1
+            assert oracle == u + w
+            assert (u - cyclic_apply(oracle, 0, s)).is_zero
+    assert 30 <= solved < len(cases)

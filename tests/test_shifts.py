@@ -24,6 +24,27 @@ def test_apply_shift_examples():
     assert apply_shift(f, (0, 0, 0)) == f
 
 
+def test_shift_refuses_offset_vector_of_wrong_length():
+    f = RationalFunction(x + 2 * z, x + y)
+    for m in ((0,), (0, 0), (0, 0, 0, 0), (1,), (1, 0)):
+        with pytest.raises(InvalidInput, match="length"):
+            f.shifted(m)
+        with pytest.raises(InvalidInput, match="length"):
+            apply_shift(f, m)
+        with pytest.raises(InvalidInput, match="length"):
+            f.num.shifted(m)
+
+
+def test_unit_shift_refuses_variable_index_out_of_range():
+    f = RationalFunction(x + 2 * z, x + y)
+    for i in (3, 5, -1, -3):
+        with pytest.raises(InvalidInput, match="not in 0..2"):
+            delta(f, i)
+        with pytest.raises(InvalidInput, match="not in 0..2"):
+            cyclic_apply(f, i, 2)
+    assert delta(f, 2) == RationalFunction(Polynomial.constant(2, V), x + y)
+
+
 def test_shift_composition():
     rng = random.Random(23)
     for _ in range(40):

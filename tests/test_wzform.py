@@ -19,6 +19,9 @@ c = 3 * y + 2 * z
 Zv = ("Z",)
 Z = Polynomial.variable("Z", Zv)
 inv_z = RationalFunction(Polynomial.one(Zv), Z)
+V2 = ("x", "y")
+x2 = Polynomial.variable("x", V2)
+y2 = Polynomial.variable("y", V2)
 
 
 def inv(p, vars=V):
@@ -137,9 +140,6 @@ def test_decompose_rejects_incompatible_tuple():
 
 
 def test_decompose_detects_violation_behind_trusted_wrapper():
-    V2 = ("x", "y")
-    x2 = Polynomial.variable("x", V2)
-    y2 = Polynomial.variable("y", V2)
     # not integer-linear in the remainder: certifies incompatibility
     bad = WZForm._trusted(
         V2, (RationalFunction(Polynomial.one(V2), x2**2 + y2),
@@ -152,6 +152,56 @@ def test_decompose_detects_violation_behind_trusted_wrapper():
              RationalFunction(Polynomial.one(V2), x2**2)))
     with pytest.raises(NotAWZForm):
         decompose(bad2)
+
+
+@pytest.mark.parametrize("f, message", [
+    pytest.param(inv(2 * x2 + y2, V2),
+                 r"^no rational solution for the uniform part of type \(2,1\)$",
+                 id="unsolvable"),
+    pytest.param(inv(y2 * (x2 + y2), V2),
+                 r"^numerator 1/y at x \+ y is not polynomial$",
+                 id="not-polynomial"),
+    pytest.param(RationalFunction(y2, (x2 + y2)**2),
+                 r"^numerator y does not follow the direction \(1,1\)$",
+                 id="off-direction"),
+    pytest.param(inv(x2**2 + y2**2 + 1, V2),
+                 r"^denominator factor x\^2 \+ y\^2 \+ 1 is not integer-linear$",
+                 id="not-integer-linear"),
+    pytest.param(inv(2 * x2 + y2, V2) + inv(2 * x2 + y2 + 1, V2),
+                 r"^residual component still involves \('x',\)$",
+                 id="residual-involves-x"),
+])
+def test_decompose_names_the_violated_structure(f, message):
+    # each pair (f, 0) is incompatible; the raise names the first part of
+    # the structure theorem that the first component breaks
+    with pytest.raises(NotAWZForm, match=message):
+        decompose(WZForm._trusted(V2, (f, RationalFunction.zero(V2))))
+
+
+HAND_BUILT = [
+    # poles 3 apart in one Z-orbit merge into the exact part, and a step of 2
+    (AdditiveRepresentation(V2, RationalFunction.zero(V2), [
+        (IntegerLinearType((2, 1)), inv(Z, Zv) + inv(Z + 3, Zv)),
+        (IntegerLinearType((1, -2)), inv(Z**2 + 1, Zv))]),
+     "(exact = (12*x^2 + 12*x*y + 3*y^2 + 12*x + 6*y + 2)/(8*x^3 + 12*x^2*y"
+     " + 6*x*y^2 + y^3 + 12*x^2 + 12*x*y + 3*y^2 + 4*x + 2*y);"
+     " uniform = {(2,1): 2/Z, (1,-2): 1/(Z^2 + 1)})"),
+    # a step of 3, and a squared quadratic pole along a step of 2
+    (AdditiveRepresentation(V, RationalFunction.zero(V), [
+        (IntegerLinearType((3, 1, 0)), inv(Z, Zv) + inv(Z + 1, Zv)),
+        (IntegerLinearType((2, -1, 1)), RationalFunction(Z + 2, (Z**2 + 2)**2))]),
+     "(exact = 1/(3*x + y); uniform = {(3,1,0): 2/Z,"
+     " (2,-1,1): (Z + 2)/(Z^4 + 4*Z^2 + 4)})"),
+]
+
+
+@pytest.mark.parametrize("rep, decomposed", HAND_BUILT,
+                         ids=["steps-2-1", "steps-3-2"])
+def test_decompose_prints_exactly_on_hand_built_representations(rep, decomposed):
+    form = generate(rep)
+    back = decompose(form)
+    assert str(back) == decomposed
+    assert generate(back).components == form.components
 
 
 def test_round_trip_on_seeded_representations():
@@ -311,7 +361,6 @@ def test_uniform_components_are_compatible_and_typed():
 
 
 def test_bivariate_uniform_parts_are_cyclic_pairs():
-    V2 = ("x", "y")
     for seed in (3, 9, 21, 33):
         rep = random_additive_rep(seed, n=2, max_types=2, max_deg=2)
         got = decompose(generate(rep))
