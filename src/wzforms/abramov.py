@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .polys import Polynomial
+from .polys import Polynomial, _check_index
 from .rationals import (RationalFunction, _partial_fraction_full,
                         poly_antidifference, substitute_linear)
 from .shifts import _unit_shift, cyclic_apply
@@ -29,6 +29,7 @@ def shift_equivalent(b, b2, i):
     if not isinstance(b, Polynomial) or not isinstance(b2, Polynomial):
         raise InvalidInput("shift_equivalent expects Polynomial arguments")
     b._check_same_vars(b2)
+    _check_index(i, len(b.vars))
     if b.is_zero or b2.is_zero:
         raise InvalidInput("shift_equivalent needs nonzero inputs")
     b = b.primitive()
@@ -131,6 +132,7 @@ def abramov_reduce(f, i):
     factors are pairwise shift-inequivalent in that variable."""
     if not isinstance(f, RationalFunction):
         raise InvalidInput("abramov_reduce expects a RationalFunction")
+    _check_index(i, len(f.vars))
     summed, terms = _reduce_structured(f, i)
     remainder = RationalFunction.zero(f.vars)
     for rep, _, layers in terms:

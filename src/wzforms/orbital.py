@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .abramov import _reduce_structured, shift_equivalent
 from .errors import InvalidInput
 from .factor import factor_polynomial
-from .polys import Polynomial
+from .polys import Polynomial, _check_index
 from .rationals import RationalFunction
 
 
@@ -61,6 +61,7 @@ def orbital_residue(f, d, j, i):
         raise InvalidInput("orbital_residue expects a RationalFunction")
     if not isinstance(j, int) or j < 1:
         raise InvalidInput("multiplicity must be a positive integer")
+    _check_index(i, len(f.vars))
     base = _normalize_orbit_query(d, i)
     _, terms = _reduce_structured(f, i)
     for rep, mult, layers in terms:

@@ -4,6 +4,14 @@ Grammar: ``+ - * / ^`` with integer literals, declared variable names and
 parentheses; ``^`` binds tightest (right-associative, integer exponents
 only), then unary minus, then ``* /``, then ``+ -``.
 
+Tokens, read by the one regular expression ``_TOKEN``: an integer literal
+is a run of decimal digits (``str.isdecimal``); a name starts with a letter
+(``str.isalpha``) or ``_`` and goes on with ``str.isalnum`` characters or
+``_``; whitespace (``str.isspace``) separates tokens.  Any other character,
+a digit that is not decimal such as ``²`` included, is an unexpected
+character.  A ParseError's line and column are worked out from its token's
+offset, and only ``"\n"`` starts a new line.
+
 Evaluation is eager, but a polynomial subexpression stays a Polynomial: the
 polynomial summands of one sum go into a single term map on the packed keys
 of :mod:`wzforms.polys`, products run on its kernel, and ``/`` by a nonzero
@@ -28,6 +36,7 @@ which the kernel refuses with InvalidInput, is a ParseError at its token.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, InvalidInput, ParseError
@@ -45,77 +54,43 @@ MAX_TERMS = 300_000
 # own bound, so it holds where the CLI lifts that limit to print exact results.
 MAX_LITERAL_DIGITS = 4300
 
+# \d is str.isdecimal, \w is str.isalnum or "_" and \s is str.isspace; a
+# "name" that starts with neither a letter nor "_" is refused by _tokens.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|[-+*/^()]|(?P<bad>\S)")
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens = []
-        self._scan()
-        self.at = 0
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        line, col = 1, 1
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if c.isspace():
-                i += 1
-                col += 1
-                continue
-            start = (line, col)
-            if c.isdecimal():
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                self.tokens.append(("int", text[i:j], start))
-                col += j - i
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], start))
-                col += j - i
-                i = j
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, start))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", line, col)
-        self.tokens.append(("end", "", (line, col)))
+def _tokens(text):
+    """The tokens of text as ``(kind, text, offset)`` triples, ending with
+    ``("end", "", len(text))``; the kind of an operator is its character.
+    A character that starts no token is a ParseError at its position."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        word = m[0]
+        kind = m.lastgroup or word
+        if kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, m.start()))
+        tokens.append((kind, word, m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
-    def peek(self):
-        return self.tokens[self.at]
 
-    def next(self):
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
+def _position(text, offset):
+    """The 1-based (line, column) of an offset; only "\\n" ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     def __init__(self, text, vars):
-        self.toks = _Tokenizer(text)
+        self.text = text
+        self.tokens = _tokens(text)
+        self.at = 0
         self.vars = vars = tuple(vars)
         n = len(vars)
         self.monomials = {v: _unit_key(n, i) for i, v in enumerate(vars)}
         self.depth = 0
 
     def fail(self, message, tok):
-        raise ParseError(message, tok[2][0], tok[2][1])
+        raise ParseError(message, *_position(self.text, tok[2]))
 
     def enter(self, tok):
         """Count one level of parentheses, unary minus or exponent nesting,
@@ -130,7 +105,7 @@ class _Parser:
 
     def parse(self):
         value = self.expr()
-        tok = self.toks.peek()
+        tok = self.tokens[self.at]
         if tok[0] != "end":
             self.fail(f"unexpected {tok[1]!r}", tok)
         return _lift(value)
@@ -157,10 +132,10 @@ class _Parser:
                 if negate:
                     value = -value
                 rational = value if rational is None else rational + value
-            tok = self.toks.peek()
+            tok = self.tokens[self.at]
             if tok[0] not in ("+", "-"):
                 break
-            self.toks.next()
+            self.at += 1
             negate = tok[0] == "-"
         poly = Polynomial._from_values(self.vars, {k: c for k, c in terms.items() if c})
         if rational is None:
@@ -170,9 +145,9 @@ class _Parser:
     def term(self):
         value = self.factor()
         while True:
-            tok = self.toks.peek()
+            tok = self.tokens[self.at]
             if tok[0] == "*":
-                self.toks.next()
+                self.at += 1
                 other = self.factor()
                 if isinstance(value, Polynomial) and isinstance(other, Polynomial):
                     value = self.times(value, other, tok)
@@ -182,7 +157,7 @@ class _Parser:
                     self.bound(value.den, other.den, tok)
                     value = value * other
             elif tok[0] == "/":
-                self.toks.next()
+                self.at += 1
                 other = self.factor()
                 if other.is_zero:
                     raise DivisionByZero("division by zero in expression")
@@ -199,9 +174,9 @@ class _Parser:
                 return value
 
     def factor(self):
-        tok = self.toks.peek()
+        tok = self.tokens[self.at]
         if tok[0] == "-":
-            self.toks.next()
+            self.at += 1
             self.enter(tok)
             value = -self.factor()
             self.leave()
@@ -210,10 +185,10 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        tok = self.toks.peek()
+        tok = self.tokens[self.at]
         if tok[0] != "^":
             return base
-        self.toks.next()
+        self.at += 1
         k = self.exponent()
         if base.is_zero and k <= 0:
             raise DivisionByZero("zero raised to a nonpositive power")
@@ -264,27 +239,28 @@ class _Parser:
         tower ``a^b^...``, bounded by MAX_EXPONENT before any power of it is
         computed."""
         sign = 1
-        tok = self.toks.peek()
+        tok = self.tokens[self.at]
         if tok[0] == "-":
-            self.toks.next()
+            self.at += 1
             sign = -1
-            tok = self.toks.peek()
+            tok = self.tokens[self.at]
         if tok[0] == "(":
-            self.toks.next()
+            self.at += 1
             self.enter(tok)
             k = self.exponent()
             self.leave()
-            close = self.toks.next()
+            close = self.tokens[self.at]
+            self.at += 1
             if close[0] != ")":
                 self.fail("expected ')'", close)
         elif tok[0] == "int":
-            self.toks.next()
+            self.at += 1
             k = self.integer(tok)
             if abs(k) > MAX_EXPONENT:
                 self.fail(f"exponent exceeds {MAX_EXPONENT} in magnitude", tok)
-            nxt = self.toks.peek()
+            nxt = self.tokens[self.at]
             if nxt[0] == "^":
-                self.toks.next()
+                self.at += 1
                 self.enter(nxt)
                 k = self.tower(k, self.exponent(), tok)
                 self.leave()
@@ -315,7 +291,8 @@ class _Parser:
         return int(tok[1])
 
     def atom(self):
-        tok = self.toks.next()
+        tok = self.tokens[self.at]
+        self.at += 1
         if tok[0] == "int":
             k = self.integer(tok)
             return Polynomial._from_view(self.vars, {0: k} if k else {})
@@ -328,7 +305,8 @@ class _Parser:
             self.enter(tok)
             value = self.expr()
             self.leave()
-            close = self.toks.next()
+            close = self.tokens[self.at]
+            self.at += 1
             if close[0] != ")":
                 self.fail("expected ')'", close)
             return value
@@ -351,7 +329,7 @@ def variable_names(vars):
         tokens = None
         if isinstance(name, str):
             try:
-                tokens = [tok[:2] for tok in _Tokenizer(name).tokens]
+                tokens = [tok[:2] for tok in _tokens(name)]
             except ParseError:
                 pass
         if tokens != [("name", name), ("end", "")]:

@@ -89,6 +89,14 @@ def _unit_key(n, i):
     return 1 << 32 * n | 1 << _shift(n, i)
 
 
+def _check_index(i, n):
+    """i, when it is an int in 0..n-1; anything else, a bool included, is
+    InvalidInput rather than a read of the wrong field of a key."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+        raise InvalidInput(f"variable index {i!r} is not in 0..{n - 1}")
+    return i
+
+
 def _check_guards(keys, guards):
     """Raise InvalidInput when a key has one of the guard bits set."""
     if reduce(or_, keys, 0) & guards:
@@ -253,7 +261,8 @@ class Polynomial:
     def degree_in(self, i):
         """Degree in the i-th variable; -1 for the zero polynomial."""
         ints, _ = self._ints
-        sh = _shift(len(self.vars), i)
+        n = len(self.vars)
+        sh = _shift(n, _check_index(i, n))
         return max(k >> sh & _MASK for k in ints) if ints else -1
 
     def variables_present(self):
@@ -427,7 +436,7 @@ class Polynomial:
         exponent of that variable to a Polynomial free of it."""
         ints, den = self._ints
         n = len(self.vars)
-        sh, w = _shift(n, i), _unit_key(n, i)
+        sh, w = _shift(n, _check_index(i, n)), _unit_key(n, i)
         out = {}
         for k, c in ints.items():
             e = k >> sh & _MASK
@@ -439,7 +448,7 @@ class Polynomial:
         """Inverse of :meth:`coeffs_in`."""
         vars = tuple(vars)
         n = len(vars)
-        w = _unit_key(n, i)
+        w = _unit_key(n, _check_index(i, n))
         if any(not 0 <= e < EXPONENT_LIMIT for e in coeffs):
             raise InvalidInput("exponents must be nonnegative and below 2**31")
         den = 1
@@ -465,7 +474,9 @@ class Polynomial:
 
     def shift_var(self, i, m):
         """Substitute ``x_i -> x_i + m`` for an integer or rational m."""
-        return self.shifted(tuple(m if k == i else 0 for k in range(len(self.vars))))
+        n = len(self.vars)
+        _check_index(i, n)
+        return self.shifted(tuple(m if k == i else 0 for k in range(n)))
 
     def shifted(self, offsets):
         """Substitute ``x_i -> x_i + offsets[i]`` for every variable."""
@@ -520,7 +531,10 @@ class Polynomial:
         ints, den = self._ints
         n = len(self.vars)
         for i in self.variables_present():
-            v = Fraction(point[self.vars[i]])
+            name = self.vars[i]
+            if name not in point:
+                raise InvalidInput(f"no value given for variable {name!r}")
+            v = Fraction(point[name])
             ints = _int_eval_at(ints, n, i, v.numerator if v.denominator == 1 else v)
         return Fraction(ints.get(0, 0), den)
 

@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import DivisionByZero, InvalidInput
 from .factor import factor_polynomial
-from .polys import Polynomial, _int_eval_at, _unit_key, poly_gcd
+from .polys import Polynomial, _check_index, _int_eval_at, _unit_key, poly_gcd
 
 
 def _int_entries(entries, what):
@@ -684,6 +684,7 @@ def partial_fraction(f, i):
     multiplicity)`` with irreducible bases and numerators of smaller degree
     than their base; the sum of all pieces reproduces f exactly.
     """
+    _check_index(i, len(f.vars))
     poly_part, groups = _partial_fraction_full(f, i)
     parts = []
     for b, _, layers in groups:
@@ -718,6 +719,7 @@ def poly_antidifference(p, i):
     term with respect to the i-th variable."""
     if not isinstance(p, Polynomial):
         raise InvalidInput("poly_antidifference expects a Polynomial")
+    _check_index(i, len(p.vars))
     out = {}
     for k, c in p.coeffs_in(i).items():
         for j, frac in enumerate(_antidiff_basis(k)):

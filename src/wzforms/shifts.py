@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotAWZForm
+from .polys import _check_index
 from .rationals import RationalFunction
 
 
@@ -16,10 +17,8 @@ def apply_shift(f, m):
 
 def _unit_shift(f, i, step=1):
     n = len(f.vars)
-    if i not in range(n):
-        raise InvalidInput(f"variable index {i!r} is not in 0..{n - 1}")
     offsets = [0] * n
-    offsets[i] = step
+    offsets[_check_index(i, n)] = step
     return f.shifted(tuple(offsets))
 
 
@@ -34,6 +33,9 @@ def cyclic_apply(h, i, m):
     Returns ``h + s(h) + ... + s^(m-1)(h)`` for m > 0, zero for m == 0, and
     ``-(s^m(h) + ... + s^(-1)(h))`` for m < 0, with s the unit shift.
     """
+    _check_index(i, len(h.vars))
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise InvalidInput(f"the number of shifts {m!r} is not an integer")
     if m == 0:
         return RationalFunction.zero(h.vars)
     total = RationalFunction.zero(h.vars)

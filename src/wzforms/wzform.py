@@ -22,7 +22,7 @@ from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
-from .polys import Polynomial, _join_signed
+from .polys import Polynomial, _check_index, _join_signed
 from .rationals import (RationalFunction, _dense_coeffs, _partial_fraction_full,
                         _series_inverse, _series_mul, _taylor_at,
                         poly_antidifference, substitute_linear)
@@ -83,8 +83,8 @@ def signed_range_sum(r, v, i, vars):
     from v[i] to -1 when negative."""
     entries = tuple(v)
     form = Polynomial.linear_form(entries, vars)
-    return substitute_linear(cyclic_apply(r, 0, entries[i]),
-                             {"Z": form}, vars)
+    steps = entries[_check_index(i, len(entries))]
+    return substitute_linear(cyclic_apply(r, 0, steps), {"Z": form}, vars)
 
 
 def generate(rep):

@@ -10,8 +10,8 @@ from wzforms import (DivisionByZero, InvalidInput, ParseError, Polynomial,
                      RationalFunction, generate, parse_expression, parse_polynomial,
                      random_additive_rep)
 from wzforms.cli import run_command
-from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, latex_polynomial,
-                            latex_rational)
+from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, _position, _tokens,
+                            latex_polynomial, latex_rational, variable_names)
 
 V = ("x", "y", "z")
 
@@ -232,7 +232,7 @@ def test_single_term_product_stops_at_the_kernel_ceiling():
     # reaching 2^31 by x^1000*x^1000*... would take a 15 MB input, so the
     # product step is called on a term already near the ceiling
     parser = _Parser("x", V)
-    tok = parser.toks.peek()
+    tok = parser.tokens[0]
     top = Polynomial(V, {(2**31 - 1, 0, 0): 1})
     assert parser.times(top, parse_polynomial("y + z", V), tok) == \
         top * parse_polynomial("y + z", V)
@@ -257,3 +257,96 @@ def test_exponent_limits_and_towers():
         parse_expression("0^0", V)
     depth = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
     assert parse_expression(depth, V) == xv
+
+
+# ---------------------------------------------------------------------- #
+# the regular-expression tokenizer against the per-character scanner
+
+
+class _Tokenizer:
+    """The per-character scanner that ``parser._tokens`` replaced, kept as
+    the oracle: ``tokens`` holds (kind, text, (line, column)) triples."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        self._scan()
+
+    def _scan(self):
+        text = self.text
+        i = 0
+        line, col = 1, 1
+        n = len(text)
+        while i < n:
+            c = text[i]
+            if c == "\n":
+                line += 1
+                col = 1
+                i += 1
+                continue
+            if c.isspace():
+                i += 1
+                col += 1
+                continue
+            start = (line, col)
+            if c.isdecimal():
+                j = i
+                while j < n and text[j].isdecimal():
+                    j += 1
+                self.tokens.append(("int", text[i:j], start))
+                col += j - i
+                i = j
+                continue
+            if c.isalpha() or c == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                self.tokens.append(("name", text[i:j], start))
+                col += j - i
+                i = j
+                continue
+            if c in "+-*/^()":
+                self.tokens.append((c, c, start))
+                i += 1
+                col += 1
+                continue
+            raise ParseError(f"unexpected character {c!r}", line, col)
+        self.tokens.append(("end", "", (line, col)))
+
+
+# ASCII operators, digits and name characters; an Arabic-Indic digit three;
+# digits that are not decimal (superscript two, one half, Roman twelve); a
+# letter with an accent; whitespace that does not start a line (tab, carriage
+# return, no-break space, line separator); the newline; characters that start
+# no token
+_COMMON = "+-*/^()0123456789xyzAq_ "
+_RARE = "\u0663\u00b2\u00bd\u216b\u00e9\t\r\u00a0\u2028\n#.$"
+
+
+def _outcome(scan):
+    """The (kind, text, line, column) tokens of a scan, or the ParseError's
+    message, line and column."""
+    try:
+        return [(kind, word, *pos) for kind, word, pos in scan()]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def test_tokens_match_the_per_character_scanner():
+    rng = random.Random(18)
+    errors = 0
+    for _ in range(2500):
+        text = "".join(rng.choice(_RARE if rng.random() < 0.08 else _COMMON)
+                       for _ in range(rng.randint(0, 16)))
+        new = _outcome(lambda: [(kind, word, _position(text, offset))
+                                for kind, word, offset in _tokens(text)])
+        old = _outcome(lambda: _Tokenizer(text).tokens)
+        assert new == old, repr(text)
+        errors += new[0] == "error"
+        # a variable name is a string that reads as exactly one name token
+        try:
+            named = variable_names((text,)) == (text,)
+        except InvalidInput:
+            named = False
+        assert named == (old == [("name", text, 1, 1), ("end", "", 1, len(text) + 1)])
+    assert 300 <= errors <= 2200

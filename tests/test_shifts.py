@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_rational
 from wzforms import (InvalidInput, NotAWZForm, Polynomial, RationalFunction,
-                     WZForm, apply_shift, cyclic_apply, delta, is_wz_form)
+                     WZForm, abramov_reduce, apply_shift, cyclic_apply, delta,
+                     is_summable, is_wz_form, orbital_residue, parse_expression,
+                     parse_polynomial, partial_fraction, poly_antidifference,
+                     shift_equivalent, signed_range_sum)
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -43,6 +47,48 @@ def test_unit_shift_refuses_variable_index_out_of_range():
         with pytest.raises(InvalidInput, match="not in 0..2"):
             cyclic_apply(f, i, 2)
     assert delta(f, 2) == RationalFunction(Polynomial.constant(2, V), x + y)
+
+
+# entry points that take a variable index, over (x, y); an unchecked -1 reads
+# the total-degree field of a packed key, where partial fractions run out of
+# memory
+V2 = ("x", "y")
+P2 = parse_polynomial("x^2*y + 3*x", V2)
+F2 = parse_expression("1/(x+y) + x^2*y", V2)
+D2 = parse_polynomial("x + y", V2)
+INDEXED = {
+    "degree_in": lambda i: P2.degree_in(i),
+    "coeffs_in": lambda i: P2.coeffs_in(i),
+    "from_coeffs_in": lambda i: Polynomial.from_coeffs_in({1: P2}, i, V2),
+    "shift_var": lambda i: P2.shift_var(i, 1),
+    "poly_antidifference": lambda i: poly_antidifference(P2, i),
+    "partial_fraction": lambda i: partial_fraction(F2, i),
+    "orbital_residue": lambda i: orbital_residue(F2, D2, 1, i),
+    "abramov_reduce": lambda i: abramov_reduce(F2, i),
+    "is_summable": lambda i: is_summable(F2, i),
+    "shift_equivalent": lambda i: shift_equivalent(D2, D2, i),
+    "cyclic_apply": lambda i: cyclic_apply(F2, i, 2),
+    "delta": lambda i: delta(F2, i),
+    "signed_range_sum": lambda i: signed_range_sum(
+        parse_expression("1/Z", ("Z",)), (1, 1), i, V2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEXED))
+@pytest.mark.parametrize("i", [-1, 2, True, 1.0], ids=["-1", "n", "True", "1.0"])
+def test_variable_index_outside_0_to_n_minus_1_is_invalid_input(entry, i):
+    with pytest.raises(InvalidInput, match=r"not in 0\.\.1"):
+        INDEXED[entry](i)
+    INDEXED[entry](1)
+
+
+def test_cyclic_apply_and_eval_at_refuse_malformed_arguments():
+    for m in (1.5, True, Fraction(2)):
+        with pytest.raises(InvalidInput, match="not an integer"):
+            cyclic_apply(F2, 0, m)
+    with pytest.raises(InvalidInput, match="no value given for variable 'y'"):
+        P2.eval_at({"x": 1})
+    assert P2.eval_at({"x": 1, "y": 2}) == 5
 
 
 def test_shift_composition():
