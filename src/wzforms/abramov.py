@@ -158,7 +158,7 @@ def solve_step_difference(rhs, step):
     has no constant term, plus range sums of proper fractions, which stay
     proper, and rescaling the variable keeps both properties.
     """
-    if not isinstance(step, int) or step == 0:
+    if type(step) is not int or step == 0:
         raise InvalidInput("step must be a nonzero integer")
     if not isinstance(rhs, RationalFunction) or len(rhs.vars) != 1:
         raise InvalidInput("rhs must be a univariate RationalFunction")

@@ -59,7 +59,7 @@ def orbital_residue(f, d, j, i):
     """
     if not isinstance(f, RationalFunction):
         raise InvalidInput("orbital_residue expects a RationalFunction")
-    if not isinstance(j, int) or j < 1:
+    if type(j) is not int or j < 1:
         raise InvalidInput("multiplicity must be a positive integer")
     _check_index(i, len(f.vars))
     base = _normalize_orbit_query(d, i)

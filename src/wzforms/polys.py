@@ -134,7 +134,7 @@ class Polynomial:
             if not c:
                 continue
             exps = tuple(exps)
-            if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
+            if len(exps) != n or any(type(e) is not int or e < 0 for e in exps):
                 raise InvalidInput(f"bad exponent vector {exps} for variables {vars}")
             if n and max(exps) >= EXPONENT_LIMIT:
                 raise InvalidInput(f"exponent vector {exps} has an entry of 2**31 or more")
@@ -370,7 +370,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise InvalidInput("polynomial powers take nonnegative integers")
         if k == 0:
             return Polynomial.one(self.vars)

@@ -208,7 +208,7 @@ class RationalFunction:
         return other * self.reciprocal()
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise InvalidInput("rational function powers take integers")
         if k == 0:
             return RationalFunction.one(self.vars)
@@ -611,29 +611,6 @@ def _exact_quotient(p, q):
     return got
 
 
-def _taylor_at(coeffs, rho, m):
-    """First m Taylor coefficients at ``x = rho`` by repeated synthetic
-    division.  Coefficients and rho are elements of one ring, such as the
-    algebraic numbers (sympy ``ANP``) of a root sum."""
-    cs = list(coeffs)
-    zero = rho - rho
-    out = []
-    for _ in range(m):
-        if not cs:
-            out.append(zero)
-            continue
-        acc = cs[-1]
-        quo = [zero] * (len(cs) - 1)
-        for j in range(len(cs) - 2, -1, -1):
-            quo[j] = acc
-            acc = cs[j] + rho * acc
-        out.append(acc)
-        cs = quo
-        while cs and cs[-1].is_zero:
-            cs.pop()
-    return out
-
-
 def _series_mul(a, b, m):
     """First m coefficients of the product of two power series given as
     coefficient lists, lowest first; zero terms are skipped."""
@@ -650,7 +627,7 @@ def _series_mul(a, b, m):
 
 def _series_inverse(u, m):
     """First m coefficients of ``1/u`` over a field whose elements invert
-    with ``** -1``, such as the algebraic numbers of a root sum."""
+    with ``** -1``, such as the elements of Q[R]/(q) in a root sum."""
     inv0 = u[0] ** -1
     out = [inv0]
     for k in range(1, m):

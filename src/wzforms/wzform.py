@@ -12,27 +12,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
-
-from sympy.polys.domains import QQ
-from sympy.polys.polyclasses import ANP
-from sympy.polys.polyerrors import NotInvertible
+from math import comb, factorial, gcd
 
 from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
-from .polys import Polynomial, _check_index, _join_signed
-from .rationals import (RationalFunction, _dense_coeffs, _partial_fraction_full,
-                        _series_inverse, _series_mul, _taylor_at,
-                        poly_antidifference, substitute_linear)
+from .polys import _MASK, Polynomial, _check_index, _join_signed, _unit_key
+from .rationals import (RationalFunction, _partial_fraction_full, _series_inverse,
+                        _series_mul, poly_antidifference, substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
 _AVARS = ("A",)
+# the packed keys of A**0, ..., A**15, shared by the polynomials of root sums
+_A_KEYS = tuple(k * _unit_key(1, 0) for k in range(16))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdditiveRepresentation:
     """Exact part plus one univariate rational function per direction.
 
@@ -214,7 +211,7 @@ def is_exact(form):
 # polygamma conjugates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootShift:
     """Formal sum over the roots ``a`` of an irreducible polynomial, with a
     polynomial weight evaluated at each root."""
@@ -226,7 +223,7 @@ class RootShift:
         return f"RootSum({self.poly}, A -> {self.weight})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolygammaTerm:
     """``coefficient * psi^(order)(v.x + shift)``; a RootShift spreads the
     term over the roots of its polynomial, weight included."""
@@ -237,7 +234,7 @@ class PolygammaTerm:
     shift: object  # Fraction or RootShift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolygammaExpression:
     """A rational function plus a finite combination of polygamma values at
     integer linear arguments."""
@@ -326,51 +323,188 @@ def conjugate_polygamma(rep):
 
 def _root_sum_terms(base, layers, vtype):
     """Expand layer numerators over one irreducible pole polynomial q of
-    degree > 1 into per-root polygamma terms.
+    degree d > 1 into per-root polygamma terms.
 
     R generates Q[R]/(q), and q(R + eps) == eps*H(eps) with H(0) == q'(R),
     which is invertible because q is squarefree.  Near Z = R,
     a/q**t == a(R + eps) * H(eps)**-t / eps**t, so the weight of
     1/(Z - R)**s is the eps**(t-s) coefficient of a(R + eps) * H(eps)**-t.
+
+    All of it runs on :class:`_RootField` elements, int lists over one
+    denominator.  The Taylor coefficients are closed-form binomial sums: the
+    k-th coefficient of p(R + eps) is ``sum_j C(j, k)*p_j*R**(j-k)``, and
+    as the layers have degree below d and H's coefficients start at k == 1,
+    every power of R stays below d and none is reduced by q.  The series
+    inverse of H inverts only H(0), once per base.
     """
-    mod = [QQ.convert(c.constant_value()) for c in reversed(_dense_coeffs(base, 0))]
-
-    def field(p):
-        # coefficients of p, lowest first, as constants of Q[R]/(q)
-        return [ANP([QQ.convert(c.constant_value())], mod, QQ)
-                for c in _dense_coeffs(p, 0)]
-
-    R = ANP([QQ.one, QQ.zero], mod, QQ)
+    d = base.degree_in(0)
+    qs, qden = _dense_ints(base)
+    # the primitive integer associate of q with a positive leading coefficient
+    g = gcd(*qs) if qs[-1] > 0 else -gcd(*qs)
+    mod = tuple(c // g for c in qs)
     m = max(layers)
-    try:
-        inv = _series_inverse(_taylor_at(field(base), R, m + 1)[1:], m)
-    except NotInvertible:
-        raise InvalidInput("pole polynomial is not squarefree-irreducible") from None
-    weights = [R - R] * (m + 1)
+    inv = _series_inverse(_taylor(qs, qden, mod, 1, m + 1), m)
+    zero = _RootField([0] * d, 1, mod)
+    weights = [zero] * (m + 1)
     power = inv
     for t in range(1, m + 1):
         if t > 1:
             power = _series_mul(power, inv, m)
         if t in layers:
-            local = _series_mul(_taylor_at(field(layers[t].as_polynomial()), R, t),
-                                power, t)
+            a, aden = _dense_ints(layers[t].as_polynomial())
+            if len(a) > d:
+                raise InvalidInput("a layer numerator must have degree below "
+                                   "its pole polynomial's")
+            local = _series_mul(_taylor(a, aden, mod, 0, t), power, t)
             for s in range(1, t + 1):
                 weights[s] = weights[s] + local[t - s]
-    flipped_base = base.compose(
-        {base.vars[0]: -Polynomial.variable(_AVARS[0], _AVARS)}).primitive()
+    # move to the "+A" convention: substitute R -> -A in q and the weights
+    _, flipped_base = _primitive_in_a([-c if (d - k) % 2 else c
+                                       for k, c in enumerate(mod)])
     out = []
     for s in range(1, m + 1):
-        if weights[s].is_zero:
+        w = weights[s]
+        if w.is_zero:
             continue
-        scale = Fraction((-1) ** (s - 1), factorial(s - 1))
-        # move weights to the "+A" convention: substitute R -> -A
-        wpoly = Polynomial(_AVARS, {
-            (k,): Fraction(int(c.numerator), int(c.denominator)) * scale * (-1) ** k
-            for k, c in enumerate(reversed(weights[s].to_list()))})
-        content = wpoly.content()
-        out.append(PolygammaTerm(content, s - 1, vtype,
-                                 RootShift(flipped_base, wpoly.divexact(content))))
+        g, weight = _primitive_in_a([c if (k + s) % 2 else -c
+                                     for k, c in enumerate(w.c)])
+        out.append(PolygammaTerm(Fraction(g, w.den * factorial(s - 1)), s - 1, vtype,
+                                 RootShift(flipped_base, weight)))
     return out
+
+
+def _primitive_in_a(cs):
+    """``(g, p)`` with g*p the polynomial in A whose int coefficients,
+    lowest first, are cs: p is integer-primitive with a positive leading
+    coefficient.  Up to degree 15, p's keys are the shared ints of
+    ``_A_KEYS``, so that the root sums an expression keeps hold no copies
+    of them."""
+    keys = _A_KEYS if len(cs) <= len(_A_KEYS) else [
+        k * _unit_key(1, 0) for k in range(len(cs))]
+    g = gcd(*cs)
+    if cs[max(k for k, c in enumerate(cs) if c)] < 0:
+        g = -g
+    return g, Polynomial._from_view(_AVARS, {keys[k]: c // g
+                                             for k, c in enumerate(cs) if c})
+
+
+def _dense_ints(p):
+    """A univariate polynomial as (int coefficients, lowest first; common
+    denominator)."""
+    ints, den = p._scaled_ints()
+    out = [0] * (p.degree_in(0) + 1)
+    for k, c in ints.items():
+        out[k & _MASK] = c
+    return out, den
+
+
+def _taylor(p, den, mod, start, stop):
+    """Taylor coefficients k = start, ..., stop - 1 of p(R + eps), for p given
+    as int coefficients over den: coefficient k is ``sum_j C(j, k)*p_j*R**(j-k)``.
+    Every power of R must stay below deg q: deg p - start < deg q."""
+    d = len(mod) - 1
+    n = len(p)
+    return [_RootField([comb(k + i, k) * p[k + i] if k + i < n else 0
+                        for i in range(d)], den, mod)
+            for k in range(start, stop)]
+
+
+class _RootField:
+    """An element c/den of Q[R]/(q): c is an int list of length d == deg q,
+    lowest power first, and den a positive int, in lowest terms.  ``mod``
+    holds q's integer coefficients, lowest first, with a positive leading
+    one that need not be 1.  ``rationals._series_mul`` and
+    ``_series_inverse`` run on these elements."""
+
+    __slots__ = ("c", "den", "mod")
+
+    def __init__(self, c, den, mod):
+        g = gcd(den, *c)
+        if g != 1:
+            c = [a // g for a in c]
+            den //= g
+        self.c, self.den, self.mod = c, den, mod
+
+    @property
+    def is_zero(self):
+        return not any(self.c)
+
+    def __add__(self, other):
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _RootField([a + b for a, b in zip(self.c, other.c)], d1, self.mod)
+        return _RootField([a * d2 + b * d1 for a, b in zip(self.c, other.c)],
+                          d1 * d2, self.mod)
+
+    def __neg__(self):
+        return _RootField([-a for a in self.c], self.den, self.mod)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        """Convolution, then a fraction-free reduction by q: each step that
+        removes R**k, k >= d, scales by lq/gcd(top, lq) when the leading
+        coefficient lq of q is not 1."""
+        a, b, mod = self.c, other.c, self.mod
+        d = len(a)
+        p = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    p[i + j] += x * y
+        den = self.den * other.den
+        lq = mod[d]
+        for k in range(2 * d - 2, d - 1, -1):
+            top = p[k]
+            if not top:
+                continue
+            if lq != 1:
+                g = gcd(top, lq)
+                scale = lq // g
+                if scale != 1:
+                    for i in range(k):
+                        p[i] *= scale
+                    den *= scale
+                top //= g
+            for j in range(d):
+                p[k - d + j] -= top * mod[j]
+        return _RootField(p[:d], den, mod)
+
+    def __pow__(self, e):
+        """The inverse, for ``e == -1`` only: fraction-free Gauss-Jordan
+        elimination on the int matrix of multiplication by this element,
+        whose column j is ``R**j * self`` mod q over its own denominator."""
+        if e != -1:
+            return NotImplemented
+        d, mod = len(self.c), self.mod
+        r = _RootField([0, 1] + [0] * (d - 2), 1, mod)
+        cols = [self]
+        for _ in range(d - 1):
+            cols.append(cols[-1] * r)
+        A = [[col.c[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if A[i][k]), None)
+            if p is None:
+                raise InvalidInput("pole polynomial is not squarefree-irreducible")
+            A[k], A[p] = A[p], A[k]
+            pivot_row = A[k]
+            pk = pivot_row[k]
+            for i in range(d):
+                if i == k:
+                    continue
+                row = A[i]
+                f = row[k]
+                # after step k every pivot is a minor, so each division is exact
+                for j in range(k + 1, d + 1):
+                    row[j] = (pk * row[j] - f * pivot_row[j]) // prev
+            prev = pk
+        # M*w == det*e_0 with M's column j scaled by col_j.den
+        w = [col.den * row[d] for col, row in zip(cols, A)]
+        if prev < 0:
+            w, prev = [-a for a in w], -prev
+        return _RootField(w, prev, mod)
 
 
 # ---------------------------------------------------------------------- #

@@ -4,13 +4,18 @@ from math import factorial
 
 import pytest
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.polyclasses import ANP
+from sympy.polys.polyerrors import NotInvertible
+from test_rationals import _taylor_at
 
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      PolygammaExpression, PolygammaTerm, Polynomial,
                      RationalFunction, RootShift, conjugate_polygamma, delta,
                      generate, parse_expression, random_additive_rep,
                      signed_range_sum)
-from wzforms.wzform import _root_sum_terms
+from wzforms.rationals import _dense_coeffs, _series_inverse, _series_mul
+from wzforms.wzform import _AVARS, _root_sum_terms
 
 V = ("x", "y", "z")
 Zv = ("Z",)
@@ -271,9 +276,99 @@ def test_root_sums_of_cubic_and_quartic_poles_print_exactly():
         r" \psi^{(2)}\!\left(x - y + \alpha\right)")
 
 
+def _anp_root_sum_terms(base, layers, vtype):
+    """Test oracle: the root-sum terms computed in sympy's ``ANP`` field
+    Q[R]/(q), with Taylor coefficients by repeated synthetic division."""
+    mod = [QQ.convert(c.constant_value()) for c in reversed(_dense_coeffs(base, 0))]
+
+    def field(p):
+        return [ANP([QQ.convert(c.constant_value())], mod, QQ)
+                for c in _dense_coeffs(p, 0)]
+
+    R = ANP([QQ.one, QQ.zero], mod, QQ)
+    m = max(layers)
+    try:
+        inv = _series_inverse(_taylor_at(field(base), R, m + 1)[1:], m)
+    except NotInvertible:
+        raise InvalidInput("pole polynomial is not squarefree-irreducible") from None
+    weights = [R - R] * (m + 1)
+    power = inv
+    for t in range(1, m + 1):
+        if t > 1:
+            power = _series_mul(power, inv, m)
+        if t in layers:
+            local = _series_mul(_taylor_at(field(layers[t].as_polynomial()), R, t),
+                                power, t)
+            for s in range(1, t + 1):
+                weights[s] = weights[s] + local[t - s]
+    flipped_base = base.compose(
+        {base.vars[0]: -Polynomial.variable(_AVARS[0], _AVARS)}).primitive()
+    out = []
+    for s in range(1, m + 1):
+        if weights[s].is_zero:
+            continue
+        scale = Fraction((-1) ** (s - 1), factorial(s - 1))
+        wpoly = Polynomial(_AVARS, {
+            (k,): Fraction(int(c.numerator), int(c.denominator)) * scale * (-1) ** k
+            for k, c in enumerate(reversed(weights[s].to_list()))})
+        content = wpoly.content()
+        out.append(PolygammaTerm(content, s - 1, vtype,
+                                 RootShift(flipped_base, wpoly.divexact(content))))
+    return out
+
+
+def test_root_sums_match_the_anp_oracle():
+    # 400 seeded cases: irreducible q of degree 2-6 with leading coefficient
+    # 1, -1, 2, 3 or -5, some scaled by a fraction, multiplicity 1-5, and
+    # layers with fraction coefficients, some of them zero
+    rng = random.Random(19)
+    pool = []
+    for degree in range(2, 7):
+        for lead in (1, -1, 2, 3, -5):
+            for _ in range(2):
+                while True:
+                    q = Polynomial(Zv, {(k,): rng.randint(-5, 5) for k in range(degree)}
+                                   | {(degree,): lead})
+                    if _sympy_poly(q).is_irreducible:
+                        break
+                pool.append(q)
+    vtype = IntegerLinearType((1, 1))
+    scaled = zero_coeff = 0
+    for _ in range(400):
+        q = rng.choice(pool)
+        if rng.random() < 0.2:
+            q = q * Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(2, 5))
+            scaled += 1
+        d = q.degree_in(0)
+        m = rng.randint(1, 5)
+        layers = {}
+        for t in range(1, m + 1):
+            if t < m and rng.random() < 0.3:
+                continue
+            coeffs = {(k,): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for k in range(d)}
+            zero_coeff += 0 in coeffs.values()
+            a = Polynomial(Zv, coeffs)
+            layers[t] = RationalFunction(a if not a.is_zero else Polynomial.one(Zv))
+        assert _root_sum_terms(q, layers, vtype) == _anp_root_sum_terms(q, layers, vtype)
+    assert scaled >= 40 and zero_coeff >= 40
+    # past degree 15 the polynomials in A get keys of their own
+    q = Z**16 - 2 * Z + 2
+    layers = {1: RationalFunction(Z**3 + 1), 2: RationalFunction(3 * Z**15 - Z)}
+    assert _root_sum_terms(q, layers, vtype) == _anp_root_sum_terms(q, layers, vtype)
+
+
 def test_root_sum_rejects_a_pole_that_is_not_squarefree():
     with pytest.raises(InvalidInput, match="squarefree"):
         _root_sum_terms((Z**2 - 2) ** 2, {1: RationalFunction.one(Zv)},
+                        IntegerLinearType((1, 1)))
+
+
+def test_root_sum_rejects_a_layer_of_the_pole_degree():
+    # the closed-form Taylor coefficients skip the reduction by q, which
+    # holds only for layers of degree below q's
+    with pytest.raises(InvalidInput, match="degree below"):
+        _root_sum_terms(Z**2 - 2, {1: RationalFunction(Z**2)},
                         IntegerLinearType((1, 1)))
 
 

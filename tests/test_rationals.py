@@ -12,7 +12,7 @@ from wzforms import (DivisionByZero, Polynomial, RationalFunction, delta,
 from wzforms.rationals import (_dense_coeffs, _layers_at_linear_pole,
                                _layers_by_inversion, _layers_on_a_line,
                                _line_points, _on_line, _series_inverse,
-                               _series_mul, _taylor_at)
+                               _series_mul)
 
 V = ("x", "y")
 x = Polynomial.variable("x", V)
@@ -206,6 +206,28 @@ def test_partial_fraction_at_poles_with_non_constant_leading_coefficients():
             total = total + a / RationalFunction(b) ** t
         assert total == f
     assert seen_general and seen_pseudo
+
+
+def _taylor_at(coeffs, rho, m):
+    """First m Taylor coefficients at ``x = rho`` by repeated synthetic
+    division.  Coefficients and rho are elements of one ring."""
+    cs = list(coeffs)
+    zero = rho - rho
+    out = []
+    for _ in range(m):
+        if not cs:
+            out.append(zero)
+            continue
+        acc = cs[-1]
+        quo = [zero] * (len(cs) - 1)
+        for j in range(len(cs) - 2, -1, -1):
+            quo[j] = acc
+            acc = cs[j] + rho * acc
+        out.append(acc)
+        cs = quo
+        while cs and cs[-1].is_zero:
+            cs.pop()
+    return out
 
 
 def _taylor_layers(R, U, b, m, i):

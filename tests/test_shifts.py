@@ -8,7 +8,7 @@ from wzforms import (InvalidInput, NotAWZForm, Polynomial, RationalFunction,
                      WZForm, abramov_reduce, apply_shift, cyclic_apply, delta,
                      is_summable, is_wz_form, orbital_residue, parse_expression,
                      parse_polynomial, partial_fraction, poly_antidifference,
-                     shift_equivalent, signed_range_sum)
+                     shift_equivalent, signed_range_sum, solve_step_difference)
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -80,6 +80,24 @@ def test_variable_index_outside_0_to_n_minus_1_is_invalid_input(entry, i):
     with pytest.raises(InvalidInput, match=r"not in 0\.\.1"):
         INDEXED[entry](i)
     INDEXED[entry](1)
+
+
+# entry points that take an integer count other than a variable index
+COUNTED = {
+    "orbital_residue": lambda k: orbital_residue(F2, D2, k, 0),
+    "solve_step_difference": lambda k: solve_step_difference(
+        RationalFunction.one(("Z",)), k),
+    "Polynomial.__pow__": lambda k: D2 ** k,
+    "RationalFunction.__pow__": lambda k: F2 ** k,
+    "Polynomial": lambda k: Polynomial(V2, {(k, 0): 1}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+def test_integer_counts_refuse_bools(entry):
+    with pytest.raises(InvalidInput):
+        COUNTED[entry](True)
+    COUNTED[entry](1)
 
 
 def test_cyclic_apply_and_eval_at_refuse_malformed_arguments():
