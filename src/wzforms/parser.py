@@ -15,7 +15,13 @@ offset, and only ``"\n"`` starts a new line.
 Evaluation is eager, but a polynomial subexpression stays a Polynomial: the
 polynomial summands of one sum go into a single term map on the packed keys
 of :mod:`wzforms.polys`, products run on its kernel, and ``/`` by a nonzero
-constant scales.
+constant scales.  A summand that is a monomial written with integer
+literals, declared names, names to a literal exponent and divisions by
+nonzero literals is read in one loop over the tokens, ``_Parser.summand``,
+as a coefficient and a packed key that each factor adds to; it goes into the
+term map without a Polynomial.  Every other summand, and every error with
+its position, comes from the recursive descent, which reads the summand
+afresh wherever the loop gives up.
 A value is lifted to a canonical RationalFunction only at ``/`` by a
 non-constant divisor or at a negative power, so canonical reduction (and
 its gcd) happens once, at the lift, or when ``parse_expression`` returns.
@@ -40,7 +46,7 @@ import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, InvalidInput, ParseError
-from .polys import Polynomial, _render_terms, _unit_key
+from .polys import Polynomial, _layout, _render_terms, _unit_key
 from .rationals import RationalFunction
 
 # Five parser frames per parenthesis level keep MAX_DEPTH well inside the
@@ -87,6 +93,7 @@ class _Parser:
         self.vars = vars = tuple(vars)
         n = len(vars)
         self.monomials = {v: _unit_key(n, i) for i, v in enumerate(vars)}
+        self.guards = _layout(n)[0]
         self.depth = 0
 
     def fail(self, message, tok):
@@ -117,21 +124,25 @@ class _Parser:
         rational = None
         negate = False
         while True:
-            value = self.term()
-            if isinstance(value, Polynomial):
-                ints, den = value._scaled_ints()
-                for k, c in ints.items():
-                    if den != 1:
-                        c = Fraction(c, den)
-                    old = terms.get(k)
-                    if negate:
-                        terms[k] = -c if old is None else old - c
-                    else:
-                        terms[k] = c if old is None else old + c
+            read = self.summand()
+            if read is not None:
+                pairs = (read,)
             else:
+                value = self.term()
+                if isinstance(value, Polynomial):
+                    ints, den = value._scaled_ints()
+                    pairs = ((c if den == 1 else Fraction(c, den), k) for k, c in ints.items())
+                else:
+                    if negate:
+                        value = -value
+                    rational = value if rational is None else rational + value
+                    pairs = ()
+            for c, k in pairs:
+                old = terms.get(k)
                 if negate:
-                    value = -value
-                rational = value if rational is None else rational + value
+                    terms[k] = -c if old is None else old - c
+                else:
+                    terms[k] = c if old is None else old + c
             tok = self.tokens[self.at]
             if tok[0] not in ("+", "-"):
                 break
@@ -141,6 +152,63 @@ class _Parser:
         if rational is None:
             return poly
         return rational + _lift(poly) if poly else rational
+
+    def summand(self):
+        """The summand at ``at`` as (coefficient, packed key), read in one
+        loop when it is a product of integer literals, declared names and
+        names raised to a literal exponent of at most MAX_EXPONENT, with
+        divisions by nonzero literals, and ends at ``+``, ``-``, ``)`` or
+        the end of input.  Anything else, a key whose guard bit a factor
+        sets included, gives None with ``at`` unchanged, and ``term`` reads
+        the summand with all of its checks: this loop never raises."""
+        tokens, monomials, guards = self.tokens, self.monomials, self.guards
+        i = self.at
+        coefficient, key = 1, 0
+        while True:
+            kind, word, _ = tokens[i]
+            i += 1
+            if kind == "int":
+                if len(word) > MAX_LITERAL_DIGITS:
+                    return None
+                coefficient *= int(word)
+            elif kind == "name":
+                unit = monomials.get(word)
+                if unit is None:
+                    return None
+                if tokens[i][0] == "^":
+                    kind, word, _ = tokens[i + 1]
+                    if kind != "int" or len(word) > MAX_LITERAL_DIGITS:
+                        return None
+                    k = int(word)
+                    if k > MAX_EXPONENT:
+                        return None
+                    unit *= k
+                    i += 2
+                # a field grows by at most MAX_EXPONENT per factor, so it
+                # cannot carry past its guard bit between two checks
+                key += unit
+                if key & guards:
+                    return None
+            else:
+                return None
+            op = tokens[i][0]
+            while op == "/":
+                kind, word, _ = tokens[i + 1]
+                if kind != "int" or len(word) > MAX_LITERAL_DIGITS:
+                    return None
+                d = int(word)
+                if not d:
+                    return None
+                coefficient = Fraction(coefficient, d)
+                i += 2
+                op = tokens[i][0]
+            if op != "*":
+                break
+            i += 1
+        if op not in ("+", "-", ")", "end"):
+            return None
+        self.at = i
+        return coefficient, key
 
     def term(self):
         value = self.factor()

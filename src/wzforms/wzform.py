@@ -266,11 +266,19 @@ class PolygammaExpression:
         return _join_signed(pieces)
 
     def __str__(self):
+        # the root is A unless a variable is named A, then the first of A1,
+        # A2, ... that no variable is named, so that it captures none; n
+        # variables leave one of n + 1 names free
+        vars = self.rational_part.vars
+        root = next(name for name in ["A"] + [f"A{i}" for i in range(1, len(vars) + 1)]
+                    if name not in vars)
         return self._render(
-            str, lambda p, var_name=None: str(p), "A",
+            str, lambda p, var_name=None: str(
+                p if var_name is None else Polynomial._from_view((var_name,), *p._scaled_ints())),
+            root,
             lambda w, many: f"({w})*" if many else f"{w}*",
             lambda t, arg: f"psi^({t})({arg})",
-            lambda q, body: f"RootSum({q}, A -> {body})",
+            lambda q, body: f"RootSum({q}, {root} -> {body})",
             lambda c, body: f"{c}*{body}")
 
     def latex(self):

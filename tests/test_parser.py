@@ -1,5 +1,6 @@
 import io
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -12,6 +13,7 @@ from wzforms import (DivisionByZero, InvalidInput, ParseError, Polynomial,
 from wzforms.cli import run_command
 from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, _position, _tokens,
                             latex_polynomial, latex_rational, variable_names)
+from wzforms.polys import _pack
 
 V = ("x", "y", "z")
 
@@ -257,6 +259,142 @@ def test_exponent_limits_and_towers():
         parse_expression("0^0", V)
     depth = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
     assert parse_expression(depth, V) == xv
+
+
+# ---------------------------------------------------------------------- #
+# the summand loop against the recursive path
+
+
+def _parsed(text, vars):
+    """The value of text, or the type, message, line and column of what
+    parsing it raises."""
+    try:
+        return parse_expression(text, vars)
+    except (ParseError, DivisionByZero, InvalidInput) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _check_against_recursive_path(monkeypatch, texts, vars=V):
+    """Assert that every text parses to the same value, or fails with the
+    same error at the same position, with the summand loop and with the loop
+    made to refuse every summand, so that the recursive path reads them all;
+    return how many summands the loop read."""
+    loop = _Parser.summand
+    read = 0
+
+    def counted(self):
+        nonlocal read
+        result = loop(self)
+        read += result is not None
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(_Parser, "summand", counted)
+        new = [_parsed(text, vars) for text in texts]
+    with monkeypatch.context() as m:
+        m.setattr(_Parser, "summand", lambda self: None)
+        old = [_parsed(text, vars) for text in texts]
+    for text, a, b in zip(texts, new, old):
+        assert a == b, repr(text)
+    return read
+
+
+# each is refused by the summand loop and read by the recursive path
+_BAIL_OUTS = (
+    "(x + y)*z", "-x*y", "2^3*x", "x^2^2", "x^2^-1", "x^-2*y", "x^(2)*y",
+    "x^-(1001)", "x^1001", "y^1001*x", "2*x^0001001", "x^" + "0" * 4301 + "1",
+    "1" * 4301 + "*x", "x/" + "1" * 4301, "x*w", "w^2", "x/0", "x*y/0*z",
+    "x/y", "x/(2)", "x/-2", "x/2^2", "x*(y + 1)", "x*y z", "x*", "x/", "x^",
+    "*x", "x)", "x*²", "0^0", "x^y",
+)
+
+
+def test_summand_loop_matches_the_recursive_path_on_bail_outs(monkeypatch):
+    texts = []
+    for b in _BAIL_OUTS:
+        texts += [b, f"x*y + {b}", f"x*y - 2/3*z + {b} + 1", f"(x*y + {b})", f"x*y +\n  {b}"]
+    _check_against_recursive_path(monkeypatch, texts)
+    with pytest.raises(ParseError) as err:
+        parse_expression("x*y + 2/3*x^1001", V)
+    assert str(err.value) == "exponent exceeds 1000 in magnitude (line 1, column 13)"
+
+
+def test_summand_loop_matches_the_recursive_path_on_hostile_input(monkeypatch):
+    _check_against_recursive_path(monkeypatch, [text for text, _, _ in HOSTILE])
+
+
+def test_summand_loop_matches_the_recursive_path_on_criterion_5_tuples(monkeypatch):
+    texts = []
+    for seed in range(200):
+        rep = random_additive_rep(seed, n=2 + seed % 3, max_types=3,
+                                  max_deg=3, coeff_bound=9)
+        form = generate(rep)
+        texts += [(str(f), form.vars) for f in form.components]
+    read = 0
+    for vars in {vars for _, vars in texts}:
+        read += _check_against_recursive_path(
+            monkeypatch, [text for text, v in texts if v == vars], vars)
+    assert read > 1000
+
+
+def test_summand_loop_matches_the_recursive_path_on_random_expressions(monkeypatch):
+    rng = random.Random(2024)
+    texts = [_random_text(rng, rng.randint(1, 5))[0] for _ in range(300)]
+    assert _check_against_recursive_path(monkeypatch, texts) > 100
+
+
+def test_summand_loop_matches_the_recursive_path_on_random_summands(monkeypatch):
+    # products of literals, names and powers, mostly what the loop reads,
+    # with undeclared names, zero divisors and out-of-range exponents mixed in
+    factors = ("0", "1", "2", "7", "12", "x", "y", "z", "w", "x^0", "y^2", "z^1000",
+               "x^1001", "x^-1", "(y)", "-z", "2^2")
+    rng = random.Random(20)
+    texts = []
+    for _ in range(1500):
+        summands = []
+        for _ in range(rng.randint(1, 4)):
+            summand = rng.choice(factors)
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.2:
+                    summand += "/" + rng.choice(("0", "3", "4", "x"))
+                else:
+                    summand += "*" + rng.choice(factors)
+            summands.append(summand)
+        text = summands[0]
+        for s in summands[1:]:
+            text += rng.choice((" + ", " - ")) + s
+        texts.append(text)
+    assert _check_against_recursive_path(monkeypatch, texts) > 1000
+
+
+def test_summand_loop_stops_at_the_kernel_ceiling():
+    # as in test_single_term_product_stops_at_the_kernel_ceiling, a factor
+    # starts near the ceiling: the name w is made to stand for x^(2^31 - 1).
+    # The loop must refuse exactly the products that _Parser.times refuses;
+    # three factors of w would carry out of x's field past its guard bit
+    # unless the loop checks the bit after each factor.
+    vars = ("x", "y", "w")
+    top = Polynomial(vars, {(2**31 - 1, 0, 0): 1})
+    for text in ("w", "w*y", "y^1000*w*3", "w*x^0", "w/2*y", "w*x", "x*w", "w*w", "w*w*w"):
+        parser = _Parser(text, vars)
+        parser.monomials["w"] = _pack((2**31 - 1, 0, 0))
+        value = Polynomial.one(vars)
+        try:
+            for part in text.split("*"):
+                part, _, divisor = part.partition("/")
+                name, _, exponent = part.partition("^")
+                factor = top if name == "w" else parse_polynomial(name, vars)
+                value = parser.times(value, factor ** int(exponent or 1), parser.tokens[0])
+                value = value * Fraction(1, int(divisor or 1))
+        except ParseError as exc:
+            assert "2147483648" in str(exc)
+            expected = None
+        else:
+            ints, den = value._scaled_ints()
+            (key, c), = ints.items()
+            expected = (Fraction(c, den), key)
+        assert parser.summand() == expected, text
+        assert parser.at == (0 if expected is None else len(parser.tokens) - 1)
 
 
 # ---------------------------------------------------------------------- #

@@ -387,3 +387,17 @@ def test_unit_root_sum_weight_is_omitted():
         r" \psi^{(1)}\!\left(x + y + \alpha\right)"
         r" - \tfrac{1}{216} \sum_{\alpha^{3} - 2 = 0} \alpha \,"
         r" \psi^{(2)}\!\left(x + y + \alpha\right)")
+
+
+def test_root_sum_names_its_root_apart_from_the_variables():
+    # a variable named A would be captured by a root named A
+    r = RationalFunction(Polynomial.one(Zv), Z**2 + 1)
+    expr = conjugate_polygamma(rep_of([((1, 1), r)], vars=("A", "y")))
+    assert str(expr) == "1/2*RootSum(A1^2 + 1, A1 -> A1*psi^(0)(A + y + A1))"
+    assert expr.latex() == (
+        r"\tfrac{1}{2} \sum_{\alpha^{2} + 1 = 0} \alpha \,"
+        r" \psi^{(0)}\!\left(A + y + \alpha\right)")
+    expr = conjugate_polygamma(rep_of([((1, 1, 0), r)], vars=("A", "A1", "A3")))
+    assert str(expr) == "1/2*RootSum(A2^2 + 1, A2 -> A2*psi^(0)(A + A1 + A2))"
+    expr = conjugate_polygamma(rep_of([((1, 1), r)], vars=("A1", "y")))
+    assert str(expr) == "1/2*RootSum(A^2 + 1, A -> A*psi^(0)(A1 + y + A))"
