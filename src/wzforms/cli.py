@@ -261,6 +261,18 @@ def _build_parser():
     return parser
 
 
+# one parser per process, built on first use: a parse keeps nothing in the
+# parser, so every command line can share it
+_PARSER = None
+
+
+def _parser():
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def run_command(argv, out=None, err=None):
     """Dispatch one command line; returns the process exit status.
 
@@ -271,7 +283,7 @@ def run_command(argv, out=None, err=None):
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    parser = _parser()
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is not None:
         saved = sys.get_int_max_str_digits()

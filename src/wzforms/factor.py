@@ -34,6 +34,18 @@ multivariate factoring (Wang's algorithm with Hensel lifting):
    so each is divided out exactly over the integers.
 3. Residual.  What is left, for example x^2 + y^2 + 1 from an exact part,
    has no integer-linear factor and goes to sympy's ``factor_list``.
+4. Univariate factors.  The binary forms of step 1 and the blocks of step
+   2 are factored over Z by one route, ``_factor_dense``.  A quadratic is
+   settled by its discriminant: a non-square one proves it irreducible, and
+   a square one splits it by formula.  Anything larger is split into
+   squarefree pieces (sympy's ``dup_sqf_list``), and a piece of degree 3 or
+   4 is proved irreducible by a prime p that does not divide its leading
+   coefficient: a cubic with no root mod p, or a quartic irreducible mod p.
+   That is a proof, not a probable answer: a factorization over Z reduces
+   mod p to one with the same degrees, because p divides neither leading
+   coefficient, so a cubic with a factor over Z has a linear one and so a
+   root mod p, and a reducible quartic stays reducible mod p.  Only the
+   pieces that no prime settles go to sympy's Zassenhaus factoring.
 
 Every step is exact, so no factor is missed.  All factors are re-normalized
 to this package's canonical form (integer-primitive, positive graded-lex
@@ -46,11 +58,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_factor_list
+from sympy.polys.factortools import dup_zz_factor_sqf
+from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InvalidInput
 from .polys import (_MASK, Polynomial, _int_content, _int_divexact, _int_eval_at,
@@ -103,7 +117,93 @@ def _change_of_variables(v):
 
 
 # ---------------------------------------------------------------------- #
-# the three steps
+# univariate factoring over Z, small factors certified without Zassenhaus
+
+# the primes that may prove a cubic or quartic irreducible (step 4)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _factor_dense(u):
+    """What ``dup_factor_list(u, ZZ)`` returns for a nonzero dense list u
+    over ZZ, highest coefficient first: the content, with the sign of the
+    leading coefficient, and the irreducible (factor, multiplicity) pairs in
+    sympy's order, each factor primitive with a positive leading
+    coefficient (module docstring, step 4)."""
+    k = len(u)
+    while not u[k - 1]:
+        k -= 1
+    cont, f = _primitive(u[:k])
+    factors = [([1, 0], len(u) - k)] if k < len(u) else []
+    for g, m in dup_sqf_list(f, ZZ)[1] if len(f) > 3 else [(f, 1)]:
+        factors.extend((h, m * e) for h, e in _split(_primitive(g)[1]))
+    factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+    return cont, factors
+
+
+def _primitive(f):
+    """``(c, f / c)`` for a nonzero list f of ints, with c the content
+    signed so that the leading coefficient of f / c is positive."""
+    c = gcd(*f)
+    if f[0] < 0:
+        c = -c
+    return c, [a // c for a in f]
+
+
+def _split(g):
+    """The irreducible (factor, multiplicity) pairs of a primitive g with a
+    positive leading coefficient that is squarefree or of degree <= 2."""
+    d = len(g) - 1
+    if d <= 1:
+        return [(g, 1)] if d else []
+    if d == 2:
+        a, b, c = g
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return [(g, 1)]
+        if not s:
+            return [(_primitive([2 * a, b])[1], 2)]
+        return [(_primitive([2 * a, b - s])[1], 1), (_primitive([2 * a, b + s])[1], 1)]
+    if d <= 4 and _certified(g):
+        return [(g, 1)]
+    return [(_primitive(h)[1], 1) for h in dup_zz_factor_sqf(g, ZZ)[1]]
+
+
+def _certified(g):
+    """Whether some p in _PRIMES that does not divide the leading
+    coefficient proves the squarefree cubic or quartic g irreducible: g has
+    no root mod p, and a quartic is also irreducible mod p."""
+    if len(g) == 5:
+        disc = _quartic_discriminant(g)
+    for p in _PRIMES:
+        if g[0] % p:
+            r = [c % p for c in g]
+            values = [0] * p
+            for c in r:
+                values = [(v * x + c) % p for x, v in enumerate(values)]
+            if not all(values):
+                continue
+            # a quartic with no root mod an odd p is a product of two
+            # quadratics there when disc is a nonzero square mod p
+            # (Stickelberger), and has a repeated factor when p divides
+            # disc, so only a nonresidue is worth the test; p = 2 always is
+            if len(g) == 4 or (pow(disc, (p - 1) // 2, p) == p - 1
+                               and gf_irreducible_p(r, p, ZZ)):
+                return True
+    return False
+
+
+def _quartic_discriminant(g):
+    """The discriminant of the quartic with coefficient list g, from the
+    invariants I and J: 27 disc = 4 I^3 - J^2."""
+    a, b, c, d, e = g
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * (a * d * d + b * b * e) - 2 * c ** 3
+    return (4 * i ** 3 - j * j) // 27
+
+
+# ---------------------------------------------------------------------- #
+# steps 1 to 3
 
 
 def _directions(terms, vars):
@@ -136,7 +236,7 @@ def _directions(terms, vars):
         unseen -= fields[l]
         part = {k: c for k, c in top.items() if not k & unseen}
         lifted = []
-        for fac, _ in dup_factor_list(binary, ZZ)[1]:
+        for fac, _ in _factor_dense(binary)[1]:
             if len(fac) != 2:
                 continue
             a, b = int(fac[0]), int(fac[1])
@@ -249,7 +349,7 @@ def factor_polynomial(p):
         if block is None:
             continue
         found.extend((Polynomial._from_view(p.vars, _along(fac, v)), mult)
-                     for fac, mult in dup_factor_list(block, ZZ)[1])
+                     for fac, mult in _factor_dense(block)[1])
         # rest and the block are primitive with positive leading
         # coefficients, so a block of full degree leaves 1
         if len(block) - 1 == max(rest) >> 32 * n:

@@ -6,6 +6,7 @@ import pytest
 
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      RationalFunction, parse_expression)
+from wzforms import cli
 from wzforms.cli import rep_from_json, rep_to_json, run_command
 
 V = ("x", "y", "z")
@@ -155,6 +156,25 @@ def test_fuzz_command():
         status, out, err = run(["fuzz", "--seed", "1", "--count", count])
         assert (status, out) == (3, "")
         assert err == "error: --count must be at least 1\n"
+
+
+def test_one_parser_serves_every_command(tmp_path, monkeypatch):
+    paths = write_triple(tmp_path, TRIPLE)
+    commands = [["verify", "--vars", "x,y,z", *paths],
+                ["verify", "--vars", "x,y,z"],  # no component files
+                ["fuzz", "--seed", "0", "--count", "1"],
+                ["verify", "--vars", "x,y,z", *paths[:2], paths[0]]]
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    assert [status for status, _, _ in fresh] == [0, 3, 0, 1]
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(argv) for argv in commands] == fresh
+    assert len(builds) == 1
 
 
 def test_usage_and_io_errors(tmp_path):

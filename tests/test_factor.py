@@ -9,17 +9,27 @@ few factors that are not integer-linear.
 The directions found by lifting the linear factors of the top part's binary
 restrictions are checked against an oracle that factors the dehomogenized
 top part as a multivariate polynomial.
+
+The univariate route that both use, with its certificates of
+irreducibility, is checked against sympy's ``dup_factor_list`` on seeded
+products of known irreducible polynomials and on inputs that no prime
+certifies.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
+from sympy.polys.densearith import dup_mul
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_discriminant
+from sympy.polys.factortools import dup_factor_list
 
-from wzforms import Polynomial, parse_polynomial, polys
-from wzforms.factor import _directions, factor_polynomial
+from wzforms import Polynomial, factor, parse_polynomial, polys
+from wzforms.factor import (_PRIMES, _directions, _factor_dense, _quartic_discriminant,
+                            factor_polynomial)
 from wzforms.polys import _int_divexact, _unpacked
 
 VARS = ("x", "y", "z", "w")
@@ -230,3 +240,109 @@ def test_sympy_gcd_fallback_gives_the_same_factors(monkeypatch):
         polys._gcd_cached.cache_clear()
     # the blocks' gcds run in one variable y
     assert 1 in gave_up
+
+
+# ---------------------------------------------------------------------- #
+# the univariate route
+
+
+def dense(result):
+    """A univariate factorization with plain int coefficients."""
+    cont, factors = result
+    return int(cont), [([int(c) for c in f], int(m)) for f, m in factors]
+
+
+def known_irreducible(rng, degree):
+    """A primitive irreducible dense list of the given degree over ZZ."""
+    t = sympy.Symbol("t")
+    while True:
+        f = [rng.randint(1, 4)] + [rng.randint(-6, 6) for _ in range(degree)]
+        if gcd(*f) == 1 and sympy.Poly(f, t, domain=sympy.ZZ).is_irreducible:
+            return f
+
+
+def random_dense_product(seed):
+    """A content times 1-3 distinct irreducibles of degree 1-6 to powers
+    1-3, often all to the same power, of degree at most 24."""
+    rng = random.Random(f"dense-{seed}")
+    same = rng.randint(1, 3) if rng.random() < 0.4 else None
+    u, seen = [rng.choice((-12, -6, -2, -1, 1, 1, 3, 10))], []
+    for _ in range(rng.randint(1, 3)):
+        f = known_irreducible(rng, rng.randint(1, 6))
+        m = same or rng.randint(1, 3)
+        if f in seen or len(u) - 1 + m * (len(f) - 1) > 24:
+            continue
+        seen.append(f)
+        for _ in range(m):
+            u = dup_mul(u, f, ZZ)
+    return u
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_dense_route_matches_sympy_on_known_products(seed):
+    u = random_dense_product(seed)
+    got = dense(_factor_dense(u))
+    assert got == dense(dup_factor_list(u, ZZ))
+    # _directions reads a linear factor a*y_j + b*y_l with a > 0
+    assert all(f[0] > 0 for f, _ in got[1])
+
+
+LEAD = prod(_PRIMES)
+# no prime of _PRIMES certifies these: reducible mod every prime, a
+# reducible squarefree piece, or a leading coefficient that every prime
+# divides
+UNCERTIFIED = [
+    [1, 0, 0, 0, 1],                      # x^4 + 1
+    [1, 0, -10, 0, 1],                    # x^4 - 10x^2 + 1
+    [1, 0, -5, 0, 6],                     # (x^2 - 2)(x^2 - 3)
+    [LEAD, 0, 1, 1],
+    [LEAD, 0, 0, 1, 1],
+    [-3 * LEAD, 0, 0, -3, -3],
+]
+# of degree <= 2 once x^k is split off: settled without a squarefree
+# decomposition
+AT_MOST_QUADRATIC = [[4, 0, -9], [1, 2, 1], [-2, -4, -2], [3, 0, 0], [5, -1, 7], [6, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("u", UNCERTIFIED + AT_MOST_QUADRATIC)
+def test_dense_route_on_hard_cases(u, monkeypatch):
+    fallbacks = []
+    sympy_sqf = factor.dup_zz_factor_sqf
+
+    def counted(g, K):
+        fallbacks.append(list(g))
+        return sympy_sqf(g, K)
+
+    monkeypatch.setattr(factor, "dup_zz_factor_sqf", counted)
+    if u in AT_MOST_QUADRATIC:
+        monkeypatch.setattr(factor, "dup_sqf_list", None)
+    assert dense(_factor_dense(u)) == dense(dup_factor_list(u, ZZ))
+    assert len(fallbacks) == (u in UNCERTIFIED)
+
+
+CERTIFIED = [
+    [1, 0, 0, 2],                         # x^3 + 2: no root mod 7
+    [1, 0, 0, 1, 1],                      # x^4 + x + 1: irreducible mod 2
+    [2, -1, -5, -7, 4],
+    [-4, 0, 6, -2, -10, 0],               # -2x(2x^4 - 3x^2 + x + 5)
+    dup_mul(dup_mul([1, 0, 0, 2], [1, 0, 0, 2], ZZ), [1, 0, 0, 1, 1], ZZ),
+    dup_mul([1, 3, -5, 7, 11], dup_mul([2, 0, -3], [2, 0, -3], ZZ), ZZ),
+]
+
+
+@pytest.mark.parametrize("u", CERTIFIED)
+def test_certified_factors_reach_no_sympy_factoring(u, monkeypatch):
+    expected = dense(dup_factor_list(u, ZZ))
+
+    def refuse(g, K):
+        raise AssertionError(f"sympy factoring called on {g}")
+
+    monkeypatch.setattr(factor, "dup_zz_factor_sqf", refuse)
+    assert dense(_factor_dense(u)) == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_quartic_discriminant_matches_sympy(seed):
+    rng = random.Random(f"discriminant-{seed}")
+    g = [rng.choice((-7, -1, 1, 2, 9))] + [rng.randint(-30, 30) for _ in range(4)]
+    assert _quartic_discriminant(g) == dup_discriminant(g, ZZ)
