@@ -4,9 +4,10 @@ checking for tuples of rational functions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidInput, NotAWZForm
-from .polys import _check_index
+from .polys import _check_index, _int_eval_at
 from .rationals import RationalFunction
 
 
@@ -50,8 +51,8 @@ def cyclic_apply(h, i, m):
 
 # Points of the fixed sequence that the witness tries before a tuple goes to
 # decompose.  Of the 67 incompatible twins in perfbench's verify workload the
-# first point refutes 63 and the first two refute all; the third is margin
-# against poles.
+# first point refutes 63 and the second the other 4, for each of the
+# workload's seeds 1 to 10; the third is margin against poles.
 WITNESS_POINTS = 3
 
 _REJECTED = "the tuple violates the compatibility conditions"
@@ -70,37 +71,68 @@ def witness_points(n):
     return tuple(tuple(coords[t * n:(t + 1) * n]) for t in range(WITNESS_POINTS))
 
 
+def _line(ints, x, s):
+    """An integer term map with every variable but x_s fixed at the point
+    x: its restriction to the line through x along x_s."""
+    n = len(x)
+    for k, value in enumerate(x):
+        if k != s:
+            ints = _int_eval_at(ints, n, k, value)
+    return ints
+
+
+def _line_values(f, x, s):
+    """``(f(x), f(x + e_s))``, with None at a pole: one line through x along
+    x_s for the numerator and one for the denominator, each read twice."""
+    (num, nd), (den, dd) = f.num._scaled_ints(), f.den._scaled_ints()
+    num, den = _line(num, x, s), _line(den, x, s)
+    n = len(x)
+    values = []
+    for t in (x[s], x[s] + 1):
+        dv = _int_eval_at(den, n, s, t).get(0, 0)
+        values.append(Fraction(_int_eval_at(num, n, s, t).get(0, 0) * dd, nd * dv)
+                      if dv else None)
+    return values
+
+
+def _pole_at_step(f, x, s):
+    """True iff the denominator of f vanishes at x + e_s."""
+    return not _int_eval_at(_line(f.den._scaled_ints()[0], x, s), len(x), s,
+                            x[s] + 1).get(0, 0)
+
+
 def _witness(components):
     """Exact evidence that the tuple is not compatible, or None.
 
-    At each point x of ``witness_points`` and each pair i < j whose
-    components have nonzero denominators at x, x + e_i and x + e_j, compare
-    ``delta_i(f_j)(x)`` with ``delta_j(f_i)(x)`` in Fraction arithmetic.  A
-    difference is returned as ``((i, j), x, (delta_i(f_j)(x),
-    delta_j(f_i)(x)))``; None means only that no tried point told them
-    apart.
+    At each point x of ``witness_points`` and each pair i < j, in order,
+    compare ``delta_i(f_j)(x)`` with ``delta_j(f_i)(x)`` in Fraction
+    arithmetic.  The two values lie on two lines: f_j at x and x + e_i on
+    the line through x along x_i, f_i at x and x + e_j on the one along
+    x_j.  Each line is built when its pair is reached, by fixing the other
+    variables of the numerator and the denominator at x, and each line
+    serves one pair, so the search stops at the first difference having
+    evaluated only what it compared.  A pair is skipped at x when f_i or
+    f_j has a pole at x, x + e_i or x + e_j; the poles of f_i at x + e_i
+    and of f_j at x + e_j, off those lines, are read only when the two
+    values differ.  A difference is returned as ``((i, j), x,
+    (delta_i(f_j)(x), delta_j(f_i)(x)))``; None means only that no tried
+    point told them apart.
     """
-    vars = components[0].vars
     n = len(components)
     for x in witness_points(n):
-        # index s < n is the point x + e_s, index n is x itself
-        points = [dict(zip(vars, x[:s] + (x[s] + 1,) + x[s + 1:])) for s in range(n)]
-        points.append(dict(zip(vars, x)))
-        values = []
-        for f in components:
-            row = []
-            for p in points:
-                d = f.den.eval_at(p)
-                row.append(f.num.eval_at(p) / d if d else None)
-            values.append(row)
         for i in range(n):
+            fi = components[i]
             for j in range(i + 1, n):
-                fi, fj = values[i], values[j]
-                if any(fi[s] is None or fj[s] is None for s in (i, j, n)):
+                fj = components[j]
+                fj_x, fj_xi = _line_values(fj, x, i)
+                if fj_x is None or fj_xi is None:
                     continue
-                di_fj = fj[i] - fj[n]
-                dj_fi = fi[j] - fi[n]
-                if di_fj != dj_fi:
+                fi_x, fi_xj = _line_values(fi, x, j)
+                if fi_x is None or fi_xj is None:
+                    continue
+                di_fj, dj_fi = fj_xi - fj_x, fi_xj - fi_x
+                if di_fj != dj_fi and not (_pole_at_step(fi, x, i)
+                                           or _pole_at_step(fj, x, j)):
                     return (i, j), x, (di_fj, dj_fi)
     return None
 
@@ -123,7 +155,9 @@ class WZForm:
     """A compatible tuple: one rational function per variable, with
     ``delta_i(f_j) == delta_j(f_i)`` for all pairs.  Construction certifies
     this: a point witness refutes the tuple, or ``decompose`` either refutes
-    it or returns the representation that the form keeps."""
+    it or returns the representation that the form keeps.  A refutation is
+    raised from its evidence: a ``NotAWZForm`` naming the witness's pair,
+    point and both values, or the one that ``decompose`` raised."""
 
     vars: tuple
     components: tuple
@@ -141,8 +175,11 @@ class WZForm:
         object.__setattr__(self, "_rep", None)
         if len(components) < 2:
             return  # no pairs
-        if _witness(components) is not None:
-            raise NotAWZForm(_REJECTED)
+        witness = _witness(components)
+        if witness is not None:
+            (i, j), x, (di_fj, dj_fi) = witness
+            raise NotAWZForm(_REJECTED) from NotAWZForm(
+                f"at {x}, delta_{i}(f_{j}) == {di_fj} but delta_{j}(f_{i}) == {dj_fi}")
         from .wzform import decompose  # wzform imports this module
         try:
             decompose(self)  # keeps the representation on self

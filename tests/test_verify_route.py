@@ -1,11 +1,14 @@
 """The verifier's route, a point witness for "no" and then ``decompose``,
-pinned to the symbolic pairwise oracle on seeded tuples."""
+pinned to the symbolic pairwise oracle on seeded tuples; the witness's
+lines pinned to a full evaluation at every point."""
 
+import io
 import random
 
 import pytest
 
 from conftest import pairwise_compatible, random_rational
+from wzforms import cli, shifts
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      NotAWZForm, Polynomial, RationalFunction, WZForm,
                      decompose, delta, generate, is_wz_form, parse_expression,
@@ -13,6 +16,34 @@ from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
 from wzforms.shifts import WITNESS_POINTS, _witness, witness_points
 
 REJECTED = "^the tuple violates the compatibility conditions$"
+
+
+def oracle_witness(components):
+    """The witness by full evaluation: every component at x and at every
+    x + e_s with ``eval_at``, before any pair is compared."""
+    vars = components[0].vars
+    n = len(components)
+    for x in witness_points(n):
+        # index s < n is the point x + e_s, index n is x itself
+        points = [dict(zip(vars, x[:s] + (x[s] + 1,) + x[s + 1:])) for s in range(n)]
+        points.append(dict(zip(vars, x)))
+        values = []
+        for f in components:
+            row = []
+            for p in points:
+                d = f.den.eval_at(p)
+                row.append(f.num.eval_at(p) / d if d else None)
+            values.append(row)
+        for i in range(n):
+            for j in range(i + 1, n):
+                fi, fj = values[i], values[j]
+                if any(fi[s] is None or fj[s] is None for s in (i, j, n)):
+                    continue
+                di_fj = fj[i] - fj[n]
+                dj_fi = fi[j] - fi[n]
+                if di_fj != dj_fi:
+                    return (i, j), x, (di_fj, dj_fi)
+    return None
 
 
 def value_at(f, point):
@@ -43,6 +74,7 @@ def check_route(components):
     expected = pairwise_compatible(components)
     assert is_wz_form(components) is expected
     witness = _witness(components)
+    assert witness == oracle_witness(components)
     if witness is not None:
         assert not expected
         check_witness(components, witness)
@@ -170,6 +202,37 @@ def test_decompose_rejects_what_the_witness_misses():
         with pytest.raises(NotAWZForm, match=REJECTED) as info:
             WZForm(vars, comps)
         assert isinstance(info.value.__cause__, NotAWZForm)
+        # the witness path keeps its evidence as the cause too
+        comps[2] = comps[2] + pole_term(vars, 0, 2, 3)
+        (i, j), x, (di_fj, dj_fi) = _witness(comps)
+        with pytest.raises(NotAWZForm, match=REJECTED) as info:
+            WZForm(vars, comps)
+        cause = info.value.__cause__
+        assert isinstance(cause, NotAWZForm)
+        assert str(cause) == (f"at {x}, delta_{i}(f_{j}) == {di_fj} "
+                              f"but delta_{j}(f_{i}) == {dj_fi}")
+
+
+def test_cli_output_on_a_witness_rejection(tmp_path):
+    vars = ("x", "y", "z")
+    comps = list(generate(random_additive_rep(0, n=3, max_types=2, max_deg=2,
+                                              coeff_bound=5)).components)
+    comps[2] = comps[2] + pole_term(vars, 0, 2, 3)
+    assert _witness(comps) is not None
+    paths = []
+    for k, f in enumerate(comps):
+        path = tmp_path / f"f{k}.txt"
+        path.write_text(str(f) + "\n", encoding="utf-8")
+        paths.append(str(path))
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        return cli.run_command(argv, out=out, err=err), out.getvalue(), err.getvalue()
+
+    assert run(["verify", "--vars", "x,y,z", *paths]) == (1, "WZ-form: no\n", "")
+    assert run(["decompose", "--vars", "x,y,z", "--out", str(tmp_path / "rep.json"),
+                *paths]) == (2, "", "not a WZ-form: the tuple violates the "
+                                    "compatibility conditions\n")
 
 
 def test_witness_skips_a_pair_at_a_pole():
@@ -225,3 +288,128 @@ def test_is_wz_form_needs_one_component_per_variable():
     for comps in ([f], [f, f], [f] * 4):
         with pytest.raises(InvalidInput, match="one component per variable"):
             is_wz_form(comps)
+
+
+def pole_offsets(n, j):
+    """Values of a that put the pole of ``c/(x_j + a)`` at some witness
+    point x, and so at every x + e_s with s != j, or at x + e_j alone."""
+    return [-x[j] - step for x in witness_points(n) for step in (0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_witness_matches_the_full_evaluation_oracle(n):
+    rng = random.Random(f"parity-{n}")
+    found = set()
+    for seed in range(4 if n <= 3 else 2):
+        rep = random_additive_rep(seed, n=n, max_types=2, max_deg=2, coeff_bound=5)
+        comps = list(generate(rep).components)
+        vars = rep.vars
+        corpus = [comps]
+        for j in range(n):
+            for a in pole_offsets(n, j) + [rng.randint(-5, 5)]:
+                c = rng.choice([-3, -1, 2, 5])
+                k = rng.choice([q for q in range(n) if q != j])
+                # breaks the pair (j, k); its poles lie on f_k's lines
+                twin = list(comps)
+                twin[k] = twin[k] + pole_term(vars, j, c, a)
+                corpus.append(twin)
+                # a term in x_j alone keeps f_j compatible, and puts its
+                # pole at f_j's own-axis point x + e_j, off its lines
+                own = list(twin)
+                own[j] = own[j] + pole_term(vars, j, -c, a)
+                corpus.append(own)
+        for _ in range(3):
+            k = rng.randrange(n)
+            noisy = list(comps)
+            noisy[k] = noisy[k] + random_rational(rng, vars, max_terms=2, max_deg=2,
+                                                  bound=4)
+            corpus.append(noisy)
+        for tuple_ in corpus:
+            witness = _witness(tuple_)
+            assert witness == oracle_witness(tuple_)
+            found.add(None if witness is None else witness[1])
+    # refutations at more than one point, and tuples that no point refutes
+    assert None in found and len(found) >= 3
+
+
+def test_a_differing_pair_with_a_pole_off_its_lines_is_skipped():
+    vars = ("x", "y", "z")
+    first, second, _ = witness_points(3)
+    comps = list(generate(random_additive_rep(2, n=3, max_types=2, max_deg=2,
+                                              coeff_bound=5)).components)
+    # a term in x alone: f_0 stays compatible, with a pole at first + e_0
+    # and nowhere else on the witness's points
+    comps[0] = comps[0] + pole_term(vars, 0, 1, -first[0] - 1)
+    assert check_route(comps) == (True, None)
+    # a term in x added to f_1 breaks only the pair (0, 1)
+    comps[1] = comps[1] + pole_term(vars, 0, 3, 2)
+    step = [tuple(c + (s == k) for s, c in enumerate(first)) for k in (0, 1)]
+    assert value_at(comps[0], step[0]) is None
+    d0_f1 = value_at(comps[1], step[0]) - value_at(comps[1], first)
+    d1_f0 = value_at(comps[0], step[1]) - value_at(comps[0], first)
+    assert d0_f1 != d1_f0  # the pair's values differ at the first point
+    expected, witness = check_route(comps)
+    assert not expected and witness[:2] == ((0, 1), second)
+
+
+def built_lines(monkeypatch, components):
+    """Run the witness; returns its result and the lines it built, each as
+    (component, "num" or "den", point)."""
+    owners = {}
+    for c, f in enumerate(components):
+        owners[id(f.num._scaled_ints()[0])] = (c, "num")
+        owners[id(f.den._scaled_ints()[0])] = (c, "den")
+    assert len(owners) == 2 * len(components)  # every line has one owner
+    built = []
+    line = shifts._line
+
+    def counted(ints, x, s):
+        built.append(owners[id(ints)] + (x,))
+        return line(ints, x, s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shifts, "_line", counted)
+        witness = _witness(components)
+    return witness, built
+
+
+def test_a_pair_broken_first_builds_lines_for_its_own_components(monkeypatch):
+    for seed, n in ((2, 3), (4, 3), (3, 4), (7, 4)):
+        rep = random_additive_rep(seed, n=n, max_types=2, max_deg=2, coeff_bound=5)
+        comps = list(generate(rep).components)
+        # a term in x_0 added to f_1 breaks the pair (0, 1)
+        comps[1] = comps[1] + pole_term(rep.vars, 0, 3, 2)
+        witness, built = built_lines(monkeypatch, comps)
+        assert witness[:2] == ((0, 1), witness_points(n)[0])
+        assert {c for c, _, _ in built} == {0, 1}
+
+
+def test_a_compatible_tuple_builds_one_numerator_line_per_other_axis(monkeypatch):
+    for seed, n in ((0, 2), (3, 3), (6, 3), (1, 4), (2, 5)):
+        rep = random_additive_rep(seed, n=n, max_types=2, max_deg=2, coeff_bound=5)
+        witness, built = built_lines(monkeypatch, list(generate(rep).components))
+        assert witness is None
+        for c in range(n):
+            for x in witness_points(n):
+                assert built.count((c, "num", x)) <= n - 1
+                # the denominator off the compared lines is never read
+                assert built.count((c, "den", x)) == built.count((c, "num", x))
+
+
+def test_the_witness_makes_no_eval_at_call(monkeypatch):
+    rng = random.Random(59)
+    corpus = []
+    for seed, n in ((0, 2), (4, 3), (1, 4)):
+        rep = random_additive_rep(seed, n=n, max_types=2, max_deg=2, coeff_bound=5)
+        comps = list(generate(rep).components)
+        twin = list(comps)
+        twin[n - 1] = twin[n - 1] + pole_term(rep.vars, 0, 2, rng.randint(-5, 5))
+        corpus += [comps, twin]
+    expected = [oracle_witness(t) for t in corpus]
+
+    def refuse(self, point):
+        raise AssertionError("the witness called eval_at")
+
+    monkeypatch.setattr(Polynomial, "eval_at", refuse)
+    assert [_witness(t) for t in corpus] == expected
+    assert sum(w is not None for w in expected) == 3
