@@ -101,7 +101,7 @@ def _json_int(text):
 def _load_rep(path):
     try:
         doc = json.loads(_read_text(path), parse_int=_json_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"malformed JSON in {path}: {exc}")
     return rep_from_json(doc)
 

@@ -13,7 +13,7 @@ from operator import or_
 from .errors import InvalidInput
 from .factor import _change_of_variables
 from .polys import _MASK, Polynomial, _shift, _substitute, _unit_key
-from .rationals import RationalFunction, _int_entries
+from .rationals import RationalFunction, _fraction_free_solve, _int_entries
 
 
 @dataclass(frozen=True)
@@ -156,31 +156,7 @@ class UnimodularCompletion:
         return self.matrix[0]
 
     def determinant(self):
-        return _eliminate(self.matrix)[0]
-
-
-def _eliminate(rows):
-    """``(det, inverse)`` of a square matrix by one Gauss-Jordan pass over
-    the rationals; the inverse is None when the determinant is 0."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
-         for r, row in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det, tuple(tuple(row[n:]) for row in m)
+        return Fraction(_fraction_free_solve(self.matrix, [()] * len(self.matrix))[1])
 
 
 def _xgcd(a, b):
@@ -208,7 +184,7 @@ def _complete(v):
             g, s, t = -g, -s, -t
         return [[v[0], v[1]], [-t, s]]
     sub = _complete(head)
-    g = _det_int(sub)
+    g = _fraction_free_solve(sub, [()] * (n - 1))[1]
     if g < 0:
         sub[-1] = [-x for x in sub[-1]]
         g = -g
@@ -218,13 +194,6 @@ def _complete(v):
         rows.append(list(row) + [0])
     rows.append([-t * x // g for x in head] + [s])
     return rows
-
-
-def _det_int(rows):
-    d = _eliminate(rows)[0]
-    if d.denominator != 1:
-        raise AssertionError(f"integer matrix has determinant {d}")
-    return int(d)
 
 
 def complete_unimodular(v):
@@ -238,10 +207,13 @@ def complete_unimodular(v):
     n = len(v)
     if n > 1:
         target = gcd(*v)
-        d = _det_int(rows)
+        d = _fraction_free_solve(rows, [()] * n)[1]
         if d == -target:
             rows[-1] = [-x for x in rows[-1]]
         elif d != target:
             raise AssertionError(f"completion of {v} has determinant {d}")
     matrix = tuple(tuple(row) for row in rows)
-    return UnimodularCompletion(matrix, _eliminate(matrix)[1])
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    W, det = _fraction_free_solve(matrix, identity)
+    return UnimodularCompletion(matrix, tuple(tuple(Fraction(a, det) for a in row)
+                                              for row in W))

@@ -684,6 +684,16 @@ def _int_eval_at(terms, n, i, xi):
     return out
 
 
+def _int_on_line(terms, point):
+    """An integer term map with x_j fixed at ``point[j]`` for every j where
+    that is not None: its restriction to the line along the free slot."""
+    n = len(point)
+    for j, value in enumerate(point):
+        if value is not None:
+            terms = _int_eval_at(terms, n, j, value)
+    return terms
+
+
 def _int_content(terms):
     g = 0
     for c in terms.values():

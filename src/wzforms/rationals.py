@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import DivisionByZero, InvalidInput
 from .factor import factor_polynomial
-from .polys import Polynomial, _check_index, _int_eval_at, _unit_key, poly_gcd
+from .polys import Polynomial, _check_index, _int_on_line, _unit_key, poly_gcd
 
 
 def _int_entries(entries, what):
@@ -465,11 +465,7 @@ def _line_points(n, i):
 def _on_line(p, point):
     """p with x_j = point[j] for every j where point[j] is not None."""
     ints, den = p._scaled_ints()
-    n = len(p.vars)
-    for j, value in enumerate(point):
-        if value is not None:
-            ints = _int_eval_at(ints, n, j, value)
-    return Polynomial._from_ints(p.vars, ints, den)
+    return Polynomial._from_ints(p.vars, _int_on_line(ints, point), den)
 
 
 def _layers_by_inversion(R, U, b, m, i):
@@ -524,9 +520,11 @@ def _layers_by_inversion(R, U, b, m, i):
         _, col, e = _pseudo_divmod([zero] + col, bd)
         cols.append(col)
         scales.append(scales[-1] + e)
-    w, det = _fraction_free_solve([[col[r] for col in cols] for r in range(d)],
-                                  [Polynomial.one(vars)] + [zero] * (d - 1))
-    w = [a * lc ** e if e else a for a, e in zip(w, scales)]
+    W, det = _fraction_free_solve([[col[r] for col in cols] for r in range(d)],
+                                  [[Polynomial.one(vars)]] + [[zero]] * (d - 1))
+    if W is None:
+        raise InvalidInput("cofactor is not invertible modulo the base")
+    w = [row[0] * lc ** e if e else row[0] for row, e in zip(W, scales)]
     layers = {}
     for t in range(m, 0, -1):
         _, r, k = _pseudo_divmod(P, bd)
@@ -574,20 +572,28 @@ def _pseudo_divmod(p, bd):
 
 
 def _fraction_free_solve(M, rhs):
-    """``(w, det)`` with ``M*w == det*rhs`` for a square matrix of polynomials
-    and det its determinant up to sign, by fraction-free (Bareiss)
-    Gauss-Jordan elimination on [M | rhs]: after step k every pivot so far
-    equals a k x k minor, so each update divides exactly by the previous
-    pivot."""
+    """``(W, det)`` with ``M*W == det*rhs``, or ``(None, 0)`` when M is
+    singular: M a square matrix of ints or polynomials, det its determinant
+    and rhs a list of rows of any width (of none when only det is wanted).
+
+    Fraction-free (Bareiss, 1968) Gauss-Jordan elimination on [M | rhs]:
+    after step k every pivot so far equals a k x k minor, so each update
+    divides exactly by the previous pivot, and the last pivot is det up to
+    the sign of the row swaps.  This is the one elimination of the package:
+    the peel inverts its cofactor modulo the base with it, the root field
+    inverts in Q[R]/(q), and unimodular completion takes determinants and
+    inverses."""
     d = len(M)
-    zero = Polynomial.zero(rhs[0].vars)
-    A = [list(row) + [c] for row, c in zip(M, rhs)]
-    prev = None
+    A = [list(row) + list(r) for row, r in zip(M, rhs)]
+    width = len(A[0]) if A else 0
+    sign, prev = 1, 1
     for k in range(d):
-        p = next((r for r in range(k, d) if not A[r][k].is_zero), None)
+        p = next((r for r in range(k, d) if A[r][k]), None)
         if p is None:
-            raise InvalidInput("cofactor is not invertible modulo the base")
-        A[k], A[p] = A[p], A[k]
+            return None, 0
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            sign = -sign
         pivot_row = A[k]
         pk = pivot_row[k]
         for r in range(d):
@@ -595,17 +601,26 @@ def _fraction_free_solve(M, rhs):
                 continue
             row, f = A[r], A[r][k]
             # columns up to k are settled and never read again
-            for j in range(k + 1, d + 1):
-                v = pk * row[j] if not row[j].is_zero else zero
-                if not (f.is_zero or pivot_row[j].is_zero):
+            for j in range(k + 1, width):
+                v = pk * row[j] if row[j] else row[j]
+                if f and pivot_row[j]:
                     v = v - f * pivot_row[j]
-                row[j] = v if prev is None else _exact_quotient(v, prev)
+                row[j] = v if k == 0 else _exact_quotient(v, prev)
         prev = pk
-    return [row[d] for row in A], prev
+    W = [row[d:] for row in A]
+    if sign < 0:
+        W, prev = [[-a for a in row] for row in W], -prev
+    return W, prev
 
 
 def _exact_quotient(p, q):
-    got = p.divexact(q)
+    """p/q for ints or polynomials; a remainder raises ArithmeticError."""
+    if isinstance(p, Polynomial):
+        got = p.divexact(q)
+    else:
+        got, rem = divmod(p, q)
+        if rem:
+            got = None
     if got is None:
         raise ArithmeticError("an exact division left a remainder")
     return got

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, NotAWZForm
-from .polys import _check_index, _int_eval_at
+from .polys import _check_index, _int_eval_at, _int_on_line
 from .rationals import RationalFunction
 
 
@@ -74,11 +74,7 @@ def witness_points(n):
 def _line(ints, x, s):
     """An integer term map with every variable but x_s fixed at the point
     x: its restriction to the line through x along x_s."""
-    n = len(x)
-    for k, value in enumerate(x):
-        if k != s:
-            ints = _int_eval_at(ints, n, k, value)
-    return ints
+    return _int_on_line(ints, x[:s] + (None,) + x[s + 1:])
 
 
 def _line_values(f, x, s):

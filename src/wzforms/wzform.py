@@ -19,8 +19,9 @@ from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
 from .polys import _MASK, Polynomial, _check_index, _join_signed, _unit_key
-from .rationals import (RationalFunction, _partial_fraction_full, _series_inverse,
-                        _series_mul, poly_antidifference, substitute_linear)
+from .rationals import (RationalFunction, _fraction_free_solve, _partial_fraction_full,
+                        _series_inverse, _series_mul, poly_antidifference,
+                        substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
@@ -422,7 +423,9 @@ class _RootField:
     lowest power first, and den a positive int, in lowest terms.  ``mod``
     holds q's integer coefficients, lowest first, with a positive leading
     one that need not be 1.  ``rationals._series_mul`` and
-    ``_series_inverse`` run on these elements."""
+    ``_series_inverse`` run on these elements, and the inverse comes from
+    the package's one elimination, ``rationals._fraction_free_solve``, on
+    ints."""
 
     __slots__ = ("c", "den", "mod")
 
@@ -480,9 +483,9 @@ class _RootField:
         return _RootField(p[:d], den, mod)
 
     def __pow__(self, e):
-        """The inverse, for ``e == -1`` only: fraction-free Gauss-Jordan
-        elimination on the int matrix of multiplication by this element,
-        whose column j is ``R**j * self`` mod q over its own denominator."""
+        """The inverse, for ``e == -1`` only: ``_fraction_free_solve`` on the
+        int matrix of multiplication by this element, whose column j is
+        ``R**j * self`` mod q over its own denominator."""
         if e != -1:
             return NotImplemented
         d, mod = len(self.c), self.mod
@@ -490,29 +493,15 @@ class _RootField:
         cols = [self]
         for _ in range(d - 1):
             cols.append(cols[-1] * r)
-        A = [[col.c[i] for col in cols] + [int(i == 0)] for i in range(d)]
-        prev = 1
-        for k in range(d):
-            p = next((i for i in range(k, d) if A[i][k]), None)
-            if p is None:
-                raise InvalidInput("pole polynomial is not squarefree-irreducible")
-            A[k], A[p] = A[p], A[k]
-            pivot_row = A[k]
-            pk = pivot_row[k]
-            for i in range(d):
-                if i == k:
-                    continue
-                row = A[i]
-                f = row[k]
-                # after step k every pivot is a minor, so each division is exact
-                for j in range(k + 1, d + 1):
-                    row[j] = (pk * row[j] - f * pivot_row[j]) // prev
-            prev = pk
+        W, det = _fraction_free_solve([[col.c[i] for col in cols] for i in range(d)],
+                                      [[int(i == 0)] for i in range(d)])
+        if W is None:
+            raise InvalidInput("pole polynomial is not squarefree-irreducible")
         # M*w == det*e_0 with M's column j scaled by col_j.den
-        w = [col.den * row[d] for col, row in zip(cols, A)]
-        if prev < 0:
-            w, prev = [-a for a in w], -prev
-        return _RootField(w, prev, mod)
+        w = [col.den * row[0] for col, row in zip(cols, W)]
+        if det < 0:
+            w, det = [-a for a in w], -det
+        return _RootField(w, det, mod)
 
 
 # ---------------------------------------------------------------------- #

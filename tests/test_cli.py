@@ -326,6 +326,16 @@ def test_long_json_integers_are_refused(tmp_path):
         assert (status, out) == (3, "") and "invalid int value" in err
 
 
+def test_deeply_nested_json_is_malformed_input(tmp_path):
+    # deeper than the decoder's recursion limit: exit 3, not an internal error
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("generate", "conjugate"):
+        status, out, err = run([command, "--in", str(doc)])
+        assert (status, out) == (3, "")
+        assert err.startswith(f"error: malformed JSON in {doc}: ")
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch):
     def broken(components):
         raise RuntimeError("unexpected\nstate")

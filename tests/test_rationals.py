@@ -6,13 +6,14 @@ import pytest
 import sympy
 
 from conftest import random_polynomial, random_rational
-from wzforms import (DivisionByZero, Polynomial, RationalFunction, delta,
+from wzforms import (DivisionByZero, Polynomial, RationalFunction,
+                     UnimodularCompletion, complete_unimodular, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
-from wzforms.rationals import (_dense_coeffs, _layers_at_linear_pole,
-                               _layers_by_inversion, _layers_on_a_line,
-                               _line_points, _on_line, _series_inverse,
-                               _series_mul)
+from wzforms.rationals import (_dense_coeffs, _exact_quotient, _fraction_free_solve,
+                               _layers_at_linear_pole, _layers_by_inversion,
+                               _layers_on_a_line, _line_points, _on_line,
+                               _series_inverse, _series_mul)
 
 V = ("x", "y")
 x = Polynomial.variable("x", V)
@@ -519,3 +520,99 @@ def test_sum_and_difference_match_sympy():
             else:
                 assert hn.gcd(hd).is_ground
     assert min(kinds.values()) >= 15, kinds
+
+
+# ---------------------------------------------------------------------- #
+# the shared fraction-free elimination, against sympy's Matrix
+
+
+def _int_matrix(rng, n, kind):
+    """A random n x n int matrix: "swap" has a zero (0, 0) entry, so the
+    first step swaps rows unless the column is zero; "singular" has a last
+    row that is a combination of the others."""
+    M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if kind == "swap":
+        M[0][0] = 0
+    elif kind == "singular":
+        coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+        M[-1] = [sum(c * row[j] for c, row in zip(coeffs, M)) for j in range(n)]
+    return M
+
+
+def test_fraction_free_solve_on_ints_matches_sympy():
+    rng = random.Random(23)
+    seen = {"swapped": 0, "singular": 0}
+    for n in range(1, 7):
+        for kind in ("plain", "swap", "singular") * 10:
+            M = _int_matrix(rng, n, kind)
+            width = rng.randint(1, 3)
+            rhs = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
+            W, det = _fraction_free_solve(M, rhs)
+            want = sympy.Matrix(M).det()
+            if want == 0:
+                assert (W, det) == (None, 0)
+                seen["singular"] += 1
+                continue
+            assert det == want and isinstance(det, int)
+            assert all(isinstance(a, int) for row in W for a in row)
+            assert sympy.Matrix(M) * sympy.Matrix(W) == det * sympy.Matrix(rhs)
+            seen["swapped"] += M[0][0] == 0
+    assert seen["swapped"] >= 30 and seen["singular"] >= 60
+
+
+def test_fraction_free_solve_gives_the_determinant_alone():
+    rng = random.Random(24)
+    for n in range(1, 7):
+        for kind in ("plain", "swap", "singular"):
+            M = _int_matrix(rng, n, kind)
+            W, det = _fraction_free_solve(M, [()] * n)
+            want = sympy.Matrix(M).det()
+            assert det == want
+            assert W == (None if want == 0 else [[]] * n)
+
+
+def test_fraction_free_solve_on_polynomials_matches_sympy():
+    rng = random.Random(25)
+    one, zero = Polynomial.one(V), Polynomial.zero(V)
+    seen = {"swapped": 0, "singular": 0}
+    for n in range(1, 4):
+        for trial in range(8):
+            M = [[random_polynomial(rng, V, max_terms=2, max_deg=2) for _ in range(n)]
+                 for _ in range(n)]
+            if trial == 0:
+                M[0][0] = zero
+            if trial == 1:
+                M[-1] = [a * (x + 1) for a in M[0]]
+            rhs = [[one if r == c else zero for c in range(n)] for r in range(n)]
+            W, det = _fraction_free_solve(M, rhs)
+            sym = sympy.Matrix([[_to_sympy(a).as_expr() for a in row] for row in M])
+            want = sympy.expand(sym.det())
+            if want == 0:
+                assert (W, det) == (None, 0)
+                seen["singular"] += 1
+                continue
+            seen["swapped"] += M[0][0].is_zero
+            assert sympy.expand(_to_sympy(det).as_expr() - want) == 0
+            MW = sym * sympy.Matrix([[_to_sympy(a).as_expr() for a in row] for row in W])
+            assert sympy.expand(MW - want * sympy.eye(n)) == sympy.zeros(n, n)
+    assert seen["swapped"] >= 2 and seen["singular"] >= 3
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient(12, -4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(7, 2)
+    assert _exact_quotient(x * y + x, x) == y + 1
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(x * y + 1, x)
+
+
+def test_unimodular_completion_keeps_fraction_types():
+    for v in ((4, 6, 5), (0, -3), (2, 4), (-5,), (6, 10, 15, 0)):
+        got = complete_unimodular(v)
+        det = got.determinant()
+        assert type(det) is Fraction and det == (v[0] if len(v) == 1 else gcd(*v))
+        assert all(type(a) is Fraction for row in got.inverse for a in row)
+        assert sympy.Matrix(got.matrix) * sympy.Matrix(got.inverse) == sympy.eye(len(v))
+    singular = UnimodularCompletion(((1, 2), (2, 4)), ())
+    assert type(singular.determinant()) is Fraction and singular.determinant() == 0
