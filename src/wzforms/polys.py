@@ -103,6 +103,15 @@ def _check_guards(keys, guards):
         raise InvalidInput(f"an exponent reaches 2**31 = {EXPONENT_LIMIT}")
 
 
+def _rational(c, what):
+    """c when it is an int or a Fraction.  Anything else raises InvalidInput:
+    ``Fraction`` would take a float as its binary fraction, and a string or
+    a bool silently."""
+    if type(c) is int or isinstance(c, Fraction):
+        return c
+    raise InvalidInput(f"{what} must be ints or Fractions, not {c!r}")
+
+
 def _scaled(values):
     """(integer map, common denominator), in lowest terms, of a map with
     int or Fraction values."""
@@ -130,8 +139,7 @@ class Polynomial:
         n = len(vars)
         clean = {}
         for exps, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if not c:
+            if not _rational(c, "coefficients"):
                 continue
             exps = tuple(exps)
             if len(exps) != n or any(type(e) is not int or e < 0 for e in exps):
@@ -212,7 +220,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, vars):
-        value = Fraction(value)
+        value = Fraction(_rational(value, "constants"))
         return cls._from_view(tuple(vars), {0: value.numerator} if value else {},
                               value.denominator)
 
@@ -230,9 +238,10 @@ class Polynomial:
         n = len(vars)
         if len(coeffs) != n:
             raise InvalidInput("coefficient vector length must match variables")
-        values = {_unit_key(n, i): Fraction(c) for i, c in enumerate(coeffs) if c}
-        if shift:
-            values[0] = Fraction(shift)
+        values = {_unit_key(n, i): c for i, c in enumerate(coeffs)
+                  if _rational(c, "coefficients")}
+        if _rational(shift, "shifts"):
+            values[0] = shift
         return cls._from_values(vars, values)
 
     # ------------------------------------------------------------------ #
@@ -398,7 +407,7 @@ class Polynomial:
         return self._hash
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._ints[0])
 
     def __len__(self):
         """The number of terms."""
@@ -483,8 +492,8 @@ class Polynomial:
         n = len(self.vars)
         if len(offsets) != n:
             raise InvalidInput("offset vector length must match variables")
-        if not all(isinstance(m, (int, Fraction)) for m in offsets):
-            raise InvalidInput("offsets must be integers or Fractions")
+        for m in offsets:
+            _rational(m, "offsets")
         if not any(offsets):
             return self
         return self._substituted(
@@ -534,7 +543,7 @@ class Polynomial:
             name = self.vars[i]
             if name not in point:
                 raise InvalidInput(f"no value given for variable {name!r}")
-            v = Fraction(point[name])
+            v = Fraction(_rational(point[name], "point values"))
             ints = _int_eval_at(ints, n, i, v.numerator if v.denominator == 1 else v)
         return Fraction(ints.get(0, 0), den)
 

@@ -476,15 +476,11 @@ def _layers_by_inversion(R, U, b, m, i):
 
         R == U*(a_m + a_{m-1}*b + ... + a_1*b**(m-1))  (mod b**m).
 
-    The cofactor is inverted once.  Let M be the d x d matrix of
-    multiplication by U mod b on K[x]/(b): its column j is x**j*U mod b,
-    each column one shift and one reduction step from the last.  Fraction-
-    free Gauss-Jordan elimination gives M**-1 == N/det with every division
-    exact.  Only N's first column is needed: it holds the coefficients of
-    w = det*U**-1 mod b.  Then, from R_m = R down, each layer costs one
+    The cofactor is inverted once, by :func:`_inverse_modulo`:
+    w == det*U**-1 mod b.  Then, from R_m = R down, each layer costs one
     product modulo b and one exact division:
 
-        a_t = N*(R_t mod b)/det == (w*R_t mod b)/det,
+        a_t == (w*R_t mod b)/det,
         R_{t-1} = (R_t - a_t*U)/b,
 
     the division being exact in Q[all variables] by Gauss's lemma, as b is
@@ -495,13 +491,14 @@ def _layers_by_inversion(R, U, b, m, i):
     divided out once per layer.  No gcd runs until each layer is made
     canonical.
 
-    A linear base (d == 1) needs no inversion: M is the 1 x 1 matrix whose
-    entry, the pseudo-remainder l**e*U mod b, is det, and w == l**e.  So
-    every base, linear or not, can take this one route.  At a multivariate
-    base of degree d > 1 the d x d solve over Q(other variables) builds
-    determinants that mostly cancel, so :func:`_layers_on_a_line` runs it
-    on one line, with constant entries, and certifies the lifted layers;
-    this full peel answers whenever that route gives up.
+    A linear base (d == 1) needs no inversion: the matrix of multiplication
+    by U is 1 x 1, its entry, the pseudo-remainder l**e*U mod b, is det,
+    and w == l**e.  So every base, linear or not, can take this one route.
+    At a multivariate base of degree d > 1 the d x d solve over Q(other
+    variables) builds determinants that mostly cancel, so
+    :func:`_layers_on_a_line` runs it on one line, with constant entries,
+    and certifies the lifted layers; this full peel answers whenever that
+    route gives up.
     """
     P, c = R
     vars = b.vars
@@ -512,19 +509,9 @@ def _layers_by_inversion(R, U, b, m, i):
         bd = [a * inv for a in bd]
     lc = bd[-1]
     d = len(bd) - 1
-    # column j of M is x**j * U mod b, scaled by l**scales[j]
-    zero = Polynomial.zero(vars)
-    _, col, e = _pseudo_divmod(_dense_coeffs(U, i), bd)
-    cols, scales = [col], [e]
-    for _ in range(d - 1):
-        _, col, e = _pseudo_divmod([zero] + col, bd)
-        cols.append(col)
-        scales.append(scales[-1] + e)
-    W, det = _fraction_free_solve([[col[r] for col in cols] for r in range(d)],
-                                  [[Polynomial.one(vars)]] + [[zero]] * (d - 1))
-    if W is None:
+    w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
+    if w is None:
         raise InvalidInput("cofactor is not invertible modulo the base")
-    w = [row[0] * lc ** e if e else row[0] for row, e in zip(W, scales)]
     layers = {}
     for t in range(m, 0, -1):
         _, r, k = _pseudo_divmod(P, bd)
@@ -542,8 +529,13 @@ def _layers_by_inversion(R, U, b, m, i):
 
 def _pseudo_divmod(p, bd):
     """``(q, r, k)`` with ``l**k * p == q*b + r``, deg r < deg b: dense
-    coefficient lists, lowest first, and l the leading coefficient of b.
-    r has exactly deg b entries; k counts the steps that scaled by l != 1."""
+    coefficient lists of ints or polynomials, lowest first, and l the
+    leading coefficient of b.  r has exactly deg b entries; k counts the
+    steps that scaled by l != 1.
+
+    This is the one reduction modulo a univariate base: the partial
+    fraction split and the peel run it on polynomials in x over
+    Q[other variables], the root field's products on ints in Q[R]/(q)."""
     p = list(p)
     d = len(bd) - 1
     lc = bd[-1]
@@ -552,23 +544,52 @@ def _pseudo_divmod(p, bd):
     while len(p) > d:
         top = p.pop()
         tops.append(top)
-        if top.is_zero:
+        if not top:
             continue
         if scaled:
             p = [a * lc for a in p]
         s = len(p) - d
         for j in range(d):
-            if not bd[j].is_zero:
+            if bd[j]:
                 p[s + j] = p[s + j] - top * bd[j]
     # a quotient digit is scaled by l at every later step that scaled p,
     # and later steps find the lower digits
     q, power, k = [], None, 0
     for top in reversed(tops):
-        q.append(top * power if power is not None and not top.is_zero else top)
-        if scaled and not top.is_zero:
+        q.append(top * power if power is not None and top else top)
+        if scaled and top:
             power = lc if power is None else power * lc
             k += 1
-    return q, p + [Polynomial.zero(lc.vars)] * (d - len(p)), k
+    return q, p + [lc * 0] * (d - len(p)), k
+
+
+def _inverse_modulo(u, bd):
+    """``(w, det)`` with ``u*w == det (mod b)`` and deg w < deg b, or
+    ``(None, 0)`` when u is not invertible modulo b: dense coefficient
+    lists as for :func:`_pseudo_divmod`, and det nonzero, an int or a
+    polynomial free of x.
+
+    M is the d x d matrix of multiplication by u on K[x]/(b): its column j
+    is x**j*u mod b, each column one shift and one pseudo-division step
+    from the last, so scaled by a power l**e_j of b's leading coefficient.
+    :func:`_fraction_free_solve` gives M*W == det*e_0, and w_j ==
+    W_j*l**e_j undoes the scales.  This is the one inverse modulo a
+    univariate base: the peel inverts its cofactor with it, over
+    K = Q(other variables), and the root field inverts in Q[R]/(q)."""
+    lc = bd[-1]
+    zero = lc * 0
+    d = len(bd) - 1
+    _, col, e = _pseudo_divmod(u, bd)
+    cols, scales = [col], [e]
+    for _ in range(d - 1):
+        _, col, e = _pseudo_divmod([zero] + col, bd)
+        cols.append(col)
+        scales.append(scales[-1] + e)
+    W, det = _fraction_free_solve([[col[r] for col in cols] for r in range(d)],
+                                  [[lc ** 0]] + [[zero]] * (d - 1))
+    if W is None:
+        return None, 0
+    return [row[0] * lc ** e if e else row[0] for row, e in zip(W, scales)], det
 
 
 def _fraction_free_solve(M, rhs):
@@ -580,9 +601,8 @@ def _fraction_free_solve(M, rhs):
     after step k every pivot so far equals a k x k minor, so each update
     divides exactly by the previous pivot, and the last pivot is det up to
     the sign of the row swaps.  This is the one elimination of the package:
-    the peel inverts its cofactor modulo the base with it, the root field
-    inverts in Q[R]/(q), and unimodular completion takes determinants and
-    inverses."""
+    :func:`_inverse_modulo` runs on it for the peel and the root field, and
+    unimodular completion takes determinants and inverses."""
     d = len(M)
     A = [list(row) + list(r) for row, r in zip(M, rhs)]
     width = len(A[0]) if A else 0
@@ -628,15 +648,14 @@ def _exact_quotient(p, q):
 
 def _series_mul(a, b, m):
     """First m coefficients of the product of two power series given as
-    coefficient lists, lowest first; zero terms are skipped."""
-    zero = a[0] - a[0]
-    out = []
-    for k in range(m):
-        acc = zero
-        for s in range(min(k + 1, len(a))):
-            if k - s < len(b) and not a[s].is_zero and not b[k - s].is_zero:
-                acc = acc + a[s] * b[k - s]
-        out.append(acc)
+    coefficient lists, lowest first: a convolution that skips zero
+    entries."""
+    out = [a[0] - a[0]] * m
+    for s, x in enumerate(a[:m]):
+        if x:
+            for t, y in enumerate(b[:m - s]):
+                if y:
+                    out[s + t] = out[s + t] + x * y
     return out
 
 
@@ -648,7 +667,7 @@ def _series_inverse(u, m):
     for k in range(1, m):
         acc = None
         for t in range(1, k + 1):
-            if t < len(u) and not u[t].is_zero:
+            if t < len(u) and u[t]:
                 term = u[t] * out[k - t]
                 acc = term if acc is None else acc + term
         out.append(-(inv0 * acc) if acc is not None else inv0 - inv0)

@@ -19,9 +19,9 @@ from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
 from .polys import _MASK, Polynomial, _check_index, _join_signed, _unit_key
-from .rationals import (RationalFunction, _fraction_free_solve, _partial_fraction_full,
-                        _series_inverse, _series_mul, poly_antidifference,
-                        substitute_linear)
+from .rationals import (RationalFunction, _inverse_modulo, _partial_fraction_full,
+                        _pseudo_divmod, _series_inverse, _series_mul,
+                        poly_antidifference, substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
@@ -373,7 +373,7 @@ def _root_sum_terms(base, layers, vtype):
     out = []
     for s in range(1, m + 1):
         w = weights[s]
-        if w.is_zero:
+        if not w:
             continue
         g, weight = _primitive_in_a([c if (k + s) % 2 else -c
                                      for k, c in enumerate(w.c)])
@@ -422,10 +422,11 @@ class _RootField:
     """An element c/den of Q[R]/(q): c is an int list of length d == deg q,
     lowest power first, and den a positive int, in lowest terms.  ``mod``
     holds q's integer coefficients, lowest first, with a positive leading
-    one that need not be 1.  ``rationals._series_mul`` and
-    ``_series_inverse`` run on these elements, and the inverse comes from
-    the package's one elimination, ``rationals._fraction_free_solve``, on
-    ints."""
+    one that need not be 1.  All arithmetic modulo q is the package's one
+    arithmetic modulo a univariate base, run on ints: a product is
+    ``rationals._series_mul`` and ``_pseudo_divmod``, the inverse
+    ``rationals._inverse_modulo``, and ``_series_mul`` and
+    ``_series_inverse`` also run on power series of these elements."""
 
     __slots__ = ("c", "den", "mod")
 
@@ -436,9 +437,8 @@ class _RootField:
             den //= g
         self.c, self.den, self.mod = c, den, mod
 
-    @property
-    def is_zero(self):
-        return not any(self.c)
+    def __bool__(self):
+        return any(self.c)
 
     def __add__(self, other):
         d1, d2 = self.den, other.den
@@ -454,54 +454,23 @@ class _RootField:
         return self + -other
 
     def __mul__(self, other):
-        """Convolution, then a fraction-free reduction by q: each step that
-        removes R**k, k >= d, scales by lq/gcd(top, lq) when the leading
-        coefficient lq of q is not 1."""
-        a, b, mod = self.c, other.c, self.mod
-        d = len(a)
-        p = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    p[i + j] += x * y
-        den = self.den * other.den
-        lq = mod[d]
-        for k in range(2 * d - 2, d - 1, -1):
-            top = p[k]
-            if not top:
-                continue
-            if lq != 1:
-                g = gcd(top, lq)
-                scale = lq // g
-                if scale != 1:
-                    for i in range(k):
-                        p[i] *= scale
-                    den *= scale
-                top //= g
-            for j in range(d):
-                p[k - d + j] -= top * mod[j]
-        return _RootField(p[:d], den, mod)
+        """A convolution and a pseudo-division by q, whose k steps that
+        scale by q's leading coefficient go into the denominator."""
+        mod = self.mod
+        _, r, k = _pseudo_divmod(_series_mul(self.c, other.c, 2 * len(self.c) - 1), mod)
+        return _RootField(r, self.den * other.den * mod[-1] ** k, mod)
 
     def __pow__(self, e):
-        """The inverse, for ``e == -1`` only: ``_fraction_free_solve`` on the
-        int matrix of multiplication by this element, whose column j is
-        ``R**j * self`` mod q over its own denominator."""
+        """The inverse, for ``e == -1`` only: c*w == det (mod q) gives
+        (c/den)**-1 == den*w/det."""
         if e != -1:
             return NotImplemented
-        d, mod = len(self.c), self.mod
-        r = _RootField([0, 1] + [0] * (d - 2), 1, mod)
-        cols = [self]
-        for _ in range(d - 1):
-            cols.append(cols[-1] * r)
-        W, det = _fraction_free_solve([[col.c[i] for col in cols] for i in range(d)],
-                                      [[int(i == 0)] for i in range(d)])
-        if W is None:
+        w, det = _inverse_modulo(self.c, self.mod)
+        if w is None:
             raise InvalidInput("pole polynomial is not squarefree-irreducible")
-        # M*w == det*e_0 with M's column j scaled by col_j.den
-        w = [col.den * row[0] for col, row in zip(cols, W)]
         if det < 0:
             w, det = [-a for a in w], -det
-        return _RootField(w, det, mod)
+        return _RootField([self.den * a for a in w], det, self.mod)
 
 
 # ---------------------------------------------------------------------- #

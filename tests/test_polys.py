@@ -23,6 +23,32 @@ def test_zero_coefficients_dropped():
     assert (x - x).is_zero
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", True, None, 1j])
+def test_coefficients_and_points_take_only_ints_and_fractions(bad):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, and
+    # Fraction("1/3") and Fraction(True) would pass unnoticed
+    entry_points = (
+        lambda: Polynomial.constant(bad, V),
+        lambda: Polynomial(V, {(1, 0, 0): bad}),
+        lambda: Polynomial.linear_form([1, bad, 0], V),
+        lambda: Polynomial.linear_form([1, 2, 0], V, shift=bad),
+        lambda: (x + y).eval_at({"x": 1, "y": bad}),
+        lambda: x.shifted((bad, 0, 0)),
+    )
+    for build in entry_points:
+        with pytest.raises(InvalidInput, match="ints or Fractions"):
+            build()
+
+
+def test_coefficients_and_points_keep_ints_and_fractions():
+    half = Fraction(1, 2)
+    assert Polynomial.constant(half, V) == Polynomial(V, {(0, 0, 0): half})
+    assert Polynomial(V, {(1, 0, 0): 3, (0, 0, 0): half}) == 3 * x + half
+    assert Polynomial.linear_form([1, half, 0], V, shift=-3) == x + half * y - 3
+    assert (x * y).eval_at({"x": 4, "y": half}) == 2
+    assert x.shifted((half, 0, 0)) == x + half
+
+
 def test_structural_equality_is_functional_equality():
     assert x * (y + z) == x * y + x * z
     assert (x + y) ** 2 == x**2 + 2 * x * y + y**2

@@ -4,16 +4,19 @@ from math import gcd
 
 import pytest
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.polyclasses import ANP
 
 from conftest import random_polynomial, random_rational
-from wzforms import (DivisionByZero, Polynomial, RationalFunction,
+from wzforms import (DivisionByZero, InvalidInput, Polynomial, RationalFunction,
                      UnimodularCompletion, complete_unimodular, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
 from wzforms.rationals import (_dense_coeffs, _exact_quotient, _fraction_free_solve,
-                               _layers_at_linear_pole, _layers_by_inversion,
-                               _layers_on_a_line, _line_points, _on_line,
-                               _series_inverse, _series_mul)
+                               _inverse_modulo, _layers_at_linear_pole,
+                               _layers_by_inversion, _layers_on_a_line, _line_points,
+                               _on_line, _pseudo_divmod, _series_inverse, _series_mul)
+from wzforms.wzform import _RootField
 
 V = ("x", "y")
 x = Polynomial.variable("x", V)
@@ -616,3 +619,153 @@ def test_unimodular_completion_keeps_fraction_types():
         assert sympy.Matrix(got.matrix) * sympy.Matrix(got.inverse) == sympy.eye(len(v))
     singular = UnimodularCompletion(((1, 2), (2, 4)), ())
     assert type(singular.determinant()) is Fraction and singular.determinant() == 0
+
+
+# ---------------------------------------------------------------------- #
+# the shared arithmetic modulo a univariate base, against sympy
+
+T = sympy.Symbol("t")
+
+
+def _expr_in_t(coeffs):
+    """sum(coeffs[j]*t**j) as a sympy expression, for int or Polynomial
+    coefficients."""
+    return sum((_to_sympy(c).as_expr() if isinstance(c, Polynomial) else c) * T**j
+               for j, c in enumerate(coeffs))
+
+
+def _int_list(rng, length, lead=None):
+    out = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(length)]
+    if lead is not None:
+        out[-1] = lead
+    return out
+
+
+def _poly_list(rng, length, lead_nonzero=True):
+    out = [random_polynomial(rng, V, max_terms=2, max_deg=2) for _ in range(length)]
+    if lead_nonzero and out[-1].is_zero:
+        out[-1] = y + 2
+    return out
+
+
+def _check_pseudo_divmod(p, bd):
+    q, r, k = _pseudo_divmod(p, bd)
+    d = len(bd) - 1
+    assert len(r) == d and len(q) == max(len(p) - d, 0)
+    P, B, Q, R = (_expr_in_t(c) for c in (p, bd, q, r))
+    lc = _expr_in_t(bd[-1:])
+    assert sympy.expand(lc**k * P - Q * B - R) == 0
+    if sympy.expand(P) == 0:
+        return k
+    n = max(sympy.degree(P, T) - d + 1, 0)
+    assert k <= n
+    assert sympy.expand(R * lc ** (n - k) - sympy.prem(P, B, T)) == 0
+    return k
+
+
+def test_pseudo_divmod_on_ints_matches_sympy_prem():
+    rng = random.Random(31)
+    scaled = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        bd = _int_list(rng, d + 1, lead=rng.choice([1, -1, 2, -3, 5]))
+        p = _int_list(rng, rng.randint(0, 9))
+        scaled += _check_pseudo_divmod(p, bd) > 0
+    assert scaled >= 50
+
+
+def test_pseudo_divmod_on_polynomials_matches_sympy_prem():
+    rng = random.Random(32)
+    scaled = 0
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        bd = _poly_list(rng, d + 1)
+        p = _poly_list(rng, rng.randint(0, 6), lead_nonzero=False)
+        scaled += _check_pseudo_divmod(p, bd) > 0
+    assert scaled >= 10
+
+
+def test_inverse_modulo_on_ints_matches_sympy_invert():
+    rng = random.Random(33)
+    seen = {"inverted": 0, "not invertible": 0}
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        bd = _int_list(rng, d + 1, lead=rng.choice([1, 2, -3, 4]))
+        u = _int_list(rng, rng.randint(1, 7))
+        if rng.random() < 0.2:
+            # u shares the factor t - 1 or t**2 + 1 with b
+            f = rng.choice([[-1, 1], [1, 0, 1]])
+            bd = sympy.Poly(list(reversed(f)), T).mul(
+                sympy.Poly(list(reversed(bd)), T)).all_coeffs()[::-1]
+            u = sympy.Poly(list(reversed(f)), T).mul(
+                sympy.Poly(list(reversed(u)), T)).all_coeffs()[::-1]
+            bd, u = [int(c) for c in bd], [int(c) for c in u]
+        w, det = _inverse_modulo(u, bd)
+        U = sympy.Poly(list(reversed(u)), T, domain=QQ)
+        B = sympy.Poly(list(reversed(bd)), T, domain=QQ)
+        if sympy.gcd(U, B).degree() != 0:
+            assert (w, det) == (None, 0)
+            seen["not invertible"] += 1
+            continue
+        assert isinstance(det, int) and det != 0 and len(w) == len(bd) - 1
+        want = sympy.invert(U, B)
+        got = sympy.Poly(list(reversed(w)), T, domain=QQ).quo_ground(det)
+        assert got == want
+        seen["inverted"] += 1
+    assert seen["inverted"] >= 50 and seen["not invertible"] >= 20
+
+
+def test_inverse_modulo_on_polynomials_is_an_inverse_times_det():
+    rng = random.Random(34)
+    inverted = 0
+    for _ in range(25):
+        d = rng.randint(1, 3)
+        bd = _poly_list(rng, d + 1)
+        u = _poly_list(rng, rng.randint(1, d + 2))
+        w, det = _inverse_modulo(u, bd)
+        U, B = _expr_in_t(u), _expr_in_t(bd)
+        if sympy.expand(sympy.resultant(U, B, T)) == 0:
+            assert (w, det) == (None, 0)
+            continue
+        assert not det.is_zero and len(w) == d
+        assert sympy.prem(sympy.expand(U * _expr_in_t(w) - _expr_in_t([det])), B, T) == 0
+        inverted += 1
+    assert inverted >= 15
+    # u sharing the factor x*t + y with b is not invertible modulo b
+    f = [y, x]
+    shared = [f[0] * (x + 1), f[0] + f[1] * (x + 1), f[1]]
+    assert _inverse_modulo([f[0] * 3, f[1] * 3], shared) == (None, 0)
+
+
+def _irreducible_ints(rng, d):
+    """Int coefficients, lowest first, of an irreducible polynomial of
+    degree d with a leading coefficient of 2..4 and content 1."""
+    while True:
+        cs = [rng.randint(-5, 5) for _ in range(d)] + [rng.randint(2, 4)]
+        poly = sympy.Poly(list(reversed(cs)), T)
+        if poly.is_irreducible and gcd(*cs) == 1:
+            return tuple(cs)
+
+
+def _anp(element):
+    mod = [QQ(c) for c in reversed(element.mod)]
+    return ANP([QQ(c, element.den) for c in reversed(element.c)], mod, QQ)
+
+
+def test_root_field_matches_sympy_anp():
+    rng = random.Random(35)
+    for d in range(2, 7):
+        mod = _irreducible_ints(rng, d)
+        for _ in range(12):
+            a = _RootField(_int_list(rng, d), rng.randint(1, 12), mod)
+            b = _RootField(_int_list(rng, d), rng.randint(1, 12), mod)
+            product = a * b
+            assert _anp(product) == _anp(a) * _anp(b)
+            assert product.den > 0 and gcd(product.den, *product.c) == 1
+            if a:
+                inverse = a ** -1
+                assert _anp(inverse) == _anp(a) ** -1
+                assert inverse.den > 0 and gcd(inverse.den, *inverse.c) == 1
+            else:
+                with pytest.raises(InvalidInput, match="squarefree-irreducible"):
+                    a ** -1
