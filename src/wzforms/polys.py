@@ -103,11 +103,16 @@ def _check_guards(keys, guards):
         raise InvalidInput(f"an exponent reaches 2**31 = {EXPONENT_LIMIT}")
 
 
+def _is_rational(c):
+    """Whether c is an int, a bool excluded, or a Fraction."""
+    return type(c) is int or isinstance(c, Fraction)
+
+
 def _rational(c, what):
     """c when it is an int or a Fraction.  Anything else raises InvalidInput:
     ``Fraction`` would take a float as its binary fraction, and a string or
     a bool silently."""
-    if type(c) is int or isinstance(c, Fraction):
+    if _is_rational(c):
         return c
     raise InvalidInput(f"{what} must be ints or Fractions, not {c!r}")
 
@@ -351,7 +356,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if not other:
+            if not _rational(other, "scalars"):
                 return Polynomial.zero(self.vars)
             if other == 1:
                 return self  # immutable, so the product by 1 is self
@@ -392,7 +397,7 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.is_constant and self.constant_value() == other
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -553,7 +558,7 @@ class Polynomial:
     def divexact(self, other):
         """Exact quotient ``self / other`` or None if the division fails."""
         if isinstance(other, (int, Fraction)):
-            if not other:
+            if not _rational(other, "divisors"):
                 raise DivisionByZero("division of polynomial by zero")
             return self * (Fraction(1) / Fraction(other))
         self._check_same_vars(other)

@@ -11,11 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 from .errors import DivisionByZero, InvalidInput
 from .factor import factor_polynomial
-from .polys import Polynomial, _check_index, _int_on_line, _unit_key, poly_gcd
+from .polys import (_MASK, Polynomial, _check_index, _int_on_line, _is_rational,
+                    _rational, _shift, _unit_key, poly_gcd)
 
 
 def _int_entries(entries, what):
@@ -165,7 +166,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
+            if not _rational(other, "scalars"):
                 return RationalFunction.zero(self.vars)
             return RationalFunction._trusted(self.num * other, self.den)
         other = self._coerce(other)
@@ -217,7 +218,7 @@ class RationalFunction:
         return RationalFunction._trusted(base.num ** k, base.den ** k)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.is_constant and self.constant_value() == other
         if isinstance(other, Polynomial):
             return self.is_polynomial and self.num == other
@@ -476,8 +477,13 @@ def _layers_by_inversion(R, U, b, m, i):
 
         R == U*(a_m + a_{m-1}*b + ... + a_1*b**(m-1))  (mod b**m).
 
-    The cofactor is inverted once, by :func:`_inverse_modulo`:
-    w == det*U**-1 mod b.  Then, from R_m = R down, each layer costs one
+    The cofactor is inverted once, by :func:`_cofactor_inverse`:
+    w == det*U**-1 mod b.  When U and b involve no variable but x (every
+    univariate f, so every base of ``conjugate_polygamma`` and of the
+    reductions in ``solve_step_difference``, and every line that
+    :func:`_layers_on_a_line` peels), w and det are ints, from U's integer
+    view modulo b's primitive integer associate; other data invert on
+    polynomial entries.  Then, from R_m = R down, each layer costs one
     product modulo b and one exact division:
 
         a_t == (w*R_t mod b)/det,
@@ -486,10 +492,10 @@ def _layers_by_inversion(R, U, b, m, i):
     the division being exact in Q[all variables] by Gauss's lemma, as b is
     primitive in x.  R is given as ``(P, c)``: the coefficient list of a
     polynomial P, lowest first, and a polynomial c free of x with R == P/c,
-    so all of it runs on polynomials.  A leading coefficient l of b that is
-    not constant enters through pseudo-remainders, whose powers of l are
-    divided out once per layer.  No gcd runs until each layer is made
-    canonical.
+    so the loop runs on polynomials, whatever the entries of w and det.  A
+    leading coefficient l of b that is not constant enters through
+    pseudo-remainders, whose powers of l are divided out once per layer.
+    No gcd runs until each layer is made canonical.
 
     A linear base (d == 1) needs no inversion: the matrix of multiplication
     by U is 1 x 1, its entry, the pseudo-remainder l**e*U mod b, is det,
@@ -509,13 +515,13 @@ def _layers_by_inversion(R, U, b, m, i):
         bd = [a * inv for a in bd]
     lc = bd[-1]
     d = len(bd) - 1
-    w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
-    if w is None:
-        raise InvalidInput("cofactor is not invertible modulo the base")
+    w, det = _cofactor_inverse(U, b, bd, i)
     layers = {}
     for t in range(m, 0, -1):
         _, r, k = _pseudo_divmod(P, bd)
-        _, r, k2 = _pseudo_divmod(_series_mul(w, r, 2 * d - 1), bd)
+        # r first: the product's zeros are then polynomials, and an int w
+        # enters as scalars
+        _, r, k2 = _pseudo_divmod(_series_mul(r, w, 2 * d - 1), bd)
         a = Polynomial.from_coeffs_in(dict(enumerate(r)), i, vars)
         scale = det * lc ** (k + k2) if k + k2 else det
         if not a.is_zero:
@@ -525,6 +531,29 @@ def _layers_by_inversion(R, U, b, m, i):
             P = _dense_coeffs(_exact_quotient(P * scale - a * U, b), i)
             c = scale * c
     return layers
+
+
+def _cofactor_inverse(U, b, bd, i):
+    """``(w, det)`` with ``U*w == det (mod b)``, for the peel of
+    :func:`_layers_by_inversion`; bd is b's dense coefficient list in x =
+    x_i, monic when its leading coefficient is constant.  When U and b
+    involve no variable but x, w and det are ints: U == u/den on its
+    integer view, and u*w == det modulo b's primitive integer associate,
+    which generates the ideal of b, gives U*(den*w) == det.  Otherwise the
+    inverse runs on bd's polynomial entries.  Raises InvalidInput when U is
+    not invertible modulo b."""
+    u, bi = _dense_ints(U, i), _dense_ints(b, i)
+    if u is None or bi is None:
+        w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
+    else:
+        (u, den), (bi, _) = u, bi
+        g = gcd(*bi)
+        w, det = _inverse_modulo(u, [a // g for a in bi])
+        if w is not None and den != 1:
+            w = [den * a for a in w]
+    if w is None:
+        raise InvalidInput("cofactor is not invertible modulo the base")
+    return w, det
 
 
 def _pseudo_divmod(p, bd):
@@ -659,21 +688,6 @@ def _series_mul(a, b, m):
     return out
 
 
-def _series_inverse(u, m):
-    """First m coefficients of ``1/u`` over a field whose elements invert
-    with ``** -1``, such as the elements of Q[R]/(q) in a root sum."""
-    inv0 = u[0] ** -1
-    out = [inv0]
-    for k in range(1, m):
-        acc = None
-        for t in range(1, k + 1):
-            if t < len(u) and u[t]:
-                term = u[t] * out[k - t]
-                acc = term if acc is None else acc + term
-        out.append(-(inv0 * acc) if acc is not None else inv0 - inv0)
-    return out
-
-
 # perfbench/tracing.py resolves this name; it goes when ROADMAP item 1 drops
 # the rationals.linear_pole boundary
 def _layers_at_linear_pole(R, U, b, m, i):
@@ -685,6 +699,22 @@ def _dense_coeffs(p, i):
     top = max(by_deg) if by_deg else -1
     zero = Polynomial.zero(p.vars)
     return [by_deg.get(k, zero) for k in range(top + 1)]
+
+
+def _dense_ints(p, i):
+    """p as (int coefficients in x = x_i, lowest first; common
+    denominator), read from its integer view, or None when p involves a
+    variable other than x."""
+    ints, den = p._scaled_ints()
+    n = len(p.vars)
+    sh, unit = _shift(n, i), _unit_key(n, i)
+    out = [0] * (p.degree_in(i) + 1)
+    for k, c in ints.items():
+        e = k >> sh & _MASK
+        if k != e * unit:
+            return None
+        out[e] = c
+    return out, den
 
 
 def partial_fraction(f, i):

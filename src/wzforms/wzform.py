@@ -18,9 +18,9 @@ from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
-from .polys import _MASK, Polynomial, _check_index, _join_signed, _unit_key
-from .rationals import (RationalFunction, _inverse_modulo, _partial_fraction_full,
-                        _pseudo_divmod, _series_inverse, _series_mul,
+from .polys import Polynomial, _check_index, _join_signed, _unit_key
+from .rationals import (RationalFunction, _dense_ints, _inverse_modulo,
+                        _partial_fraction_full, _pseudo_divmod, _series_mul,
                         poly_antidifference, substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
@@ -343,30 +343,47 @@ def _root_sum_terms(base, layers, vtype):
     denominator.  The Taylor coefficients are closed-form binomial sums: the
     k-th coefficient of p(R + eps) is ``sum_j C(j, k)*p_j*R**(j-k)``, and
     as the layers have degree below d and H's coefficients start at k == 1,
-    every power of R stays below d and none is reduced by q.  The series
-    inverse of H inverts only H(0), once per base.
+    every power of R stays below d and none is reduced by q.
+
+    H(eps)**-t is taken only for the layers t present, and only to the t
+    terms that layer reads, by J. C. P. Miller's recurrence: p_0 == h_0**-t
+    and p_k == (1/k)*sum_{j=1..k} ((1 - t)*j - k)*(h_j/h_0)*p_(k-j).  As
+    h_j == 0 for j >= d, a layer costs at most about 2*d*t field products,
+    and only H(0) is inverted, once per base.
     """
     d = base.degree_in(0)
-    qs, qden = _dense_ints(base)
+    qs, qden = _dense_ints(base, 0)
     # the primitive integer associate of q with a positive leading coefficient
     g = gcd(*qs) if qs[-1] > 0 else -gcd(*qs)
     mod = tuple(c // g for c in qs)
     m = max(layers)
-    inv = _series_inverse(_taylor(qs, qden, mod, 1, m + 1), m)
+    # H has d terms, and a layer t reads the first t of them
+    hs = _taylor(qs, qden, mod, 1, min(m, d) + 1)
+    inv0 = hs[0] ** -1
+    # g_j == h_j/h_0, read by every power of H
+    gs = [None] + [h * inv0 if h else h for h in hs[1:]]
     zero = _RootField([0] * d, 1, mod)
     weights = [zero] * (m + 1)
-    power = inv
+    first = inv0  # p_0 == h_0**-t
     for t in range(1, m + 1):
         if t > 1:
-            power = _series_mul(power, inv, m)
-        if t in layers:
-            a, aden = _dense_ints(layers[t].as_polynomial())
-            if len(a) > d:
-                raise InvalidInput("a layer numerator must have degree below "
-                                   "its pole polynomial's")
-            local = _series_mul(_taylor(a, aden, mod, 0, t), power, t)
-            for s in range(1, t + 1):
-                weights[s] = weights[s] + local[t - s]
+            first = first * inv0
+        if t not in layers:
+            continue
+        a, aden = _dense_ints(layers[t].as_polynomial(), 0)
+        if len(a) > d:
+            raise InvalidInput("a layer numerator must have degree below "
+                               "its pole polynomial's")
+        power = [first]
+        for k in range(1, t):
+            acc = zero
+            for j, gj in enumerate(gs[1:k + 1], 1):
+                if gj and power[k - j]:
+                    acc = acc + (gj * power[k - j]).scaled((1 - t) * j - k)
+            power.append(acc.scaled(1, k))
+        local = _series_mul(_taylor(a, aden, mod, 0, t), power, t)
+        for s in range(1, t + 1):
+            weights[s] = weights[s] + local[t - s]
     # move to the "+A" convention: substitute R -> -A in q and the weights
     _, flipped_base = _primitive_in_a([-c if (d - k) % 2 else c
                                        for k, c in enumerate(mod)])
@@ -397,16 +414,6 @@ def _primitive_in_a(cs):
                                              for k, c in enumerate(cs) if c})
 
 
-def _dense_ints(p):
-    """A univariate polynomial as (int coefficients, lowest first; common
-    denominator)."""
-    ints, den = p._scaled_ints()
-    out = [0] * (p.degree_in(0) + 1)
-    for k, c in ints.items():
-        out[k & _MASK] = c
-    return out, den
-
-
 def _taylor(p, den, mod, start, stop):
     """Taylor coefficients k = start, ..., stop - 1 of p(R + eps), for p given
     as int coefficients over den: coefficient k is ``sum_j C(j, k)*p_j*R**(j-k)``.
@@ -425,8 +432,8 @@ class _RootField:
     one that need not be 1.  All arithmetic modulo q is the package's one
     arithmetic modulo a univariate base, run on ints: a product is
     ``rationals._series_mul`` and ``_pseudo_divmod``, the inverse
-    ``rationals._inverse_modulo``, and ``_series_mul`` and
-    ``_series_inverse`` also run on power series of these elements."""
+    ``rationals._inverse_modulo``, and ``_series_mul`` also runs on power
+    series of these elements."""
 
     __slots__ = ("c", "den", "mod")
 
@@ -452,6 +459,10 @@ class _RootField:
 
     def __sub__(self, other):
         return self + -other
+
+    def scaled(self, n, k=1):
+        """self*n/k for ints n and k > 0."""
+        return _RootField([n * a for a in self.c], self.den * k, self.mod)
 
     def __mul__(self, other):
         """A convolution and a pseudo-division by q, whose k steps that

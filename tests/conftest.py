@@ -44,3 +44,18 @@ def pairwise_compatible(components):
     n = len(components)
     return all(delta(components[j], i) == delta(components[i], j)
                for i in range(n) for j in range(i + 1, n))
+
+
+def series_inverse(u, m):
+    """Test oracle: first m coefficients of ``1/u`` for a power series u
+    over a field whose elements invert with ``** -1``, term by term."""
+    inv0 = u[0] ** -1
+    out = [inv0]
+    for k in range(1, m):
+        acc = None
+        for t in range(1, k + 1):
+            if t < len(u) and u[t]:
+                term = u[t] * out[k - t]
+                acc = term if acc is None else acc + term
+        out.append(-(inv0 * acc) if acc is not None else inv0 - inv0)
+    return out

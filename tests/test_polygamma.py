@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.polyclasses import ANP
 from sympy.polys.polyerrors import NotInvertible
+from conftest import series_inverse
 from test_rationals import _taylor_at
 
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
@@ -14,8 +15,8 @@ from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      RationalFunction, RootShift, conjugate_polygamma, delta,
                      generate, parse_expression, random_additive_rep,
                      signed_range_sum)
-from wzforms.rationals import _dense_coeffs, _series_inverse, _series_mul
-from wzforms.wzform import _AVARS, _root_sum_terms
+from wzforms.rationals import _dense_coeffs, _dense_ints, _series_mul
+from wzforms.wzform import _AVARS, _primitive_in_a, _root_sum_terms, _RootField, _taylor
 
 V = ("x", "y", "z")
 Zv = ("Z",)
@@ -288,7 +289,7 @@ def _anp_root_sum_terms(base, layers, vtype):
     R = ANP([QQ.one, QQ.zero], mod, QQ)
     m = max(layers)
     try:
-        inv = _series_inverse(_taylor_at(field(base), R, m + 1)[1:], m)
+        inv = series_inverse(_taylor_at(field(base), R, m + 1)[1:], m)
     except NotInvertible:
         raise InvalidInput("pole polynomial is not squarefree-irreducible") from None
     weights = [R - R] * (m + 1)
@@ -401,3 +402,101 @@ def test_root_sum_names_its_root_apart_from_the_variables():
     assert str(expr) == "1/2*RootSum(A2^2 + 1, A2 -> A2*psi^(0)(A + A1 + A2))"
     expr = conjugate_polygamma(rep_of([((1, 1), r)], vars=("A1", "y")))
     assert str(expr) == "1/2*RootSum(A^2 + 1, A -> A*psi^(0)(A1 + y + A))"
+
+
+def _power_loop_root_sum_terms(base, layers, vtype):
+    """Test oracle: the root-sum terms with H(eps)**-t taken, for every t up
+    to the multiplicity, as t - 1 products of the whole series inverse,
+    each truncated to m terms."""
+    d = base.degree_in(0)
+    qs, qden = _dense_ints(base, 0)
+    g = gcd(*qs) if qs[-1] > 0 else -gcd(*qs)
+    mod = tuple(c // g for c in qs)
+    m = max(layers)
+    inv = series_inverse(_taylor(qs, qden, mod, 1, m + 1), m)
+    zero = _RootField([0] * d, 1, mod)
+    weights = [zero] * (m + 1)
+    power = inv
+    for t in range(1, m + 1):
+        if t > 1:
+            power = _series_mul(power, inv, m)
+        if t in layers:
+            a, aden = _dense_ints(layers[t].as_polynomial(), 0)
+            local = _series_mul(_taylor(a, aden, mod, 0, t), power, t)
+            for s in range(1, t + 1):
+                weights[s] = weights[s] + local[t - s]
+    _, flipped_base = _primitive_in_a([-c if (d - k) % 2 else c
+                                       for k, c in enumerate(mod)])
+    out = []
+    for s in range(1, m + 1):
+        w = weights[s]
+        if not w:
+            continue
+        g, weight = _primitive_in_a([c if (k + s) % 2 else -c
+                                     for k, c in enumerate(w.c)])
+        out.append(PolygammaTerm(Fraction(g, w.den * factorial(s - 1)), s - 1, vtype,
+                                 RootShift(flipped_base, weight)))
+    return out
+
+
+def _counting_products(monkeypatch):
+    """A list that grows by one entry per _RootField product."""
+    calls = []
+    original = _RootField.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(_RootField, "__mul__", counting)
+    return calls
+
+
+def test_root_sum_powers_match_the_power_loop(monkeypatch):
+    # seeded irreducible q of degree 2-4, some not monic or scaled by a
+    # fraction, multiplicity 1-12 and random layer sets; up to m == 3 no
+    # case takes more field products than the power loop
+    rng = random.Random(20)
+    pool = []
+    for degree in (2, 3, 4):
+        for lead in (1, 2, -3):
+            while True:
+                q = Polynomial(Zv, {(k,): rng.choice((0, rng.randint(-5, 5)))
+                                    for k in range(degree)} | {(degree,): lead})
+                if _sympy_poly(q).is_irreducible:
+                    break
+            pool.append(q)
+    calls = _counting_products(monkeypatch)
+    vtype = IntegerLinearType((1, 2))
+    small = 0
+    for _ in range(150):
+        q = rng.choice(pool) * rng.choice((1, Fraction(-2, 3)))
+        d = q.degree_in(0)
+        m = rng.randint(1, 12)
+        ts = {m} | {t for t in range(1, m) if rng.random() < 0.4}
+        layers = {}
+        for t in ts:
+            a = Polynomial(Zv, {(k,): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                for k in range(rng.randint(1, d))})
+            layers[t] = RationalFunction(a if not a.is_zero else Polynomial.one(Zv))
+        calls.clear()
+        got = _root_sum_terms(q, layers, vtype)
+        ours = len(calls)
+        calls.clear()
+        assert got == _power_loop_root_sum_terms(q, layers, vtype)
+        if m <= 3:
+            assert ours <= len(calls)
+            small += 1
+    assert small >= 25
+
+
+def test_root_sum_of_a_single_high_layer_takes_quadratically_many_products(monkeypatch):
+    # the power loop took 108,148 products for Z**2 + 1 at t == 60
+    calls = _counting_products(monkeypatch)
+    t = 60
+    for q in (Z**2 + 1, Z**4 - 2 * Z + 2):
+        calls.clear()
+        terms = _root_sum_terms(q, {t: RationalFunction.one(Zv)},
+                                IntegerLinearType((1, 2)))
+        assert len(terms) == t
+        assert len(calls) <= t * t

@@ -8,7 +8,7 @@ import sympy
 
 import wzforms.polys as polys
 from conftest import random_polynomial
-from wzforms import InvalidInput, Polynomial, poly_gcd
+from wzforms import InvalidInput, Polynomial, RationalFunction, poly_gcd
 from wzforms.factor import factor_polynomial
 
 V = ("x", "y", "z")
@@ -38,6 +38,27 @@ def test_coefficients_and_points_take_only_ints_and_fractions(bad):
     for build in entry_points:
         with pytest.raises(InvalidInput, match="ints or Fractions"):
             build()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_refused_by_every_operator(flag):
+    # a bool is an int to isinstance, so x*True gave x, rf*False gave 0
+    # and Polynomial.one(V) == True held, while x + True raised
+    one = Polynomial.one(V)
+    for value in (x, one, RationalFunction(one, x + 1), RationalFunction(one)):
+        operations = [lambda: value + flag, lambda: flag + value,
+                      lambda: value - flag, lambda: flag - value,
+                      lambda: value * flag, lambda: flag * value]
+        if isinstance(value, RationalFunction):
+            operations += [lambda: value / flag, lambda: flag / value]
+        else:
+            operations.append(lambda: value.divexact(flag))
+        for operation in operations:
+            with pytest.raises(InvalidInput, match="ints or Fractions"):
+                operation()
+        assert (value == flag) is False and (flag == value) is False
+        assert value != flag
+    assert one == 1 and RationalFunction(one) == 1 and x * 1 == x
 
 
 def test_coefficients_and_points_keep_ints_and_fractions():

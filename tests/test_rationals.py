@@ -7,15 +7,16 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.polyclasses import ANP
 
-from conftest import random_polynomial, random_rational
+from conftest import random_polynomial, random_rational, series_inverse
 from wzforms import (DivisionByZero, InvalidInput, Polynomial, RationalFunction,
                      UnimodularCompletion, complete_unimodular, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
-from wzforms.rationals import (_dense_coeffs, _exact_quotient, _fraction_free_solve,
-                               _inverse_modulo, _layers_at_linear_pole,
-                               _layers_by_inversion, _layers_on_a_line, _line_points,
-                               _on_line, _pseudo_divmod, _series_inverse, _series_mul)
+from wzforms.rationals import (_cofactor_inverse, _dense_coeffs, _exact_quotient,
+                               _fraction_free_solve, _inverse_modulo,
+                               _layers_at_linear_pole, _layers_by_inversion,
+                               _layers_on_a_line, _line_points, _on_line, _pseudo_divmod,
+                               _series_mul)
 from wzforms.wzform import _RootField
 
 V = ("x", "y")
@@ -247,7 +248,7 @@ def _taylor_layers(R, U, b, m, i):
     rho = -(c0 / c1)
     rser = _taylor_at([RationalFunction(a) for a in P], rho, m)
     user = _taylor_at([RationalFunction(a) for a in _dense_coeffs(U, i)], rho, m)
-    local = _series_mul(rser, _series_inverse(user, m), m)
+    local = _series_mul(rser, series_inverse(user, m), m)
     c = RationalFunction(c)
     return {t: local[m - t] / (c * c1 ** (m - t))
             for t in range(1, m + 1) if not local[m - t].is_zero}
@@ -769,3 +770,117 @@ def test_root_field_matches_sympy_anp():
             else:
                 with pytest.raises(InvalidInput, match="squarefree-irreducible"):
                     a ** -1
+
+
+def _polynomial_peel(R, U, b, m, i):
+    """Test oracle: the peel of :func:`_layers_by_inversion` with the
+    cofactor inverted on polynomial entries for every input."""
+    P, c = R
+    vars = b.vars
+    bd = _dense_coeffs(b, i)
+    if bd[-1].is_constant:
+        inv = 1 / bd[-1].constant_value()
+        bd = [a * inv for a in bd]
+    lc = bd[-1]
+    d = len(bd) - 1
+    w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
+    if w is None:
+        raise InvalidInput("cofactor is not invertible modulo the base")
+    layers = {}
+    for t in range(m, 0, -1):
+        _, r, k = _pseudo_divmod(P, bd)
+        _, r, k2 = _pseudo_divmod(_series_mul(w, r, 2 * d - 1), bd)
+        a = Polynomial.from_coeffs_in(dict(enumerate(r)), i, vars)
+        scale = det * lc ** (k + k2) if k + k2 else det
+        if not a.is_zero:
+            layers[t] = RationalFunction(a, scale * c)
+        if t > 1:
+            P = Polynomial.from_coeffs_in(dict(enumerate(P)), i, vars)
+            P = _dense_coeffs(_exact_quotient(P * scale - a * U, b), i)
+            c = scale * c
+    return layers
+
+
+def _fractions(rng, length):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(length)]
+
+
+def test_cofactor_inverse_on_ints_is_the_polynomial_entry_inverse():
+    # seeded U with fraction coefficients and b with a leading coefficient
+    # other than 1, of degree 1-6, in one variable or on a line of 2-3
+    rng = random.Random(36)
+    seen = {"inverted": 0, "not invertible": 0}
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        vs = ("x", "y", "z")[:n]
+        i = rng.randrange(n)
+        xi = Polynomial.variable(vs[i], vs)
+        d = rng.randint(1, 6)
+        b = _along(_int_list(rng, d + 1, lead=rng.choice([2, -3, 4, 6])), xi)
+        U = _along(_fractions(rng, rng.randint(1, 6)), xi)
+        if U.is_zero:
+            U = xi * Fraction(2, 3) - 1
+        if rng.random() < 0.15:
+            shared = rng.choice([xi - 1, xi**2 + 1])
+            b, U = b * shared, U * shared
+        bd = _dense_coeffs(b, i)
+        bd = [a * (1 / bd[-1].constant_value()) for a in bd]
+        want, want_det = _inverse_modulo(_dense_coeffs(U, i), bd)
+        if want is None:
+            with pytest.raises(InvalidInput, match="not invertible modulo the base"):
+                _cofactor_inverse(U, b, bd, i)
+            seen["not invertible"] += 1
+            continue
+        w, det = _cofactor_inverse(U, b, bd, i)
+        assert all(type(a) is int for a in w) and type(det) is int and det
+        assert len(w) == d
+        # U*w == det (mod b), and the inverse w/det modulo b is unique
+        assert (U * _along(w, xi) - det).divexact(b) is not None
+        assert (_along(w, xi) * Fraction(1, det)
+                == _along(want, xi) * (1 / want_det.constant_value()))
+        seen["inverted"] += 1
+    assert seen["inverted"] >= 100 and seen["not invertible"] >= 15
+
+
+def test_peel_with_the_int_inverse_matches_the_polynomial_entry_peel():
+    # seeded univariate inputs and lines in 2-3 variables, multiplicity
+    # 1-4, with bases of degree 1-4 whose leading coefficient is not 1;
+    # on lines, P and c either are constants or involve the other variables
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        vs = ("x", "y", "z")[:n]
+        xs = [Polynomial.variable(name, vs) for name in vs]
+        i = rng.randrange(n)
+        coeffs = rng.choice(_IRREDUCIBLE + [[3, 2], [-1, 5]])
+        # P(k*x + s) is irreducible with P, and its leading coefficient is k**d
+        b = _along(coeffs, rng.choice([1, 2, 3]) * xs[i] + rng.randint(-2, 2)).primitive()
+        m = rng.randint(1, 4)
+        U = Polynomial.constant(Fraction(rng.randint(1, 7), rng.randint(1, 5)), vs)
+        for q in rng.sample([xs[i] + 2, 2 * xs[i] - 1, xs[i]**2 + xs[i] + 5],
+                            rng.randint(0, 2)):
+            U = U * q ** rng.randint(1, 2)
+        top = m * b.degree_in(i) + U.degree_in(i)
+        others = [v for k, v in enumerate(xs) if k != i]
+        if others and rng.random() < 0.5:
+            P = [random_polynomial(rng, vs, max_terms=2, max_deg=2).coeffs_in(i).get(
+                0, Polynomial.zero(vs)) for _ in range(top)]
+            c = rng.choice(others) + 2
+        else:
+            P = [Polynomial.constant(a, vs) for a in _fractions(rng, top)]
+            c = Polynomial.constant(rng.randint(1, 9), vs)
+        layers = _layers_by_inversion((P, c), U, b, m, i)
+        assert layers == _polynomial_peel((P, c), U, b, m, i)
+        seen.add((n, m))
+    assert seen == {(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)}
+
+
+def test_peel_with_the_int_inverse_refuses_a_cofactor_sharing_the_base():
+    for vs in (("x",), ("x", "y")):
+        x1 = Polynomial.variable("x", vs)
+        b = 2 * x1**2 + 1
+        P = [Polynomial.one(vs)] * 5
+        with pytest.raises(InvalidInput, match="cofactor is not invertible modulo the base"):
+            _layers_by_inversion((P, Polynomial.one(vs)), (x1 + 3) * b * Fraction(1, 2),
+                                 b, 1, 0)
