@@ -354,8 +354,9 @@ def _partial_fraction_full(f, i):
     runs on one line where the other variables are small integers, the
     layers found there are lifted along v, and one exact division by b**m
     certifies them; it gives up, and the peel answers, when b is not
-    integer-linear, no good line is found or the certificate fails.  All of
-    it runs on polynomials.
+    integer-linear, no good line is found or the certificate fails.  The
+    peel's layers are computed on polynomials; its cofactor is inverted on
+    ints when U and b involve no variable but x (:func:`_cofactor_inverse`).
     """
     vars = f.vars
     if f.is_zero:

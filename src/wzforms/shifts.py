@@ -3,6 +3,7 @@ checking for tuples of rational functions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,16 +38,10 @@ def cyclic_apply(h, i, m):
     _check_index(i, len(h.vars))
     if isinstance(m, bool) or not isinstance(m, int):
         raise InvalidInput(f"the number of shifts {m!r} is not an integer")
-    if m == 0:
-        return RationalFunction.zero(h.vars)
     total = RationalFunction.zero(h.vars)
-    if m > 0:
-        for t in range(m):
-            total = total + _unit_shift(h, i, t)
-        return total
-    for t in range(m, 0):
+    for t in range(min(m, 0), max(m, 0)):
         total = total + _unit_shift(h, i, t)
-    return -total
+    return -total if m < 0 else total
 
 
 # Points of the fixed sequence that the witness tries before a tuple goes to
@@ -66,7 +61,7 @@ def witness_points(n):
     p = 5
     while len(coords) < WITNESS_POINTS * n:
         p += 2
-        if all(p % q for q in range(3, int(p ** 0.5) + 1, 2)):
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
             coords.append(-p if len(coords) % 2 else p)
     return tuple(tuple(coords[t * n:(t + 1) * n]) for t in range(WITNESS_POINTS))
 

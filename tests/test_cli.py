@@ -1,3 +1,7 @@
+"""CLI tests that build their inputs, chain commands, loop or patch the
+library.  A command line whose whole output is pinned on fixed inputs is a
+case directory under ``tests/cli_cases`` instead (``test_cli_cases.py``)."""
+
 import io
 import json
 import sys
@@ -37,22 +41,6 @@ TRIPLE = (
     " + 1/(4*x+6*y+5*z+4)"
     " + 1/(3*y+2*z) + 1/(3*y+2*z+1)",
 )
-
-
-def test_verify_yes(tmp_path):
-    paths = write_triple(tmp_path, TRIPLE)
-    status, out, err = run(["verify", "--vars", "x,y,z", *paths])
-    assert status == 0
-    assert out == "WZ-form: yes\n"
-
-
-def test_verify_no_on_corrupted_component(tmp_path):
-    corrupted = (TRIPLE[0].replace("+ 1/(4*x+6*y+5*z+3)", "- 1/(4*x+6*y+5*z+3)"),
-                 TRIPLE[1], TRIPLE[2])
-    paths = write_triple(tmp_path, corrupted)
-    status, out, err = run(["verify", "--vars", "x,y,z", *paths])
-    assert status == 1
-    assert out == "WZ-form: no\n"
 
 
 def test_decompose_writes_expected_json(tmp_path):
@@ -103,30 +91,6 @@ def test_generate_decompose_byte_identical_canonical_fixture(tmp_path):
     status, out, _ = run(["generate", "--in", str(rep_path)])
     assert status == 0
     assert out == "".join(line + "\n" for line in canon)
-
-
-def test_residue_command(tmp_path):
-    f = ("x/(4*x+6*y+5*z)^2 + (x+y)/(4*x+6*y+5*z+1)^2"
-         " + 2*x/(4*x+6*y+5*z-3)^2 + (2*x+3)/(4*x+6*y+5*z+3)^2")
-    p = tmp_path / "f.txt"
-    p.write_text(f + "\n")
-    status, out, err = run(["residue", "--vars", "x,y,z", "--wrt", "x",
-                            "--at", "4*x+6*y+5*z", "--mult", "2", str(p)])
-    assert status == 0
-    assert out == "x\n"
-    status, out, err = run(["residue", "--vars", "x,y,z", "--wrt", "x",
-                            "--at", "4*x+6*y+5*z+1", "--mult", "3", str(p)])
-    assert status == 0
-    assert out == "0\n"
-
-
-def test_intlinear_command():
-    status, out, _ = run(["intlinear", "--vars", "x,y,z", "4*x+6*y+5*z"])
-    assert status == 0
-    assert out == "(Z, (4,6,5))\n"
-    status, out, _ = run(["intlinear", "--vars", "x,y", "x^2 + y"])
-    assert status == 1
-    assert out == "not integer-linear\n"
 
 
 def test_conjugate_command(tmp_path):

@@ -256,7 +256,11 @@ def test_witness_points_are_fixed_small_and_distinct():
         assert all(len(p) == n for p in points)
         assert len(set(points)) == WITNESS_POINTS
         assert all(5 < abs(c) < 200 for p in points for c in p)
-    assert witness_points(3) == ((7, -11, 13), (-17, 19, -23), (29, -31, 37))
+    assert [witness_points(n) for n in range(1, 5)] == [
+        ((7,), (-11,), (13,)),
+        ((7, -11), (13, -17), (19, -23)),
+        ((7, -11, 13), (-17, 19, -23), (29, -31, 37)),
+        ((7, -11, 13, -17), (19, -23, 29, -31), (37, -41, 43, -47))]
 
 
 def test_one_component_needs_no_decompose(monkeypatch):
