@@ -272,6 +272,50 @@ class RationalFunction:
         return f"RationalFunction({str(self)!r}, vars={self.vars})"
 
 
+def _add_coprime(f, g):
+    """``f + g`` for denominators b and d known to be coprime: (a*d + c*b)/(b*d)
+    with no gcd.  It is canonical as it stands: a*d + c*b shares no factor
+    with b or d, b*d is primitive by Gauss's lemma, and its graded-lex
+    leading term is the product of two positive ones."""
+    if f.is_zero:
+        return g
+    if g.is_zero:
+        return f
+    a, b = f.num, f.den
+    c, d = g.num, g.den
+    num = a * d + c * b
+    if num.is_zero:
+        return RationalFunction.zero(f.vars)
+    return RationalFunction._trusted(num, b * d)
+
+
+def _add_dividing(f, g):
+    """``f + g`` when g's denominator d may divide f's denominator b; plain
+    ``f + g`` when it does not.  With b1 = b/d, the sum is num0/b for
+    num0 = a + c*b1, and gcd(num0, b1) == gcd(a, b1) == 1, so the whole gcd
+    is gcd(num0, d): d itself when d divides num0, which one exact division
+    decides."""
+    if f.is_zero:
+        return g
+    if g.is_zero:
+        return f
+    a, b = f.num, f.den
+    c, d = g.num, g.den
+    b1 = b.divexact(d)
+    if b1 is None:
+        return f + g
+    num0 = a + c * b1
+    if num0.is_zero:
+        return RationalFunction.zero(f.vars)
+    q = num0.divexact(d)
+    if q is not None:
+        return RationalFunction._trusted(q, b1)
+    h = poly_gcd(num0, d)
+    if h.is_constant:
+        return RationalFunction._trusted(num0, b)
+    return RationalFunction._trusted(num0.divexact(h), b.divexact(h))
+
+
 def _is_bare_denominator(p):
     # Safe without parentheses after '/': a single power of one variable.
     if len(p) != 1:

@@ -19,9 +19,9 @@ from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
 from .polys import Polynomial, _check_index, _join_signed, _unit_key
-from .rationals import (RationalFunction, _dense_ints, _inverse_modulo,
-                        _partial_fraction_full, _pseudo_divmod, _series_mul,
-                        poly_antidifference, substitute_linear)
+from .rationals import (RationalFunction, _add_coprime, _add_dividing, _dense_ints,
+                        _inverse_modulo, _partial_fraction_full, _pseudo_divmod,
+                        _series_mul, poly_antidifference, substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
@@ -103,10 +103,17 @@ def generate(rep):
 
 def _component(exact, parts, i, vars):
     """``delta_i(exact)`` plus the signed range sums of the uniform parts:
-    the small range sums first, the exact part's difference last."""
+    the small range sums first, the exact part's difference last.  The
+    range sums add without a gcd unless two types are opposite: every
+    factor of a denominator along v is a polynomial in v.x, so types that
+    are not parallel, which distinct primitive types are unless opposite,
+    have coprime denominators."""
+    types = {vtype.entries for vtype, _ in parts}
+    add = (RationalFunction.__add__
+           if any(tuple(-e for e in v) in types for v in types) else _add_coprime)
     f = RationalFunction.zero(vars)
     for vtype, r in parts:
-        f = f + signed_range_sum(r, vtype, i, vars)
+        f = add(f, signed_range_sum(r, vtype, i, vars))
     return f + delta(exact, i)
 
 
@@ -125,7 +132,9 @@ def decompose(form):
     matching step-difference equation.  Then f_k is exactly delta_k(g) plus
     signed range sums.  For every later f_j, the j-th component that
     ``generate`` builds from the same terms is subtracted from f_j once,
-    which keeps each pair's compatibility.
+    which keeps each pair's compatibility.  That subtraction takes no gcd of
+    the denominators, as the component's denominator divides the residual's
+    (``rationals._add_dividing``, which falls back to ``-`` otherwise).
 
     The uniform part u along v, with s = v[k], is the signed range sum
     ``r(Z) + ... + r(Z+s-1)`` of one r, found as r = u + w with
@@ -194,7 +203,7 @@ def decompose(form):
         exact = exact + summed
         for j in range(k + 1, n):
             # one subtraction from the large residual per level
-            fs[j] = fs[j] - _component(summed, level_parts, j, vars)
+            fs[j] = _add_dividing(fs[j], -_component(summed, level_parts, j, vars))
         parts.extend(level_parts)
     rep = AdditiveRepresentation(vars, exact, parts)
     object.__setattr__(form, "_rep", rep)

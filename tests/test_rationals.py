@@ -12,7 +12,8 @@ from wzforms import (DivisionByZero, InvalidInput, Polynomial, RationalFunction,
                      UnimodularCompletion, complete_unimodular, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
-from wzforms.rationals import (_cofactor_inverse, _dense_coeffs, _exact_quotient,
+from wzforms.rationals import (_add_coprime, _add_dividing, _cofactor_inverse,
+                               _dense_coeffs, _exact_quotient,
                                _fraction_free_solve, _inverse_modulo,
                                _layers_at_linear_pole, _layers_by_inversion,
                                _layers_on_a_line, _line_points, _on_line, _pseudo_divmod,
@@ -524,6 +525,40 @@ def test_sum_and_difference_match_sympy():
             else:
                 assert hn.gcd(hd).is_ground
     assert min(kinds.values()) >= 15, kinds
+
+
+def test_sums_without_gcd_equal_the_plain_sum():
+    # values are canonical, so == also checks the canonical form
+    coprime = 0
+    for f, g in _sum_pairs(random.Random(2024)):
+        for p, q in ((f, g), (g, f), (f, -g)):
+            assert _add_dividing(p, q) == p + q
+        if poly_gcd(f.den, g.den).is_constant:
+            coprime += 1
+            assert _add_coprime(f, g) == f + g
+            assert _add_coprime(g, f) == g + f
+    assert coprime >= 40
+
+
+def test_dividing_sum_branches():
+    p, q, b1 = x + 1, y + 2, x - y
+    g = RationalFunction(Polynomial.one(V), p * q)
+    # d does not divide b: the plain sum
+    f = RationalFunction(x * y, (x + y) * q)
+    assert _add_dividing(f, g) == f + g == RationalFunction(x**2 * y + x * y + x + y,
+                                                             (x + y) * p * q)
+    # num0 = (y + 1) + b1 = p: gcd(num0, d) is p, a proper factor of d
+    f = RationalFunction(y + 1, p * q * b1)
+    got = _add_dividing(f, g)
+    assert got == f + g == RationalFunction(Polynomial.one(V), q * b1)
+    assert (got.num, got.den) == (Polynomial.one(V), q * b1)
+    # num0 = (y - 1) + b1 = x - 1: coprime to d, nothing cancels
+    f = RationalFunction(y - 1, p * q * b1)
+    assert _add_dividing(f, g) == f + g == RationalFunction(x - 1, p * q * b1)
+    # num0 = (3*p*q - b1) + b1: d divides num0 outright; then a zero sum
+    f = RationalFunction((x + 1) * (y + 2) * 3 - b1, p * q * b1)
+    assert _add_dividing(f, g) == f + g == RationalFunction(Polynomial.constant(3, V), b1)
+    assert _add_dividing(-g, g).is_zero
 
 
 # ---------------------------------------------------------------------- #

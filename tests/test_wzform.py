@@ -8,7 +8,7 @@ from wzforms import (AdditiveRepresentation, IntegerLinearType, NotAWZForm,
                      Polynomial, RationalFunction, WZForm,
                      conjugate_polygamma, decompose, delta, generate,
                      integer_linear_type_rf, is_exact, is_wz_form,
-                     random_additive_rep, signed_range_sum)
+                     random_additive_rep, signed_range_sum, wzform)
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -99,6 +99,66 @@ def test_generate_output_is_compatible():
     for seed in range(6):
         rep = random_additive_rep(seed, n=3, max_types=2, max_deg=2)
         assert is_wz_form(generate(rep).components)
+
+
+@pytest.mark.parametrize("vars, expected", [
+    (("x",), "-1/(x^2 + 1)"), (V2, "-1/(x^2 + 2*x*y + y^2 + 1)")])
+def test_generate_keeps_opposite_types_canonical(vars, expected):
+    # the range sums of v and -v share their denominator, so they need the
+    # sum with a gcd
+    one = (1,) * len(vars)
+    rep = AdditiveRepresentation(vars, RationalFunction.zero(vars), [
+        (one, inv(Z**2 + 1, Zv)),
+        (tuple(-e for e in one), RationalFunction(Polynomial.constant(2, Zv),
+                                                  (Z + 1)**2 + 1))])
+    form = generate(rep)
+    assert [str(f) for f in form.components] == [expected] * len(vars)
+    assert form.components == tuple(_plain_component(rep.exact_part, rep.parts, i, vars)
+                                    for i in range(len(vars)))
+
+
+def _plain_component(exact, parts, i, vars):
+    """``wzform._component`` with every sum a plain ``+``."""
+    f = RationalFunction.zero(vars)
+    for vtype, r in parts:
+        f = f + signed_range_sum(r, vtype, i, vars)
+    return f + delta(exact, i)
+
+
+@pytest.mark.parametrize("n, seeds", [(None, range(200)), (4, range(100))],
+                         ids=["criterion_5", "four_variables"])
+def test_sums_without_gcd_match_the_plain_sums(n, seeds, monkeypatch):
+    """Every component equals the fold with ``+``, and every residual
+    update of ``decompose`` equals ``fs[j] - component``; values are
+    canonical, so == checks the canonical form too."""
+    seen = {"component": 0, "coprime": 0, "update": 0}
+
+    def component(exact, parts, i, vars):
+        got = plain(exact, parts, i, vars)
+        assert got == _plain_component(exact, parts, i, vars)
+        seen["component"] += 1
+        return got
+
+    def coprime(f, g):
+        seen["coprime"] += 1
+        return add_coprime(f, g)
+
+    def update(f, g):
+        got = add_dividing(f, g)
+        assert got == f + g
+        seen["update"] += 1
+        return got
+
+    plain, add_coprime, add_dividing = (wzform._component, wzform._add_coprime,
+                                        wzform._add_dividing)
+    monkeypatch.setattr(wzform, "_component", component)
+    monkeypatch.setattr(wzform, "_add_coprime", coprime)
+    monkeypatch.setattr(wzform, "_add_dividing", update)
+    for seed in seeds:
+        rep = random_additive_rep(seed, n=2 + seed % 3 if n is None else n,
+                                  max_types=3, max_deg=3, coeff_bound=9)
+        decompose(generate(rep))
+    assert min(seen.values()) > 100, seen
 
 
 # ---------------------------------------------------------------------- #
