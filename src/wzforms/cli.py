@@ -113,31 +113,28 @@ def _parse_vars(text):
     return variable_names(vars)
 
 
-def _read_components(paths, vars):
-    return [parse_expression(_read_text(path), vars) for path in paths]
+def _read_tuple(args):
+    """``(vars, components)``: the ``--vars`` names and one component parsed
+    from each file, one file per variable."""
+    vars = _parse_vars(args.vars)
+    components = [parse_expression(_read_text(path), vars) for path in args.files]
+    if len(components) != len(vars):
+        raise InvalidInput("need exactly one component file per variable")
+    return vars, components
 
 
 # ---------------------------------------------------------------------- #
 # subcommands
 
 
-def _cmd_verify(args, out, err):
-    vars = _parse_vars(args.vars)
-    components = _read_components(args.files, vars)
-    if len(components) != len(vars):
-        raise InvalidInput("need exactly one component file per variable")
-    ok = is_wz_form(components)
+def _cmd_verify(args, out):
+    ok = is_wz_form(_read_tuple(args)[1])
     print(f"WZ-form: {'yes' if ok else 'no'}", file=out)
     return EXIT_OK if ok else EXIT_NO
 
 
-def _cmd_decompose(args, out, err):
-    vars = _parse_vars(args.vars)
-    components = _read_components(args.files, vars)
-    if len(components) != len(vars):
-        raise InvalidInput("need exactly one component file per variable")
-    form = WZForm(vars, components)
-    rep = decompose(form)
+def _cmd_decompose(args, out):
+    rep = decompose(WZForm(*_read_tuple(args)))
     doc = rep_to_json(rep)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -146,7 +143,7 @@ def _cmd_decompose(args, out, err):
     return EXIT_OK
 
 
-def _cmd_generate(args, out, err):
+def _cmd_generate(args, out):
     rep = _load_rep(args.infile)
     form = generate(rep)
     for component in form:
@@ -154,19 +151,19 @@ def _cmd_generate(args, out, err):
     return EXIT_OK
 
 
-def _cmd_residue(args, out, err):
+def _cmd_residue(args, out):
     vars = _parse_vars(args.vars)
     if args.wrt not in vars:
         raise InvalidInput(f"--wrt names an undeclared variable {args.wrt!r}")
     i = vars.index(args.wrt)
     d = parse_polynomial(args.at, vars)
-    components = _read_components([args.file], vars)
-    value = orbital_residue(components[0], d, args.mult, i)
+    f = parse_expression(_read_text(args.file), vars)
+    value = orbital_residue(f, d, args.mult, i)
     print(value, file=out)
     return EXIT_OK
 
 
-def _cmd_intlinear(args, out, err):
+def _cmd_intlinear(args, out):
     vars = _parse_vars(args.vars)
     p = parse_polynomial(args.poly, vars)
     got = integer_linear_decompose(p)
@@ -178,14 +175,14 @@ def _cmd_intlinear(args, out, err):
     return EXIT_OK
 
 
-def _cmd_conjugate(args, out, err):
+def _cmd_conjugate(args, out):
     rep = _load_rep(args.infile)
     expr = conjugate_polygamma(rep)
     print(expr.latex() if args.latex else expr, file=out)
     return EXIT_OK
 
 
-def _cmd_fuzz(args, out, err):
+def _cmd_fuzz(args, out):
     if args.count < 1:
         raise InvalidInput("--count must be at least 1")
     for k in range(args.count):
@@ -291,17 +288,11 @@ def run_command(argv, out=None, err=None):
         args = parser.parse_args(argv)
         if set_limit is not None:
             set_limit(0)
-        return args.run(args, out, err)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
+        return args.run(args, out)
     except NotAWZForm as exc:
         print(f"not a WZ-form: {exc}", file=err)
         return EXIT_NOT_WZ
-    except (ParseError, InvalidInput, DivisionByZero) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, ParseError, InvalidInput, DivisionByZero, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except Exception as exc:

@@ -51,7 +51,9 @@ Every step is exact, so no factor is missed.  All factors are re-normalized
 to this package's canonical form (integer-primitive, positive graded-lex
 leading coefficient, deterministic order) and verified by recombination.
 The blocks' gcds run on the kernel's one integer gcd, ``polys._int_gcd``,
-and the conversion to sympy also carries its fallback.
+and the residual reaches sympy through the kernel's conversions,
+``polys._to_sympy`` and ``polys._from_sympy``, which also carry that gcd's
+fallback.
 """
 
 from __future__ import annotations
@@ -60,42 +62,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_zz_factor_sqf
 from sympy.polys.galoistools import gf_irreducible_p
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InvalidInput
-from .polys import (_MASK, Polynomial, _int_content, _int_divexact, _int_eval_at,
-                    _int_gcd, _shift, _substitute, _unit_key, _unpacked)
+from .polys import (_MASK, Polynomial, _from_sympy, _int_content, _int_divexact,
+                    _int_eval_at, _int_gcd, _shift, _substitute, _to_sympy, _unit_key)
 
-_symbol_cache: dict[str, sympy.Symbol] = {}
 _YVARS = ("y",)
-
-
-def _symbols(names):
-    out = []
-    for name in names:
-        s = _symbol_cache.get(name)
-        if s is None:
-            s = sympy.Symbol(name)
-            _symbol_cache[name] = s
-        out.append(s)
-    return out
-
-
-def _to_sympy(terms, vars):
-    """sympy Poly over ZZ with the given integer term map on packed keys."""
-    n = len(vars)
-    return sympy.Poly.from_dict(dict(_unpacked(terms.items(), n)),
-                                *_symbols(vars), domain=sympy.ZZ)
-
-
-def _from_sympy(spoly, vars):
-    """Polynomial with the terms of a sympy Poly over ZZ."""
-    return Polynomial(vars, {tuple(int(e) for e in exps): Fraction(int(c))
-                             for exps, c in spoly.terms()})
 
 
 # ---------------------------------------------------------------------- #

@@ -285,10 +285,13 @@ class _Parser:
             self.fail(str(exc), tok)
 
     def raise_to(self, p, k, tok):
-        """``p^k`` for k >= 0 by the square-and-multiply steps of
-        ``Polynomial.__pow__``, each bounded like a product; a power k > 1
-        of a single term is refused before it is computed when it would
-        take an exponent past MAX_EXPONENT."""
+        """``p^k`` for k >= 0 by right-to-left binary powering, each
+        product bounded like a product in the source: the low bits of k
+        come first, and p is squared as they go.  ``Polynomial.__pow__``
+        powers left to right instead, so the products differ (p^2 * p^4
+        here against p^3 * p^3 there for k = 6), not the value.  A power
+        k > 1 of a single term is refused before it is computed when it
+        would take an exponent past MAX_EXPONENT."""
         if len(p) == 1:
             if k > 1 and max(p.leading()[0], default=0) * k > MAX_EXPONENT:
                 self.fail(f"power of a single term exceeds exponent {MAX_EXPONENT}", tok)

@@ -33,6 +33,10 @@ field of b exceeds that of a, and then ``t - G`` is the quotient's key.
 Shifts, :meth:`Polynomial.compose` and the changes of variables in
 :mod:`wzforms.factor` all run on one substitution kernel, ``_substitute``.
 Evaluation at a point stays outside it, where it is several times faster.
+
+The kernel owns its boundary with sympy: ``_to_sympy`` and ``_from_sympy``
+convert integer term maps to sympy ``Poly`` objects over ZZ and back, for
+the gcd's fallback here and the residual factoring in :mod:`wzforms.factor`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 from struct import Struct
+
+import sympy
 
 from .errors import DivisionByZero, InvalidInput
 
@@ -868,13 +874,24 @@ def _gcd_cached(p, q):
                                                   p.vars)).primitive()
 
 
+def _to_sympy(terms, vars):
+    """sympy Poly over ZZ with the given integer term map on packed keys."""
+    return sympy.Poly.from_dict(dict(_unpacked(terms.items(), len(vars))),
+                                *map(sympy.Symbol, vars), domain=sympy.ZZ)
+
+
+def _from_sympy(spoly, vars):
+    """Polynomial with the terms of a sympy Poly over ZZ."""
+    return Polynomial(vars, {tuple(int(e) for e in exps): Fraction(int(c))
+                             for exps, c in spoly.terms()})
+
+
 def _int_gcd(p, q, vars):
     """The gcd over ZZ of nonzero integer term maps in vars, content
     included, sign unnormalized: the heuristic, or sympy's gcd when it
     gives up."""
     got = _heu_gcd(p, q, len(vars))
     if got is None:
-        from .factor import _to_sympy  # factor imports this module
         got = {_pack(e): int(c)
                for e, c in _to_sympy(p, vars).gcd(_to_sympy(q, vars)).terms()}
     return got

@@ -1,6 +1,8 @@
-"""CLI tests that build their inputs, chain commands, loop or patch the
-library.  A command line whose whole output is pinned on fixed inputs is a
-case directory under ``tests/cli_cases`` instead (``test_cli_cases.py``)."""
+"""CLI tests that loop over generated inputs, chain commands, patch the
+library or read interpreter state.  Every fixed command line whose output
+is pinned, error messages and written files included, is a case directory
+under ``tests/cli_cases`` instead (``test_cli_cases.py``); none is pinned
+here."""
 
 import io
 import json
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
-                     RationalFunction, parse_expression)
+                     parse_expression)
 from wzforms import cli
 from wzforms.cli import rep_from_json, rep_to_json, run_command
 
@@ -43,19 +45,6 @@ TRIPLE = (
 )
 
 
-def test_decompose_writes_expected_json(tmp_path):
-    paths = write_triple(tmp_path, TRIPLE)
-    rep_path = tmp_path / "rep.json"
-    status, out, err = run(["decompose", "--vars", "x,y,z",
-                            "--out", str(rep_path), *paths])
-    assert status == 0, err
-    doc = json.loads(rep_path.read_text())
-    assert doc["vars"] == ["x", "y", "z"]
-    assert doc["exact"] == "0"
-    assert [entry["type"] for entry in doc["uniform"]] == [[4, 6, 5], [0, 3, 2]]
-    assert [entry["r"] for entry in doc["uniform"]] == ["1/Z", "1/Z"]
-
-
 def test_generate_round_trips_through_files(tmp_path):
     paths = write_triple(tmp_path, TRIPLE)
     rep_path = tmp_path / "rep.json"
@@ -85,33 +74,26 @@ def test_generate_decompose_byte_identical_canonical_fixture(tmp_path):
     assert out == "".join(line + "\n" for line in canon)
 
 
-def test_conjugate_command(tmp_path):
-    rep = AdditiveRepresentation(
-        V, RationalFunction.zero(V),
-        [(IntegerLinearType((4, 6, 5)),
-          parse_expression("1/Z", ("Z",))),
-         (IntegerLinearType((0, 3, 2)),
-          parse_expression("1/Z", ("Z",)))])
-    rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(rep_to_json(rep)))
-    status, out, _ = run(["conjugate", "--in", str(rep_path)])
-    assert status == 0
-    assert out == "psi^(0)(4*x + 6*y + 5*z) + psi^(0)(3*y + 2*z)\n"
-    status, out, _ = run(["conjugate", "--in", str(rep_path), "--latex"])
-    assert status == 0
-    assert out == (r"\psi^{(0)}\!\left(4 x + 6 y + 5 z\right)"
-                   r" + \psi^{(0)}\!\left(3 y + 2 z\right)" + "\n")
+def test_fuzz_reports_a_counterexample(monkeypatch):
+    """A decompose that adds x to the exact part breaks every round trip
+    (adding a constant would not: its differences are 0), and fuzz reports
+    the first seed, its representation and the components that differ."""
+    decompose = cli.decompose
 
+    def off_by_x(form):
+        rep = decompose(form)
+        x = parse_expression(rep.vars[0], rep.vars)
+        return AdditiveRepresentation(rep.vars, rep.exact_part + x, rep.parts)
 
-def test_fuzz_command():
-    status, out, _ = run(["fuzz", "--seed", "1", "--count", "4",
-                          "--nvars", "2", "--max-deg", "2"])
-    assert status == 0
-    assert "4 round trips ok" in out
-    for count in ("0", "-3"):
-        status, out, err = run(["fuzz", "--seed", "1", "--count", count])
-        assert (status, out) == (3, "")
-        assert err == "error: --count must be at least 1\n"
+    monkeypatch.setattr(cli, "decompose", off_by_x)
+    status, out, err = run(["fuzz", "--seed", "0", "--count", "2"])
+    assert (status, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "counterexample at seed 0:",
+        "  representation: (exact = (-9*x^2*y - 9*x*y*z - 9*x*y - 1/2)/(x + z + 1); "
+        "uniform = {(1,-1,-1): (7/6*Z + 1/6)/Z^2, (1,-1,-2): -9/7/Z})"]
+    assert lines[2:] and all(line.startswith("  component ") for line in lines[2:])
 
 
 def test_one_parser_serves_every_command(tmp_path, monkeypatch):
@@ -180,29 +162,6 @@ def test_boolean_direction_entries_exit_3(tmp_path):
             status, out, err = run(argv)
             assert (status, out) == (3, ""), (vtype, argv)
             assert err == "error: type entries must be integers\n"
-
-
-# --vars lists, with a word of the error: names that repeat, and names that
-# no expression can name because they are not one name token
-BAD_VARS = [("x,x", "duplicate"), ("x+1,y", "not a variable name"),
-            ("a b,c", "not a variable name"), ("1x,y", "not a variable name")]
-
-
-def test_duplicate_vars_option_exits_3(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("x\n")
-    for names, word in BAD_VARS:
-        status, out, err = run(["verify", "--vars", names, str(p), str(p)])
-        assert (status, out) == (3, "") and word in err
-
-
-def test_duplicate_vars_in_document_exits_3(tmp_path):
-    doc = tmp_path / "rep.json"
-    for names, word in BAD_VARS:
-        doc.write_text(json.dumps({"vars": names.split(","), "exact": "0",
-                                   "uniform": []}))
-        status, out, err = run(["generate", "--in", str(doc)])
-        assert (status, out) == (3, "") and word in err
 
 
 def test_exponent_overflow_exits_3(tmp_path):
