@@ -437,6 +437,9 @@ def latex_polynomial(p, var_name=None):
 
 
 def _latex_fraction(q):
+    """LaTeX of a nonnegative int or Fraction."""
+    if type(q) is int:
+        return str(q)
     if q.denominator == 1:
         return str(q.numerator)
     return rf"\tfrac{{{q.numerator}}}{{{q.denominator}}}"

@@ -591,21 +591,27 @@ class Polynomial:
     # printing
 
     def __str__(self):
-        return _render_terms(self, self.vars, "*", lambda name, k: f"{name}^{k}", str)
+        return _text(self, self.vars)
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={self.vars})"
 
 
 def _render_terms(p, names, mul, power, scalar):
-    """The terms of p, highest first, joined by ``_join_signed``: ``mul``
-    joins a coefficient and the factors of a monomial, ``power(name, k)``
-    writes an exponent k > 1 and ``scalar`` a coefficient's magnitude."""
+    """The terms of p, highest first, joined by ``_join_signed``, read from
+    the integer view: ``mul`` joins a coefficient and the factors of a
+    monomial, ``power(name, k)`` writes an exponent k > 1 and ``scalar`` a
+    coefficient's magnitude, an int, or a Fraction when its reduced
+    denominator is not 1."""
+    ints, den = p._scaled_ints()
     pieces = []
-    for e, c in p.sorted_terms():
+    for e, c in _unpacked(sorted(ints.items(), reverse=True), len(p.vars)):
         mono = mul.join(power(names[i], k) if k > 1 else names[i]
                         for i, k in enumerate(e) if k)
         mag = abs(c)
+        if den != 1:
+            g = gcd(mag, den)
+            mag = mag // g if g == den else Fraction(mag // g, den // g)
         if not mono:
             body = scalar(mag)
         elif mag == 1:
@@ -614,6 +620,11 @@ def _render_terms(p, names, mul, power, scalar):
             body = f"{scalar(mag)}{mul}{mono}"
         pieces.append(("-" if c < 0 else "+", body))
     return _join_signed(pieces)
+
+
+def _text(p, names):
+    """``str(p)`` with the variables written as ``names``."""
+    return _render_terms(p, names, "*", lambda name, k: f"{name}^{k}", str)
 
 
 def _join_signed(pieces):

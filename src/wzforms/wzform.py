@@ -18,7 +18,7 @@ from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
-from .polys import Polynomial, _check_index, _join_signed, _unit_key
+from .polys import Polynomial, _check_index, _join_signed, _text, _unit_key
 from .rationals import (RationalFunction, _add_coprime, _add_dividing, _dense_ints,
                         _inverse_modulo, _partial_fraction_full, _pseudo_divmod,
                         _series_mul, poly_antidifference, substitute_linear)
@@ -255,18 +255,35 @@ class PolygammaExpression:
     def _render(self, rational, poly, root, group, psi, root_sum, coefficient):
         """The one walker behind ``__str__`` and ``latex``, which differ only
         in the format pieces: ``poly(p, var_name)`` writes a polynomial, and
-        ``root`` names the summation variable of a root sum."""
+        ``root`` names the summation variable of a root sum.  Each form,
+        base and weight is written once per call: the memo is keyed by the
+        polynomial object and the name it is written with, not by the
+        integer view, which a weight A and a form x can share.  It holds
+        each object, so that no id is reused within the call, and hashes
+        none, so that an expression kept after printing holds no more."""
+        written = {}
+
+        def once(p, var_name=None):
+            got = written.get((id(p), var_name))
+            if got is None:
+                got = written[id(p), var_name] = (p, poly(p, var_name))
+            return got[1]
+
+        vars = self.rational_part.vars
+        forms = {}
         pieces = []
         if not self.rational_part.is_zero:
             pieces.append(("+", rational(self.rational_part)))
         for term in self.terms:
-            form = term.vtype.form(self.rational_part.vars)
+            form = forms.get(term.vtype)
+            if form is None:
+                form = forms[term.vtype] = term.vtype.form(vars)
             if isinstance(term.shift, RootShift):
-                body = psi(term.order, f"{poly(form)} + {root}")
+                body = psi(term.order, f"{once(form)} + {root}")
                 w = term.shift.weight
                 if w != 1:  # a unit weight is omitted, like a unit coefficient
-                    body = group(poly(w, root), len(w) > 1) + body
-                body = root_sum(poly(term.shift.poly, root), body)
+                    body = group(once(w, root), len(w) > 1) + body
+                body = root_sum(once(term.shift.poly, root), body)
             else:
                 body = psi(term.order, poly(form + term.shift))
             c = term.coefficient
@@ -283,8 +300,7 @@ class PolygammaExpression:
         root = next(name for name in ["A"] + [f"A{i}" for i in range(1, len(vars) + 1)]
                     if name not in vars)
         return self._render(
-            str, lambda p, var_name=None: str(
-                p if var_name is None else Polynomial._from_view((var_name,), *p._scaled_ints())),
+            str, lambda p, var_name=None: str(p) if var_name is None else _text(p, (var_name,)),
             root,
             lambda w, many: f"({w})*" if many else f"{w}*",
             lambda t, arg: f"psi^({t})({arg})",

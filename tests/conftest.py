@@ -59,3 +59,37 @@ def series_inverse(u, m):
                 acc = term if acc is None else acc + term
         out.append(-(inv0 * acc) if acc is not None else inv0 - inv0)
     return out
+
+
+def reference_render(p, names, mul, power, scalar):
+    """Test oracle: the term printer on the ``Fraction`` coefficients of
+    ``sorted_terms``, whose magnitudes ``Fraction`` itself reduces;
+    ``scalar`` gets every magnitude as a ``Fraction``."""
+    pieces = []
+    for e, c in p.sorted_terms():
+        mono = mul.join(power(names[i], k) if k > 1 else names[i]
+                        for i, k in enumerate(e) if k)
+        mag = abs(c)
+        if not mono:
+            body = scalar(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{scalar(mag)}{mul}{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    (sign, body), rest = pieces[0], pieces[1:]
+    head = body if sign == "+" else f"-{body}"
+    return head + "".join(f" {s} {b}" for s, b in rest)
+
+
+def reference_str(p, names=None):
+    return reference_render(p, names or p.vars, "*", lambda name, k: f"{name}^{k}", str)
+
+
+def reference_latex(p, names=None):
+    return reference_render(
+        p, names or p.vars, " ", lambda name, k: f"{name}^{{{k}}}",
+        lambda q: str(q.numerator) if q.denominator == 1
+        else rf"\tfrac{{{q.numerator}}}{{{q.denominator}}}")

@@ -404,6 +404,40 @@ def test_root_sum_names_its_root_apart_from_the_variables():
     assert str(expr) == "1/2*RootSum(A^2 + 1, A -> A*psi^(0)(A1 + y + A))"
 
 
+ONCE_PER_OUTPUT = [
+    # over ("x",) the weight A and the form x have the same integer view
+    ([((1,), "1/(Z^2+1)")], ("x",),
+     "1/2*RootSum(A^2 + 1, A -> A*psi^(0)(x + A))",
+     r"\tfrac{1}{2} \sum_{\alpha^{2} + 1 = 0} \alpha \, \psi^{(0)}\!\left(x + \alpha\right)"),
+    # over ("A",) they are the same polynomial, written with two names
+    ([((1,), "1/(Z^2+1)")], ("A",),
+     "1/2*RootSum(A1^2 + 1, A1 -> A1*psi^(0)(A + A1))",
+     r"\tfrac{1}{2} \sum_{\alpha^{2} + 1 = 0} \alpha \, \psi^{(0)}\!\left(A + \alpha\right)"),
+    # two types share the base Z^2 + 1 and the weight A - 1, beside linear poles
+    ([((1, 0), "1/((Z^2+1)*(Z+1))"), ((1, 1), "(Z+3)/((Z^2+1)^2*(Z-2))")], ("x", "y"),
+     "1/2*psi^(0)(x + 1) + 1/4*RootSum(A^2 + 1, A -> (A - 1)*psi^(0)(x + A))"
+     " + 1/5*psi^(0)(x + y - 2) - 1/20*RootSum(A^2 + 1, A -> (9*A + 2)*psi^(0)(x + y + A))"
+     " + 1/4*RootSum(A^2 + 1, A -> (A - 1)*psi^(1)(x + y + A))",
+     r"\tfrac{1}{2} \psi^{(0)}\!\left(x + 1\right) + \tfrac{1}{4} \sum_{\alpha^{2} + 1 = 0}"
+     r" \left(\alpha - 1\right) \, \psi^{(0)}\!\left(x + \alpha\right) + \tfrac{1}{5}"
+     r" \psi^{(0)}\!\left(x + y - 2\right) - \tfrac{1}{20} \sum_{\alpha^{2} + 1 = 0}"
+     r" \left(9 \alpha + 2\right) \, \psi^{(0)}\!\left(x + y + \alpha\right) + \tfrac{1}{4}"
+     r" \sum_{\alpha^{2} + 1 = 0} \left(\alpha - 1\right) \,"
+     r" \psi^{(1)}\!\left(x + y + \alpha\right)"),
+]
+
+
+@pytest.mark.parametrize("parts, vars, text, latex", ONCE_PER_OUTPUT,
+                         ids=["form_x", "form_A", "two_types"])
+def test_polynomials_written_once_per_output_print_as_before(parts, vars, text, latex):
+    # each output writes a polynomial once, keyed by the polynomial and the
+    # name it is written with; these outputs repeat forms, bases and weights
+    expr = conjugate_polygamma(rep_of(
+        [(v, parse_expression(r, Zv)) for v, r in parts], vars=vars))
+    assert str(expr) == text
+    assert expr.latex() == latex
+
+
 def _power_loop_root_sum_terms(base, layers, vtype):
     """Test oracle: the root-sum terms with H(eps)**-t taken, for every t up
     to the multiplicity, as t - 1 products of the whole series inverse,

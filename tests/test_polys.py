@@ -7,9 +7,10 @@ import pytest
 import sympy
 
 import wzforms.polys as polys
-from conftest import random_polynomial
+from conftest import random_polynomial, reference_latex, reference_str
 from wzforms import InvalidInput, Polynomial, RationalFunction, poly_gcd
 from wzforms.factor import factor_polynomial
+from wzforms.parser import latex_polynomial
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -89,6 +90,36 @@ def test_string_form_is_sorted_and_signed():
     assert str(-x + y) == "-x + y"
     assert str(x * Fraction(1, 2)) == "1/2*x"
     assert str(Polynomial.zero(V)) == "0"
+
+
+def test_printers_match_a_fraction_printer():
+    # the printers read the integer view, one gcd per term; the oracle
+    # reads Fraction coefficients.  Over a common denominator above 1, a
+    # term's reduced denominator may be 1 or not, and both must occur
+    rng = random.Random(20)
+    names = ("x", "y", "z", "w")
+    seen = set()
+    for k in range(240):
+        vars = names[:1 + k % 4]
+        terms = {}
+        for _ in range(rng.choice((0, 1, 1, 2, 3, 5))):
+            e = tuple(rng.randint(0, 3) for _ in vars) if rng.random() < 0.85 \
+                else (0,) * len(vars)
+            terms[e] = rng.choice((1, -1, Fraction(rng.randint(-30, 30), rng.randint(1, 12))))
+        p = Polynomial(vars, terms)
+        ints, den = p._scaled_ints()
+        seen.update(("den 1" if den == 1 else "den > 1",
+                     "zero" if p.is_zero else "constant" if p.is_constant else "terms"))
+        if den > 1:
+            seen.update("reduced 1" if c % den == 0 else "reduced > 1" for c in ints.values())
+        seen.update("unit" for c in ints.values() if abs(c) == den)
+        assert str(p) == reference_str(p), p
+        assert latex_polynomial(p) == reference_latex(p), p
+        if len(vars) == 1:
+            assert latex_polynomial(p, r"\alpha") == reference_latex(p, (r"\alpha",))
+            assert polys._text(p, ("A",)) == reference_str(p, ("A",))
+    assert seen == {"den 1", "den > 1", "zero", "constant", "terms",
+                    "reduced 1", "reduced > 1", "unit"}
 
 
 def gcd_routes(monkeypatch):
