@@ -12,7 +12,7 @@ from .errors import (DivisionByZero, InvalidInput, NotAWZForm, ParseError,
 from .intlinear import (IntegerLinearType, UnimodularCompletion,
                         complete_unimodular, integer_linear_decompose,
                         integer_linear_type_rf)
-from .orbital import OrbitClass, orbital_residue
+from .orbital import orbital_residue
 from .parser import parse_expression, parse_polynomial
 from .polys import Polynomial, poly_gcd
 from .rationals import (RationalFunction, partial_fraction,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveRepresentation", "DivisionByZero", "IntegerLinearType",
-    "InvalidInput", "NotAWZForm", "OrbitClass", "ParseError",
+    "InvalidInput", "NotAWZForm", "ParseError",
     "PolygammaExpression", "PolygammaTerm", "Polynomial", "RationalFunction",
     "ReductionResult", "RootShift", "UnimodularCompletion", "WZForm",
     "WZFormsError", "abramov_reduce", "apply_shift", "complete_unimodular",

@@ -89,6 +89,16 @@ def _read_text(path):
                            f"at byte {exc.start}") from None
 
 
+def _parse_file(path, vars):
+    """The expression in a file; a parse error names the path as given."""
+    text = _read_text(path)
+    try:
+        return parse_expression(text, vars)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _json_int(text):
     # the interpreter's integer-string limit is lifted while a command runs,
     # so JSON numbers get the parser's bound on literals
@@ -117,7 +127,7 @@ def _read_tuple(args):
     """``(vars, components)``: the ``--vars`` names and one component parsed
     from each file, one file per variable."""
     vars = _parse_vars(args.vars)
-    components = [parse_expression(_read_text(path), vars) for path in args.files]
+    components = [_parse_file(path, vars) for path in args.files]
     if len(components) != len(vars):
         raise InvalidInput("need exactly one component file per variable")
     return vars, components
@@ -157,7 +167,7 @@ def _cmd_residue(args, out):
         raise InvalidInput(f"--wrt names an undeclared variable {args.wrt!r}")
     i = vars.index(args.wrt)
     d = parse_polynomial(args.at, vars)
-    f = parse_expression(_read_text(args.file), vars)
+    f = _parse_file(args.file, vars)
     value = orbital_residue(f, d, args.mult, i)
     print(value, file=out)
     return EXIT_OK

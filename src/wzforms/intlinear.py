@@ -39,9 +39,6 @@ class IntegerLinearType:
     def __getitem__(self, k):
         return self.entries[k]
 
-    def __neg__(self):
-        return IntegerLinearType(tuple(-e for e in self.entries))
-
     def form(self, vars):
         """The linear polynomial ``v . x`` over the given variables."""
         return Polynomial.linear_form(self.entries, vars)

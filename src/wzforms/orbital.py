@@ -3,29 +3,11 @@ of irreducible denominator factors after reduction in one variable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abramov import _reduce_structured, shift_equivalent
 from .errors import InvalidInput
 from .factor import factor_polynomial
 from .polys import Polynomial, _check_index
 from .rationals import RationalFunction
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """A shift orbit of irreducible polynomials in one variable, named by
-    the leftmost representative the reduction settled on."""
-
-    representative: Polynomial
-    index: int
-
-    def offset_of(self, p):
-        """Offset m with ``representative(x_i + m) == p``, or None."""
-        return shift_equivalent(self.representative, p, self.index)
-
-    def __contains__(self, p):
-        return self.offset_of(p) is not None
 
 
 def _normalize_orbit_query(d, i):

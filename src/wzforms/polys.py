@@ -742,7 +742,8 @@ def _int_primitive(terms):
 
 
 def _int_divexact(p, q, n):
-    """Exact quotient of integer term maps in n variables, or None.
+    """Exact quotient of integer term maps in n variables, p nonzero, or
+    None.
 
     In a monomial order the least term of an exact product is the product
     of the least terms, as the leading term is of the leading terms.  So
@@ -750,8 +751,6 @@ def _int_divexact(p, q, n):
     cannot be exact is refused there, and the loop stops at the first
     quotient key below it: x^N / (x - 1) takes no step, not N.
     """
-    if not p:
-        return {}
     guards = _layout(n)[0]
     lead = max(q)
     lead_c = q[lead]

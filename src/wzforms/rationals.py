@@ -32,19 +32,10 @@ class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
-        if isinstance(num, RationalFunction):
-            if den is not None:
-                raise InvalidInput("cannot re-wrap a RationalFunction with a denominator")
-            object.__setattr__(self, "num", num.num)
-            object.__setattr__(self, "den", num.den)
-            object.__setattr__(self, "_hash", None)
-            return
         if not isinstance(num, Polynomial):
             raise InvalidInput("numerator must be a Polynomial")
         if den is None:
             den = Polynomial.one(num.vars)
-        if isinstance(den, (int, Fraction)):
-            den = Polynomial.constant(den, num.vars)
         reduced = rf_reduce(num, den)
         object.__setattr__(self, "num", reduced.num)
         object.__setattr__(self, "den", reduced.den)
@@ -73,10 +64,6 @@ class RationalFunction:
     @classmethod
     def constant(cls, value, vars):
         return cls._trusted(Polynomial.constant(value, vars), Polynomial.one(vars))
-
-    @classmethod
-    def variable(cls, name, vars):
-        return cls._trusted(Polynomial.variable(name, vars), Polynomial.one(vars))
 
     # ------------------------------------------------------------------ #
 

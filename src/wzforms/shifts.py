@@ -190,12 +190,6 @@ class WZForm:
     def __iter__(self):
         return iter(self.components)
 
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, k):
-        return self.components[k]
-
     @property
     def is_zero(self):
         return all(f.is_zero for f in self.components)

@@ -156,7 +156,7 @@ def decompose(form):
     representation, which is returned here without further work.
     """
     if not isinstance(form, WZForm):
-        form = WZForm(form.vars, tuple(form))
+        raise InvalidInput("decompose expects a WZForm")
     if form._rep is not None:
         return form._rep
     vars = form.vars
@@ -574,12 +574,8 @@ def random_additive_rep(seed, n=3, max_types=2, max_deg=2, coeff_bound=9):
                 break
         else:
             continue
-        num = rand_poly(_ZVARS, 2, max_deg)
-        den = rand_poly(_ZVARS, 2, den_deg)
-        while den.is_zero:
-            den = rand_poly(_ZVARS, 2, den_deg)
-        r = RationalFunction(num, den)
-        if r.is_zero:
-            r = RationalFunction.one(_ZVARS)
+        # rand_poly puts nonzero coefficients on distinct monomials, so
+        # neither polynomial is zero
+        r = RationalFunction(rand_poly(_ZVARS, 2, max_deg), rand_poly(_ZVARS, 2, den_deg))
         parts.append((IntegerLinearType(v), r))
     return AdditiveRepresentation(vars, exact, parts)

@@ -45,6 +45,9 @@ def test_shift_equivalent_other_variables():
     assert shift_equivalent(b, b + 6, 1) == 1
     assert shift_equivalent(b, b + 5, 2) == 1
     assert shift_equivalent(b, b + 7, 0) is None
+    # free of the variable: every shift fixes them, so only equal ones match
+    assert shift_equivalent(2 * y + 4 * z, y + 2 * z, 0) == 0
+    assert shift_equivalent(y + 2 * z, y + 2 * z + 1, 0) is None
 
 
 def test_shift_equivalent_higher_degree():

@@ -6,7 +6,10 @@ here."""
 
 import io
 import json
+import os
+import runpy
 import sys
+import warnings
 
 import pytest
 
@@ -211,7 +214,7 @@ def test_exact_results_print_past_the_integer_string_limit(tmp_path):
     f.write_text("1" * 5000 + "*x\n")
     status, out, err = run(["verify", "--vars", "x,y", str(f), str(g)])
     assert (status, out) == (3, "")
-    assert err == "error: integer literal too long (line 1, column 1)\n"
+    assert err == f"error: {f}: integer literal too long (line 1, column 1)\n"
     # and the interpreter's limit is back as it was
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
@@ -251,6 +254,61 @@ def test_internal_error_exit_code(tmp_path, monkeypatch):
     status, out, err = run(["verify", "--vars", "x", str(p)])
     assert status == 4 and out == ""
     assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+def _main_with(monkeypatch, behaviour):
+    """The status ``cli.main`` exits with when ``run_command`` behaves so."""
+    seen = []
+
+    def fake(argv):
+        seen.append(argv)
+        return behaviour()
+
+    monkeypatch.setattr(cli, "run_command", fake)
+    monkeypatch.setattr(sys, "argv", ["wzforms", "verify", "--vars", "x", "f.txt"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert seen == [["verify", "--vars", "x", "f.txt"]]
+    return info.value.code
+
+
+@pytest.mark.parametrize("status", [0, 1, 3, 4])
+def test_main_exits_with_the_command_status(monkeypatch, status):
+    assert _main_with(monkeypatch, lambda: status) == status
+
+
+def test_main_exits_130_on_keyboard_interrupt(monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    assert _main_with(monkeypatch, interrupted) == 130
+
+
+def test_main_exits_141_on_a_closed_pipe_and_drops_later_output(monkeypatch, tmp_path):
+    def closed():
+        print("lost", file=sys.stdout)
+        raise BrokenPipeError
+
+    path = tmp_path / "stdout"
+    with open(path, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert _main_with(monkeypatch, closed) == 141
+        # stdout's descriptor now goes to the null device
+        stdout.flush()
+        os.write(stdout.fileno(), b"after\n")
+    assert path.read_text() == ""
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["wzforms", "intlinear", "--vars", "x,y",
+                                      "4*x^2+12*x*y+9*y^2+2*x+3*y"])
+    with warnings.catch_warnings():
+        # running an imported module again warns that it is in sys.modules
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("wzforms.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr() == ("(Z^2 + Z, (2,3))\n", "")
 
 
 def test_json_round_trip():

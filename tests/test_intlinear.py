@@ -117,6 +117,14 @@ def test_rf_type_constant_rejected():
         integer_linear_type_rf(RationalFunction.constant(3, V))
 
 
+def test_rf_type_of_a_polynomial_is_that_of_its_rational_function():
+    p = (x - 2 * y) ** 2 + 3
+    assert integer_linear_type_rf(p) == integer_linear_type_rf(RationalFunction(p))
+    u, v = integer_linear_type_rf(p)
+    assert v.entries == (1, -2, 0) and u == RationalFunction(Z**2 + 3)
+    assert integer_linear_type_rf(x * y) is None
+
+
 def test_rf_type_pairwise_shift_invariance():
     # any function of one linear form satisfies the cross-shift identity
     rng = random.Random(61)

@@ -62,6 +62,16 @@ def test_expression_prints_signs_fractions_and_root_sums():
         r"\psi^{(0)}\!\left(4 x + 6 y + 5 z + \tfrac{1}{3}\right)")
     empty = PolygammaExpression(RationalFunction.zero(V), ())
     assert str(empty) == empty.latex() == "0"
+    assert str(terms[2].shift) == "RootSum(A^2 + A + 1, A -> 2*A - 3)"
+
+
+def test_whole_coefficients_print_without_a_denominator():
+    # the coefficient -2 is the Fraction -2/1, in text and in LaTeX
+    expr = conjugate_polygamma(rep_of(
+        [((1, 1), RationalFunction(Polynomial.constant(2, Zv), Z**2))], vars=("x", "y")))
+    assert expr.terms[0].coefficient == Fraction(-2)
+    assert str(expr) == "-2*psi^(1)(x + y)"
+    assert expr.latex() == r"-2 \psi^{(1)}\!\left(x + y\right)"
 
 
 def test_conjugate_pure_rational():
@@ -156,12 +166,17 @@ def test_root_sum_term_for_irreducible_quadratic():
 
 def test_root_sum_certificates_against_algebraic_expansion():
     # independent oracle over Q(sqrt(2)) for simple and double poles
+    # (Z^2 + 2)/(Z^2 - 2)^2 is -d/dZ of Z/(Z^2 - 2): no residue, so no
+    # psi^(0) root sum
     V2 = ("x", "y")
     for rnum, rden in ((Polynomial.one(Zv), Z**2 - 2),
-                       (Z + 1, (Z**2 - 2) ** 2)):
+                       (Z + 1, (Z**2 - 2) ** 2),
+                       (Z**2 + 2, (Z**2 - 2) ** 2)):
         r = RationalFunction(rnum, rden)
         rep = rep_of([((1, 1), r)], vars=V2)
         expr = conjugate_polygamma(rep)
+        if rnum == Z**2 + 2:
+            assert [term.order for term in expr.terms] == [1]
         form = generate(rep)
         xs, ys = sympy.symbols("x y")
         for j in range(2):

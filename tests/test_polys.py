@@ -76,6 +76,14 @@ def test_structural_equality_is_functional_equality():
     assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
 
 
+def test_polynomials_are_immutable():
+    p = x + 1
+    with pytest.raises(AttributeError) as info:
+        p.vars = ("y",)
+    assert str(info.value) == "Polynomial is immutable"
+    assert p.vars == V and p == x + 1
+
+
 def test_grlex_leading_term():
     p = x + y**2
     exps, c = p.leading()
@@ -90,6 +98,8 @@ def test_string_form_is_sorted_and_signed():
     assert str(-x + y) == "-x + y"
     assert str(x * Fraction(1, 2)) == "1/2*x"
     assert str(Polynomial.zero(V)) == "0"
+    assert repr(x * Fraction(1, 2) - y**2) == \
+        "Polynomial('-y^2 + 1/2*x', vars=('x', 'y', 'z'))"
 
 
 def test_printers_match_a_fraction_printer():
@@ -163,6 +173,13 @@ def test_gcd_rejects_two_zeros(monkeypatch):
     for _ in gcd_routes(monkeypatch):
         with pytest.raises(InvalidInput):
             poly_gcd(Polynomial.zero(V), Polynomial.zero(V))
+
+
+def test_gcd_with_zero_is_the_primitive_other_argument():
+    p = 6 * x * y - 4 * z
+    zero = Polynomial.zero(V)
+    assert poly_gcd(p, zero) == poly_gcd(zero, p) == 3 * x * y - 2 * z
+    assert poly_gcd(-p, zero) == 3 * x * y - 2 * z
 
 
 def test_gcd_of_random_products_divides_and_contains_common_factor(monkeypatch):
@@ -380,6 +397,13 @@ def test_coeffs_roundtrip():
         for i in range(3):
             back = Polynomial.from_coeffs_in(p.coeffs_in(i), i, V)
             assert back == p
+
+
+def test_from_coeffs_in_sums_coefficients_that_involve_the_variable():
+    # sum of c_e * x**e, also when c_e itself involves x and terms cancel
+    coeffs = {0: x * y + 1, 1: -y, 2: Fraction(1, 2) * y}
+    assert Polynomial.from_coeffs_in(coeffs, 0, V) == Fraction(1, 2) * x**2 * y + 1
+    assert Polynomial.from_coeffs_in({0: x, 1: -Polynomial.one(V)}, 0, V).is_zero
 
 
 def test_variable_mismatch_rejected():
@@ -653,6 +677,16 @@ def test_division_fails_on_a_negative_quotient_exponent():
             p = _tuple_mul(p, co)
         assert _tuple_divexact(p, q) is None
         assert _poly(vars, p).divexact(_poly(vars, q)) is None
+
+
+def test_division_refused_where_the_remainder_would_pass_the_ceiling():
+    """(x^2 + 1)*y^(2**31 - 2) / (x^2 + y^2): the first quotient term
+    y^(2**31 - 2) times y^2 needs the exponent 2**31, so the division fails
+    there, as the tuple-keyed oracle's does one step later."""
+    p = {(2, LIMIT - 2): 1, (0, LIMIT - 2): 1}
+    q = {(2, 0): 1, (0, 2): 1}
+    assert _tuple_divexact(p, q) is None
+    assert _poly(("x", "y"), p).divexact(_poly(("x", "y"), q)) is None
 
 
 @pytest.mark.parametrize("root", [3, 1])

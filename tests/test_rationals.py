@@ -38,6 +38,8 @@ def test_reduce_normalizes_content():
     f = rf_reduce(2 * x + 2 * y, Polynomial.constant(4, V))
     assert f == RationalFunction((x + y) * Fraction(1, 2))
     assert str(f) == "1/2*x + 1/2*y"
+    assert repr(RationalFunction(x + 1, 2 * y)) == \
+        "RationalFunction('(1/2*x + 1/2)/y', vars=('x', 'y'))"
 
 
 def test_reduce_zero_denominator():
@@ -87,6 +89,36 @@ def test_division_by_zero_function():
         f / RationalFunction.zero(V)
 
 
+def test_rational_functions_are_immutable():
+    f = RationalFunction(x, y)
+    with pytest.raises(AttributeError) as info:
+        f.num = y
+    assert str(info.value) == "RationalFunction is immutable"
+    assert (f.num, f.den) == (x, y)
+
+
+def test_equal_rational_functions_hash_alike():
+    f = RationalFunction(x**2 - y**2, 2 * x - 2 * y)
+    g = RationalFunction((x + y) * Fraction(1, 2))
+    assert f == g and f is not g and hash(f) == hash(g)
+    assert {f: 1}[g] == 1 and len({f, g, RationalFunction(x + y)}) == 2
+
+
+def test_mixed_operands_coerce_to_rational_functions():
+    f = RationalFunction(x + y, x - y)
+    assert 2 / f == RationalFunction(2 * x - 2 * y, x + y)
+    assert Fraction(1, 3) / f == RationalFunction(x - y, 3 * x + 3 * y)
+    assert (x * y) / f == RationalFunction(x**2 * y - x * y**2, x + y)
+    assert f + x * y == RationalFunction(x**2 * y - x * y**2 + x + y, x - y)
+    assert x * y + f == f + RationalFunction(x * y)
+    # equality with a polynomial holds only for a polynomial value
+    assert RationalFunction(x**2 - y**2, x - y) == x + y
+    assert f != x + y and RationalFunction(x + y) != x - y
+    for zero in (0, Fraction(0)):
+        assert (f * zero).is_zero and (zero * f).is_zero
+        assert f * zero == RationalFunction.zero(V)
+
+
 def test_substitute_linear_examples():
     Zv = ("Z",)
     Z = Polynomial.variable("Z", Zv)
@@ -100,6 +132,8 @@ def test_substitute_linear_examples():
     g = RationalFunction(x + y)
     shifted = substitute_linear(g, {"x": x + 1, "y": y})
     assert shifted == RationalFunction(x + y + 1)
+    # a Polynomial is taken as the rational function it is
+    assert substitute_linear(x + y, {"x": x + 1, "y": y}) == shifted
 
     h = RationalFunction(Polynomial.one(V3),
                          Polynomial.linear_form((-1, 1, 1), V3, shift=-1))
@@ -400,6 +434,26 @@ def test_line_route_gives_up_on_layers_across_the_direction():
     assert partial_fraction(g, 0)[1] == [(RationalFunction(x), x**2 + y**2 + 1, 1)]
 
 
+def test_line_route_finds_no_line_where_c_vanishes_on_the_grid(monkeypatch):
+    # 1/((y-2)*(y-1)*y*(y+1)*(y+2)*((x+y)^2+1)) in x: c vanishes at every
+    # y in {-2..2}, so no line is peeled and the full peel answers
+    b = (x + y) ** 2 + 1
+    c = (y - 2) * (y - 1) * y * (y + 1) * (y + 2)
+    R, U = (_dense_coeffs(Polynomial.one(V), 0), c), Polynomial.one(V)
+    assert all(_on_line(c, point).is_zero for point in _line_points(2, 0))
+    with monkeypatch.context() as patch:
+        peeled = []
+        patch.setattr("wzforms.rationals._layers_by_inversion",
+                      lambda *args: peeled.append(args))
+        assert _layers_on_a_line(R, U, b, 1, 0) is None and peeled == []
+    assert _layers_by_inversion(R, U, b, 1, 0) == _polynomial_peel(R, U, b, 1, 0)
+    f = RationalFunction(Polynomial.one(V), c * b)
+    poly_part, parts = partial_fraction(f, 0)
+    assert poly_part.is_zero and [(base, t) for _, base, t in parts] == [(b, 1)]
+    assert parts[0][0] == _polynomial_peel(R, U, b, 1, 0)[1]
+    assert parts[0][0] / RationalFunction(b) == f
+
+
 def test_antidifference_examples():
     V3 = ("x", "y", "z")
     x3 = Polynomial.variable("x", V3)
@@ -538,6 +592,9 @@ def test_sums_without_gcd_equal_the_plain_sum():
             assert _add_coprime(f, g) == f + g
             assert _add_coprime(g, f) == g + f
     assert coprime >= 40
+    # polynomials have coprime denominators, and opposite ones sum to zero
+    f = RationalFunction(x * y - 3)
+    assert _add_coprime(f, -f) == RationalFunction.zero(V)
 
 
 def test_dividing_sum_branches():
@@ -805,6 +862,11 @@ def test_root_field_matches_sympy_anp():
             else:
                 with pytest.raises(InvalidInput, match="squarefree-irreducible"):
                     a ** -1
+    # only the inverse is a power
+    with pytest.raises(TypeError) as info:
+        a ** 2
+    assert str(info.value) == \
+        "unsupported operand type(s) for ** or pow(): '_RootField' and 'int'"
 
 
 def _polynomial_peel(R, U, b, m, i):

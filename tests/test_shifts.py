@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational
-from wzforms import (InvalidInput, NotAWZForm, Polynomial, RationalFunction,
-                     WZForm, abramov_reduce, apply_shift, cyclic_apply, delta,
+from wzforms import (AdditiveRepresentation, DivisionByZero, InvalidInput,
+                     NotAWZForm, Polynomial, RationalFunction, WZForm,
+                     abramov_reduce, apply_shift, conjugate_polygamma,
+                     cyclic_apply, delta, generate, integer_linear_decompose,
                      is_summable, is_wz_form, orbital_residue, parse_expression,
                      parse_polynomial, partial_fraction, poly_antidifference,
-                     shift_equivalent, signed_range_sum, solve_step_difference)
+                     poly_gcd, random_additive_rep, rf_reduce, shift_equivalent,
+                     signed_range_sum, solve_step_difference)
+from wzforms.factor import factor_polynomial
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -100,6 +104,124 @@ def test_integer_counts_refuse_bools(entry):
     COUNTED[entry](1)
 
 
+# guards on a wrong argument type or value, over (x, y), with the exact
+# error each raises; an operand of the wrong type gets Python's own TypeError
+W2 = generate(random_additive_rep(1, n=2))
+R1 = parse_expression("1/Z", ("Z",))
+
+
+def _rep(parts, exact=F2):
+    return AdditiveRepresentation(V2, exact, parts)
+
+
+GUARDED = {
+    "shift_equivalent": (lambda: shift_equivalent(D2, 1, 0), InvalidInput,
+                         "shift_equivalent expects Polynomial arguments"),
+    "abramov_reduce": (lambda: abramov_reduce(P2, 0), InvalidInput,
+                       "abramov_reduce expects a RationalFunction"),
+    "solve_step_difference": (lambda: solve_step_difference(F2, 1), InvalidInput,
+                              "rhs must be a univariate RationalFunction"),
+    "factor_polynomial": (lambda: factor_polynomial(Polynomial.zero(V2)), InvalidInput,
+                          "cannot factor the zero polynomial"),
+    "integer_linear_decompose": (lambda: integer_linear_decompose(F2), InvalidInput,
+                                 "integer_linear_decompose expects a Polynomial"),
+    "orbital_residue f": (lambda: orbital_residue(P2, D2, 1, 0), InvalidInput,
+                          "orbital_residue expects a RationalFunction"),
+    "orbital_residue d": (lambda: orbital_residue(F2, F2, 1, 0), InvalidInput,
+                          "orbit query must be a Polynomial"),
+    "Polynomial.variable": (lambda: Polynomial.variable("q", V2), InvalidInput,
+                            "unknown variable 'q'"),
+    "Polynomial.linear_form": (lambda: Polynomial.linear_form((1,), V2), InvalidInput,
+                               "coefficient vector length must match variables"),
+    "Polynomial.constant_value": (lambda: P2.constant_value(), InvalidInput,
+                                  "polynomial is not constant"),
+    "Polynomial.leading": (lambda: Polynomial.zero(V2).leading(), InvalidInput,
+                           "zero polynomial has no leading term"),
+    "from_coeffs_in exponent": (lambda: Polynomial.from_coeffs_in({-1: P2}, 0, V2),
+                                InvalidInput,
+                                "exponents must be nonnegative and below 2**31"),
+    "from_coeffs_in variables": (
+        lambda: Polynomial.from_coeffs_in({1: Polynomial.one(V)}, 0, V2), InvalidInput,
+        "variable mismatch: ('x', 'y', 'z') vs ('x', 'y')"),
+    "compose without images": (lambda: P2.compose({}), InvalidInput,
+                               "cannot infer target variables"),
+    "compose images": (lambda: P2.compose({"x": x, "y": D2}), InvalidInput,
+                       "substitution images disagree on variables"),
+    "divexact by 0": (lambda: P2.divexact(0), DivisionByZero,
+                      "division of polynomial by zero"),
+    "divexact by the zero polynomial": (lambda: P2.divexact(Polynomial.zero(V2)),
+                                        DivisionByZero, "division of polynomial by zero"),
+    "poly_gcd": (lambda: poly_gcd(F2, P2), InvalidInput,
+                 "poly_gcd expects Polynomial arguments"),
+    "Polynomial + None": (lambda: P2 + None, TypeError,
+                          "unsupported operand type(s) for +: 'Polynomial' and 'NoneType'"),
+    "Polynomial * None": (lambda: P2 * None, TypeError,
+                          "unsupported operand type(s) for *: 'Polynomial' and 'NoneType'"),
+    "RationalFunction numerator": (lambda: RationalFunction("x"), InvalidInput,
+                                   "numerator must be a Polynomial"),
+    "RationalFunction of a RationalFunction": (lambda: RationalFunction(F2), InvalidInput,
+                                               "numerator must be a Polynomial"),
+    "RationalFunction int denominator": (lambda: RationalFunction(P2, 2), InvalidInput,
+                                         "rf_reduce expects Polynomial arguments"),
+    "RationalFunction.constant_value": (lambda: F2.constant_value(), InvalidInput,
+                                        "rational function is not constant"),
+    "RationalFunction variables": (
+        lambda: F2 + RationalFunction.one(V), InvalidInput,
+        "variable mismatch: ('x', 'y') vs ('x', 'y', 'z')"),
+    "RationalFunction + None": (
+        lambda: F2 + None, TypeError,
+        "unsupported operand type(s) for +: 'RationalFunction' and 'NoneType'"),
+    "RationalFunction - None": (
+        lambda: F2 - None, TypeError,
+        "unsupported operand type(s) for -: 'RationalFunction' and 'NoneType'"),
+    "RationalFunction * None": (
+        lambda: F2 * None, TypeError,
+        "unsupported operand type(s) for *: 'RationalFunction' and 'NoneType'"),
+    "RationalFunction / None": (
+        lambda: F2 / None, TypeError,
+        "unsupported operand type(s) for /: 'RationalFunction' and 'NoneType'"),
+    "None / RationalFunction": (
+        lambda: None / F2, TypeError,
+        "unsupported operand type(s) for /: 'NoneType' and 'RationalFunction'"),
+    "rf_reduce": (lambda: rf_reduce(P2, 1), InvalidInput,
+                  "rf_reduce expects Polynomial arguments"),
+    "poly_antidifference": (lambda: poly_antidifference(F2, 0), InvalidInput,
+                            "poly_antidifference expects a Polynomial"),
+    "is_wz_form": (lambda: is_wz_form([]), InvalidInput, "need at least one component"),
+    "WZForm": (lambda: WZForm(V2, (F2, P2)), InvalidInput,
+               "components must share the declared variables"),
+    "WZForm + None": (lambda: W2 + None, TypeError,
+                      "unsupported operand type(s) for +: 'WZForm' and 'NoneType'"),
+    "WZForm - None": (lambda: W2 - None, TypeError,
+                      "unsupported operand type(s) for -: 'WZForm' and 'NoneType'"),
+    "AdditiveRepresentation exact part": (
+        lambda: _rep((), exact=P2), InvalidInput,
+        "exact part must be a RationalFunction over the declared variables"),
+    "AdditiveRepresentation type length": (lambda: _rep([((1, 0, 0), R1)]), InvalidInput,
+                                           "type vector length must match variables"),
+    "AdditiveRepresentation duplicate type": (
+        lambda: _rep([((1, 1), R1), ((1, 1), -R1)]), InvalidInput, "duplicate type (1,1)"),
+    "AdditiveRepresentation uniform variables": (
+        lambda: _rep([((1, 1), F2)]), InvalidInput, "uniform data must be univariate in Z"),
+    "AdditiveRepresentation zero uniform": (
+        lambda: _rep([((1, 1), R1 - R1)]), InvalidInput, "uniform data must be nonzero"),
+    "generate": (lambda: generate(W2), InvalidInput,
+                 "generate expects an AdditiveRepresentation"),
+    "conjugate_polygamma": (lambda: conjugate_polygamma(W2), InvalidInput,
+                            "conjugate_polygamma expects an AdditiveRepresentation"),
+    "random_additive_rep": (lambda: random_additive_rep(1, n=0), InvalidInput,
+                            "parameters must be positive"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GUARDED))
+def test_guards_name_what_is_wrong(entry):
+    call, error, message = GUARDED[entry]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_cyclic_apply_and_eval_at_refuse_malformed_arguments():
     for m in (1.5, True, Fraction(2)):
         with pytest.raises(InvalidInput, match="not an integer"):
@@ -186,6 +308,12 @@ def test_wzform_constructor_validates():
         WZForm(("x", "y"),
                (RationalFunction(Polynomial.one(("x", "y")),
                                  Polynomial.variable("x", ("x", "y"))),) * 2)
+
+
+def test_wzform_prints_its_components_in_order():
+    g = RationalFunction(x, y + 1)
+    form = WZForm(V, [delta(g, i) for i in range(3)])
+    assert str(form) == "(1/(y + 1), -x/(y^2 + 3*y + 2), 0)"
 
 
 def test_wzform_sum_and_difference_skip_the_pairwise_check(monkeypatch):

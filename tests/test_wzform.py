@@ -4,8 +4,8 @@ from hashlib import sha256
 
 import pytest
 
-from wzforms import (AdditiveRepresentation, IntegerLinearType, NotAWZForm,
-                     Polynomial, RationalFunction, WZForm,
+from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
+                     NotAWZForm, Polynomial, RationalFunction, WZForm,
                      conjugate_polygamma, decompose, delta, generate,
                      integer_linear_type_rf, is_exact, is_wz_form,
                      random_additive_rep, signed_range_sum, wzform)
@@ -185,6 +185,17 @@ def test_decompose_corrected_product_triple():
     half = Fraction(1, 2)
     assert rep.exact_part == RationalFunction(
         x * y * z + half * y**2 - half * y + half * z**2 - half * z)
+
+
+def test_decompose_takes_only_a_wz_form():
+    # neither a representation nor a list that carries vars is certified
+    class Components(list):
+        vars = V2
+
+    for value in (random_additive_rep(3), Components([inv(x2, V2), inv(x2, V2)])):
+        with pytest.raises(InvalidInput) as info:
+            decompose(value)
+        assert str(info.value) == "decompose expects a WZForm"
 
 
 def test_decompose_zero_form():
