@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .errors import DivisionByZero, InvalidInput, NotAWZForm, ParseError
 from .intlinear import IntegerLinearType, integer_linear_decompose
@@ -50,6 +51,17 @@ def rep_to_json(rep):
     }
 
 
+@contextmanager
+def _named(name):
+    """Prefix ``name: `` to a ParseError raised in the block: a path, or a
+    field of a JSON document."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def rep_from_json(obj):
     if not isinstance(obj, dict):
         raise InvalidInput("representation document must be an object")
@@ -66,16 +78,18 @@ def rep_from_json(obj):
         raise InvalidInput("exact must be a string")
     if not (isinstance(uniform, list) and all(isinstance(e, dict) for e in uniform)):
         raise InvalidInput("uniform must be a list of objects")
-    exact = parse_expression(exact_text, vars)
+    with _named("exact"):
+        exact = parse_expression(exact_text, vars)
     parts = []
-    for entry in uniform:
+    for index, entry in enumerate(uniform):
         vtype = entry.get("type")
         rtext = entry.get("r")
         if not isinstance(vtype, list) or len(vtype) != len(vars):
             raise InvalidInput("each uniform entry needs a type of full length")
         if not isinstance(rtext, str):
             raise InvalidInput("each uniform entry needs r as a string")
-        r = parse_expression(rtext, ("Z",))
+        with _named(f"uniform[{index}].r"):
+            r = parse_expression(rtext, ("Z",))
         parts.append((IntegerLinearType(vtype), r))
     return AdditiveRepresentation(vars, exact, parts)
 
@@ -92,11 +106,8 @@ def _read_text(path):
 def _parse_file(path, vars):
     """The expression in a file; a parse error names the path as given."""
     text = _read_text(path)
-    try:
+    with _named(path):
         return parse_expression(text, vars)
-    except ParseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def _json_int(text):
@@ -113,7 +124,8 @@ def _load_rep(path):
         doc = json.loads(_read_text(path), parse_int=_json_int)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"malformed JSON in {path}: {exc}")
-    return rep_from_json(doc)
+    with _named(path):
+        return rep_from_json(doc)
 
 
 def _parse_vars(text):

@@ -54,6 +54,14 @@ The blocks' gcds run on the kernel's one integer gcd, ``polys._int_gcd``,
 and the residual reaches sympy through the kernel's conversions,
 ``polys._to_sympy`` and ``polys._from_sympy``, which also carry that gcd's
 fallback.
+
+sympy is imported where it is called, not when this module loads: the
+univariate route works on lists of Python ints, and each of its three
+sympy calls (``dup_sqf_list``, ``dup_zz_factor_sqf``, ``gf_irreducible_p``)
+converts to sympy's ZZ at the call and back to int on return, so an
+install with gmpy2 still hands sympy its own integers.  A process that
+factors nothing never loads sympy; the first call that reaches it pays
+the import.
 """
 
 from __future__ import annotations
@@ -61,11 +69,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_zz_factor_sqf
-from sympy.polys.galoistools import gf_irreducible_p
-from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import InvalidInput
 from .polys import (_MASK, Polynomial, _from_sympy, _int_content, _int_divexact,
@@ -100,17 +103,22 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _factor_dense(u):
-    """What ``dup_factor_list(u, ZZ)`` returns for a nonzero dense list u
-    over ZZ, highest coefficient first: the content, with the sign of the
-    leading coefficient, and the irreducible (factor, multiplicity) pairs in
-    sympy's order, each factor primitive with a positive leading
-    coefficient (module docstring, step 4)."""
+    """What ``dup_factor_list(u, ZZ)`` returns, in ints, for a nonzero
+    dense list u of ints, highest coefficient first: the content, with the
+    sign of the leading coefficient, and the irreducible (factor,
+    multiplicity) pairs in sympy's order, each factor primitive with a
+    positive leading coefficient (module docstring, step 4)."""
     k = len(u)
     while not u[k - 1]:
         k -= 1
     cont, f = _primitive(u[:k])
     factors = [([1, 0], len(u) - k)] if k < len(u) else []
-    for g, m in dup_sqf_list(f, ZZ)[1] if len(f) > 3 else [(f, 1)]:
+    pieces = [(f, 1)]
+    if len(f) > 3:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.sqfreetools import dup_sqf_list
+        pieces = [([int(c) for c in g], m) for g, m in dup_sqf_list(list(map(ZZ, f)), ZZ)[1]]
+    for g, m in pieces:
         factors.extend((h, m * e) for h, e in _split(_primitive(g)[1]))
     factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0]))
     return cont, factors
@@ -142,7 +150,10 @@ def _split(g):
         return [(_primitive([2 * a, b - s])[1], 1), (_primitive([2 * a, b + s])[1], 1)]
     if d <= 4 and _certified(g):
         return [(g, 1)]
-    return [(_primitive(h)[1], 1) for h in dup_zz_factor_sqf(g, ZZ)[1]]
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_factor_sqf
+    return [(_primitive([int(c) for c in h])[1], 1)
+            for h in dup_zz_factor_sqf(list(map(ZZ, g)), ZZ)[1]]
 
 
 def _certified(g):
@@ -163,9 +174,13 @@ def _certified(g):
             # quadratics there when disc is a nonzero square mod p
             # (Stickelberger), and has a repeated factor when p divides
             # disc, so only a nonresidue is worth the test; p = 2 always is
-            if len(g) == 4 or (pow(disc, (p - 1) // 2, p) == p - 1
-                               and gf_irreducible_p(r, p, ZZ)):
+            if len(g) == 4:
                 return True
+            if pow(disc, (p - 1) // 2, p) == p - 1:
+                from sympy.polys.domains import ZZ
+                from sympy.polys.galoistools import gf_irreducible_p
+                if gf_irreducible_p(list(map(ZZ, r)), p, ZZ):
+                    return True
     return False
 
 
@@ -215,7 +230,7 @@ def _directions(terms, vars):
         for fac, _ in _factor_dense(binary)[1]:
             if len(fac) != 2:
                 continue
-            a, b = int(fac[0]), int(fac[1])
+            a, b = fac
             for form in forms:
                 w = [a * c for c in form]
                 w[l] = b * form[j]
@@ -256,7 +271,7 @@ def _point(top, n, j, d):
 
 def _block(terms, v):
     """The content of the term map over Q[v . x] as a dense univariate list
-    over ZZ, highest coefficient first, primitive with a positive leading
+    of ints, highest coefficient first, primitive with a positive leading
     coefficient; None when it is constant."""
     n = len(v)
     slot, images = _change_of_variables(v)
@@ -279,21 +294,21 @@ def _block(terms, v):
 
 
 def _dense(pairs, sh, d):
-    """sympy's dense list over ZZ, coefficient of x^d first, of (key, int)
+    """The dense list of ints, coefficient of x^d first, of (key, int)
     pairs with one pair per exponent of x, read from the key's field at bit
     sh: the other variables are set to 1."""
-    dense = [ZZ(0)] * (d + 1)
+    dense = [0] * (d + 1)
     for k, c in pairs:
-        dense[d - (k >> sh & _MASK)] = ZZ(c)
+        dense[d - (k >> sh & _MASK)] = c
     return dense
 
 
 def _along(u, v):
-    """The integer term map of u(v . x) for a dense univariate list u over
-    ZZ, highest coefficient first."""
+    """The integer term map of u(v . x) for a dense univariate list u of
+    ints, highest coefficient first."""
     n, d = len(v), len(u) - 1
     images = [{_unit_key(n, k): a for k, a in enumerate(v) if a}]
-    return _substitute({(d - i) * _unit_key(1, 0): int(c) for i, c in enumerate(u) if c},
+    return _substitute({(d - i) * _unit_key(1, 0): c for i, c in enumerate(u) if c},
                        images, n)
 
 

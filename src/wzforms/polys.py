@@ -37,6 +37,8 @@ Evaluation at a point stays outside it, where it is several times faster.
 The kernel owns its boundary with sympy: ``_to_sympy`` and ``_from_sympy``
 convert integer term maps to sympy ``Poly`` objects over ZZ and back, for
 the gcd's fallback here and the residual factoring in :mod:`wzforms.factor`.
+``_to_sympy`` imports sympy when it is first called, so a process that
+never reaches either never loads sympy.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 from struct import Struct
-
-import sympy
 
 from .errors import DivisionByZero, InvalidInput
 
@@ -886,6 +886,7 @@ def _gcd_cached(p, q):
 
 def _to_sympy(terms, vars):
     """sympy Poly over ZZ with the given integer term map on packed keys."""
+    import sympy
     return sympy.Poly.from_dict(dict(_unpacked(terms.items(), len(vars))),
                                 *map(sympy.Symbol, vars), domain=sympy.ZZ)
 

@@ -24,10 +24,11 @@ import pytest
 import sympy
 from sympy.polys.densearith import dup_mul
 from sympy.polys.domains import ZZ
+from sympy.polys import factortools, sqfreetools
 from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.factortools import dup_factor_list
 
-from wzforms import Polynomial, factor, parse_polynomial, polys
+from wzforms import Polynomial, parse_polynomial, polys
 from wzforms.factor import (_PRIMES, _directions, _factor_dense, _quartic_discriminant,
                             factor_polynomial)
 from wzforms.polys import _int_divexact, _unpacked
@@ -306,17 +307,20 @@ AT_MOST_QUADRATIC = [[4, 0, -9], [1, 2, 1], [-2, -4, -2], [3, 0, 0], [5, -1, 7],
 
 @pytest.mark.parametrize("u", UNCERTIFIED + AT_MOST_QUADRATIC)
 def test_dense_route_on_hard_cases(u, monkeypatch):
+    # the factor module imports sympy's routines when it calls them, so
+    # the spies go on sympy's own modules, after the oracle has run
+    expected = dense(dup_factor_list(u, ZZ))
     fallbacks = []
-    sympy_sqf = factor.dup_zz_factor_sqf
+    sympy_sqf = factortools.dup_zz_factor_sqf
 
     def counted(g, K):
         fallbacks.append(list(g))
         return sympy_sqf(g, K)
 
-    monkeypatch.setattr(factor, "dup_zz_factor_sqf", counted)
+    monkeypatch.setattr(factortools, "dup_zz_factor_sqf", counted)
     if u in AT_MOST_QUADRATIC:
-        monkeypatch.setattr(factor, "dup_sqf_list", None)
-    assert dense(_factor_dense(u)) == dense(dup_factor_list(u, ZZ))
+        monkeypatch.setattr(sqfreetools, "dup_sqf_list", None)
+    assert dense(_factor_dense(u)) == expected
     assert len(fallbacks) == (u in UNCERTIFIED)
 
 
@@ -337,7 +341,7 @@ def test_certified_factors_reach_no_sympy_factoring(u, monkeypatch):
     def refuse(g, K):
         raise AssertionError(f"sympy factoring called on {g}")
 
-    monkeypatch.setattr(factor, "dup_zz_factor_sqf", refuse)
+    monkeypatch.setattr(factortools, "dup_zz_factor_sqf", refuse)
     assert dense(_factor_dense(u)) == expected
 
 
