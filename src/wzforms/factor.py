@@ -35,7 +35,8 @@ multivariate factoring (Wang's algorithm with Hensel lifting):
 3. Residual.  What is left, for example x^2 + y^2 + 1 from an exact part,
    has no integer-linear factor and goes to sympy's ``factor_list``.
 4. Univariate factors.  The binary forms of step 1 and the blocks of step
-   2 are factored over Z by one route, ``_factor_dense``.  A quadratic is
+   2 are factored over Z by one route, ``_factor_dense``, on the package's
+   dense lists of ints, lowest coefficient first.  A quadratic is
    settled by its discriminant: a non-square one proves it irreducible, and
    a square one splits it by formula.  Anything larger is split into
    squarefree pieces (sympy's ``dup_sqf_list``), and a piece of degree 3 or
@@ -58,10 +59,11 @@ fallback.
 sympy is imported where it is called, not when this module loads: the
 univariate route works on lists of Python ints, and each of its three
 sympy calls (``dup_sqf_list``, ``dup_zz_factor_sqf``, ``gf_irreducible_p``)
-converts to sympy's ZZ at the call and back to int on return, so an
-install with gmpy2 still hands sympy its own integers.  A process that
-factors nothing never loads sympy; the first call that reaches it pays
-the import.
+converts to sympy's ZZ, highest coefficient first, at the call and back to
+int, lowest first, on return, so an install with gmpy2 still hands sympy
+its own integers.  Elsewhere sympy's order appears only in the sort key
+that keeps its order of factors.  A process that factors nothing never
+loads sympy; the first call that reaches it pays the import.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import InvalidInput
-from .polys import (_MASK, Polynomial, _from_sympy, _int_content, _int_divexact,
-                    _int_eval_at, _int_gcd, _shift, _substitute, _to_sympy, _unit_key)
+from .polys import (_MASK, Polynomial, _dense, _dense_primitive, _from_dense, _from_sympy,
+                    _int_divexact, _int_eval_at, _int_gcd, _shift, _substitute, _to_sympy,
+                    _unit_key)
 
 _YVARS = ("y",)
 
@@ -103,34 +106,26 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _factor_dense(u):
-    """What ``dup_factor_list(u, ZZ)`` returns, in ints, for a nonzero
-    dense list u of ints, highest coefficient first: the content, with the
-    sign of the leading coefficient, and the irreducible (factor,
-    multiplicity) pairs in sympy's order, each factor primitive with a
-    positive leading coefficient (module docstring, step 4)."""
-    k = len(u)
-    while not u[k - 1]:
-        k -= 1
-    cont, f = _primitive(u[:k])
-    factors = [([1, 0], len(u) - k)] if k < len(u) else []
+    """What ``dup_factor_list(u, ZZ)`` returns, in ints and with every list
+    lowest coefficient first, for a nonzero dense list u of ints: the
+    content, with the sign of the leading coefficient, and the irreducible
+    (factor, multiplicity) pairs in sympy's order, each factor primitive
+    with a positive leading coefficient (module docstring, step 4).
+    Sympy's highest-first lists appear only at its three calls and in the
+    sort key."""
+    k = next(e for e, c in enumerate(u) if c)
+    cont, f = _dense_primitive(u[k:])
+    factors = [([0, 1], k)] if k else []
     pieces = [(f, 1)]
     if len(f) > 3:
         from sympy.polys.domains import ZZ
         from sympy.polys.sqfreetools import dup_sqf_list
-        pieces = [([int(c) for c in g], m) for g, m in dup_sqf_list(list(map(ZZ, f)), ZZ)[1]]
+        pieces = [([int(c) for c in reversed(g)], m)
+                  for g, m in dup_sqf_list(list(map(ZZ, reversed(f))), ZZ)[1]]
     for g, m in pieces:
-        factors.extend((h, m * e) for h, e in _split(_primitive(g)[1]))
-    factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+        factors.extend((h, m * e) for h, e in _split(_dense_primitive(g)[1]))
+    factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
     return cont, factors
-
-
-def _primitive(f):
-    """``(c, f / c)`` for a nonzero list f of ints, with c the content
-    signed so that the leading coefficient of f / c is positive."""
-    c = gcd(*f)
-    if f[0] < 0:
-        c = -c
-    return c, [a // c for a in f]
 
 
 def _split(g):
@@ -140,20 +135,21 @@ def _split(g):
     if d <= 1:
         return [(g, 1)] if d else []
     if d == 2:
-        a, b, c = g
+        c, b, a = g
         disc = b * b - 4 * a * c
         s = isqrt(disc) if disc >= 0 else -1
         if s * s != disc:
             return [(g, 1)]
         if not s:
-            return [(_primitive([2 * a, b])[1], 2)]
-        return [(_primitive([2 * a, b - s])[1], 1), (_primitive([2 * a, b + s])[1], 1)]
+            return [(_dense_primitive([b, 2 * a])[1], 2)]
+        return [(_dense_primitive([b - s, 2 * a])[1], 1),
+                (_dense_primitive([b + s, 2 * a])[1], 1)]
     if d <= 4 and _certified(g):
         return [(g, 1)]
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_factor_sqf
-    return [(_primitive([int(c) for c in h])[1], 1)
-            for h in dup_zz_factor_sqf(list(map(ZZ, g)), ZZ)[1]]
+    return [(_dense_primitive([int(c) for c in reversed(h)])[1], 1)
+            for h in dup_zz_factor_sqf(list(map(ZZ, reversed(g))), ZZ)[1]]
 
 
 def _certified(g):
@@ -163,10 +159,10 @@ def _certified(g):
     if len(g) == 5:
         disc = _quartic_discriminant(g)
     for p in _PRIMES:
-        if g[0] % p:
+        if g[-1] % p:
             r = [c % p for c in g]
             values = [0] * p
-            for c in r:
+            for c in reversed(r):
                 values = [(v * x + c) % p for x, v in enumerate(values)]
             if not all(values):
                 continue
@@ -179,15 +175,15 @@ def _certified(g):
             if pow(disc, (p - 1) // 2, p) == p - 1:
                 from sympy.polys.domains import ZZ
                 from sympy.polys.galoistools import gf_irreducible_p
-                if gf_irreducible_p(list(map(ZZ, r)), p, ZZ):
+                if gf_irreducible_p(list(map(ZZ, reversed(r))), p, ZZ):
                     return True
     return False
 
 
 def _quartic_discriminant(g):
-    """The discriminant of the quartic with coefficient list g, from the
-    invariants I and J: 27 disc = 4 I^3 - J^2."""
-    a, b, c, d, e = g
+    """The discriminant of the quartic with coefficient list g, lowest
+    first, from the invariants I and J: 27 disc = 4 I^3 - J^2."""
+    e, d, c, b, a = g
     i = 12 * a * e - 3 * b * d + c * c
     j = 72 * a * c * e + 9 * b * c * d - 27 * (a * d * d + b * b * e) - 2 * c ** 3
     return (4 * i ** 3 - j * j) // 27
@@ -217,20 +213,20 @@ def _directions(terms, vars):
                                 if l != j and s[l] else None for l in range(n)], n)
     fields = [_MASK << _shift(n, i) for i in range(n)]
     unseen = off_j = sum(fields) - fields[j]
-    sh = _shift(n, j)
     forms = [[int(i == j) for i in range(n)]]
     for l in others:
         # the binary form T|{y_j, y_l} holds y_j^d, so it is nonzero and
-        # each of its linear factors a*y_j + b*y_l has a > 0
-        binary = _dense(((k, c) for k, c in top.items() if not k & (off_j - fields[l])),
-                        sh, d)
+        # each of its linear factors a*y_j + b*y_l has a > 0; at y_l = 1
+        # it is a dense list in y_j
+        binary = _dense(_int_eval_at({k: c for k, c in top.items()
+                                      if not k & (off_j - fields[l])}, n, l, 1), n, j)
         unseen -= fields[l]
         part = {k: c for k, c in top.items() if not k & unseen}
         lifted = []
         for fac, _ in _factor_dense(binary)[1]:
             if len(fac) != 2:
                 continue
-            a, b = fac
+            b, a = fac
             for form in forms:
                 w = [a * c for c in form]
                 w[l] = b * form[j]
@@ -271,7 +267,7 @@ def _point(top, n, j, d):
 
 def _block(terms, v):
     """The content of the term map over Q[v . x] as a dense univariate list
-    of ints, highest coefficient first, primitive with a positive leading
+    of ints, lowest coefficient first, primitive with a positive leading
     coefficient; None when it is constant."""
     n = len(v)
     slot, images = _change_of_variables(v)
@@ -288,28 +284,14 @@ def _block(terms, v):
         block = cs if block is None else _int_gcd(block, cs, _YVARS)
         if not any(block):
             return None
-    lead = max(block)
-    g = _int_content(block) if block[lead] > 0 else -_int_content(block)
-    return _dense(((k, c // g) for k, c in block.items()), 0, lead & _MASK)
-
-
-def _dense(pairs, sh, d):
-    """The dense list of ints, coefficient of x^d first, of (key, int)
-    pairs with one pair per exponent of x, read from the key's field at bit
-    sh: the other variables are set to 1."""
-    dense = [0] * (d + 1)
-    for k, c in pairs:
-        dense[d - (k >> sh & _MASK)] = c
-    return dense
+    return _dense_primitive(_dense(block, 1, 0))[1]
 
 
 def _along(u, v):
     """The integer term map of u(v . x) for a dense univariate list u of
-    ints, highest coefficient first."""
-    n, d = len(v), len(u) - 1
-    images = [{_unit_key(n, k): a for k, a in enumerate(v) if a}]
-    return _substitute({(d - i) * _unit_key(1, 0): c for i, c in enumerate(u) if c},
-                       images, n)
+    ints, lowest coefficient first."""
+    n = len(v)
+    return _substitute(_from_dense(u), [{_unit_key(n, k): a for k, a in enumerate(v) if a}], n)
 
 
 @lru_cache(maxsize=8192)

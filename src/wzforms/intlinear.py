@@ -12,7 +12,7 @@ from operator import or_
 
 from .errors import InvalidInput
 from .factor import _change_of_variables
-from .polys import _MASK, Polynomial, _shift, _substitute, _unit_key
+from .polys import _MASK, Polynomial, _dense, _from_dense, _shift, _substitute, _unit_key
 from .rationals import RationalFunction, _fraction_free_solve, _int_entries
 
 
@@ -59,15 +59,9 @@ def _univariate_along(p, v):
     """
     n = len(v)
     k, images = _change_of_variables(v)
-    sh, w, z = _shift(n, k), _unit_key(n, k), _unit_key(1, 0)
     ints, den = p._scaled_ints()
-    out = {}
-    for key, c in _substitute(ints, images, n).items():
-        e = key >> sh & _MASK
-        if key != e * w:
-            return None
-        out[e * z] = c
-    return Polynomial._from_values(_ZVARS, out, den)
+    cs = _dense(_substitute(ints, images, n), n, k)
+    return None if cs is None else Polynomial._from_values(_ZVARS, _from_dense(cs), den)
 
 
 def integer_linear_decompose(p):

@@ -30,6 +30,14 @@ constructor, a product or power, a substitution).  Whether the monomial
 fields, ``t = (a + G) - b`` keeps every guard bit of G set exactly when no
 field of b exceeds that of a, and then ``t - G`` is the quotient's key.
 
+Dense univariate lists.  Univariate algebra (factoring P in
+:mod:`wzforms.factor`, the peel's cofactor inverse in
+:mod:`wzforms.rationals`, root sums in :mod:`wzforms.wzform`) runs on one
+format: a list of coefficients, lowest degree first.  ``_dense`` reads it
+off a term map in one variable, ``_from_dense`` writes it back with shared
+keys below degree 16, and ``_dense_primitive`` divides out its content,
+signed so that the highest nonzero entry becomes positive.
+
 Shifts, :meth:`Polynomial.compose` and the changes of variables in
 :mod:`wzforms.factor` all run on one substitution kernel, ``_substitute``.
 Evaluation at a point stays outside it, where it is several times faster.
@@ -739,6 +747,46 @@ def _int_primitive(terms):
     if g > 1:
         return {e: c // g for e, c in terms.items()}
     return dict(terms)
+
+
+# ---------------------------------------------------------------------- #
+# dense univariate lists
+
+# x**0, ..., x**15 in one variable: kept polynomials share these key objects
+_ONE_VAR_KEYS = tuple(e * _unit_key(1, 0) for e in range(16))
+
+
+def _dense(terms, n, i):
+    """The coefficients of a term map in n variables as a dense list in
+    x = x_i, lowest degree first, each value as it is (int or Fraction), of
+    length degree + 1; None when a key involves another variable."""
+    sh, w = _shift(n, i), _unit_key(n, i)
+    # no exponent exceeds the total degree of the largest key, which is
+    # x**degree when the map is one in x; the -1 of an empty map gives []
+    out = [0] * ((max(terms, default=-1) >> 32 * n) + 1)
+    for k, c in terms.items():
+        e = k >> sh & _MASK
+        if k != e * w:
+            return None
+        out[e] = c
+    return out
+
+
+def _from_dense(cs):
+    """The term map in one variable of a dense list, lowest first: its
+    nonzero entries."""
+    keys = _ONE_VAR_KEYS if len(cs) <= 16 else [e * _unit_key(1, 0) for e in range(len(cs))]
+    return {keys[e]: c for e, c in enumerate(cs) if c}
+
+
+def _dense_primitive(cs):
+    """``(g, cs / g)`` for a dense list of ints with a nonzero entry: g is
+    the content, signed as the highest nonzero entry, so that the
+    primitive list's highest nonzero entry is positive."""
+    g = gcd(*cs)
+    if next(c for c in reversed(cs) if c) < 0:
+        g = -g
+    return g, [c // g for c in cs]
 
 
 def _int_divexact(p, q, n):

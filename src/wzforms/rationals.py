@@ -11,12 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb
 
 from .errors import DivisionByZero, InvalidInput
 from .factor import factor_polynomial
-from .polys import (_MASK, Polynomial, _check_index, _int_on_line, _is_rational,
-                    _rational, _shift, _unit_key, poly_gcd)
+from .polys import (Polynomial, _check_index, _dense, _dense_primitive, _int_on_line,
+                    _is_rational, _rational, _unit_key, poly_gcd)
 
 
 def _int_entries(entries, what):
@@ -574,13 +574,12 @@ def _cofactor_inverse(U, b, bd, i):
     which generates the ideal of b, gives U*(den*w) == det.  Otherwise the
     inverse runs on bd's polynomial entries.  Raises InvalidInput when U is
     not invertible modulo b."""
-    u, bi = _dense_ints(U, i), _dense_ints(b, i)
+    (ints, den), n = U._scaled_ints(), len(U.vars)
+    u, bi = _dense(ints, n, i), _dense(b._scaled_ints()[0], n, i)
     if u is None or bi is None:
         w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
     else:
-        (u, den), (bi, _) = u, bi
-        g = gcd(*bi)
-        w, det = _inverse_modulo(u, [a // g for a in bi])
+        w, det = _inverse_modulo(u, _dense_primitive(bi)[1])
         if w is not None and den != 1:
             w = [den * a for a in w]
     if w is None:
@@ -731,22 +730,6 @@ def _dense_coeffs(p, i):
     top = max(by_deg) if by_deg else -1
     zero = Polynomial.zero(p.vars)
     return [by_deg.get(k, zero) for k in range(top + 1)]
-
-
-def _dense_ints(p, i):
-    """p as (int coefficients in x = x_i, lowest first; common
-    denominator), read from its integer view, or None when p involves a
-    variable other than x."""
-    ints, den = p._scaled_ints()
-    n = len(p.vars)
-    sh, unit = _shift(n, i), _unit_key(n, i)
-    out = [0] * (p.degree_in(i) + 1)
-    for k, c in ints.items():
-        e = k >> sh & _MASK
-        if k != e * unit:
-            return None
-        out[e] = c
-    return out, den
 
 
 def partial_fraction(f, i):

@@ -4,6 +4,7 @@ checking for tuples of rational functions."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,21 +197,18 @@ class WZForm:
 
     # delta is linear, so sums and differences of compatible forms are
     # compatible and skip certification
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, WZForm):
             return NotImplemented
         if other.vars != self.vars:
             raise InvalidInput("forms disagree on variables")
-        return WZForm._trusted(self.vars, tuple(a + b for a, b in
-                                                zip(self.components, other.components)))
+        return WZForm._trusted(self.vars, tuple(map(op, self.components, other.components)))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, WZForm):
-            return NotImplemented
-        if other.vars != self.vars:
-            raise InvalidInput("forms disagree on variables")
-        return WZForm._trusted(self.vars, tuple(a - b for a, b in
-                                                zip(self.components, other.components)))
+        return self._combine(other, operator.sub)
 
     def __str__(self):
         return "(" + ", ".join(str(f) for f in self.components) + ")"

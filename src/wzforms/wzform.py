@@ -18,16 +18,15 @@ from .abramov import _reduce_structured, solve_step_difference
 from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
-from .polys import Polynomial, _check_index, _join_signed, _text, _unit_key
-from .rationals import (RationalFunction, _add_coprime, _add_dividing, _dense_ints,
-                        _inverse_modulo, _partial_fraction_full, _pseudo_divmod,
-                        _series_mul, poly_antidifference, substitute_linear)
+from .polys import (Polynomial, _check_index, _dense, _dense_primitive, _from_dense,
+                    _join_signed, _text)
+from .rationals import (RationalFunction, _add_coprime, _add_dividing, _inverse_modulo,
+                        _partial_fraction_full, _pseudo_divmod, _series_mul,
+                        poly_antidifference, substitute_linear)
 from .shifts import WZForm, cyclic_apply, delta
 
 _ZVARS = ("Z",)
 _AVARS = ("A",)
-# the packed keys of A**0, ..., A**15, shared by the polynomials of root sums
-_A_KEYS = tuple(k * _unit_key(1, 0) for k in range(16))
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,10 +337,9 @@ def conjugate_polygamma(rep):
             rational = rational + substitute_linear(folded, {"Z": form}, vars)
         for base, _, layers in groups:
             if base.degree_in(0) == 1:
-                coeffs = base.coeffs_in(0)
-                c1 = coeffs[1].constant_value()
-                c0 = coeffs.get(0)
-                alpha = (c0.constant_value() if c0 is not None else Fraction(0)) / c1
+                ints, den = base._scaled_ints()
+                c0, c1 = (Fraction(c, den) for c in _dense(ints, 1, 0))
+                alpha = c0 / c1
                 for t, a in sorted(layers.items()):
                     beta = a.constant_value() / c1 ** t
                     coeff = beta * Fraction((-1) ** (t - 1), factorial(t - 1))
@@ -377,10 +375,10 @@ def _root_sum_terms(base, layers, vtype):
     and only H(0) is inverted, once per base.
     """
     d = base.degree_in(0)
-    qs, qden = _dense_ints(base, 0)
+    qints, qden = base._scaled_ints()
+    qs = _dense(qints, 1, 0)
     # the primitive integer associate of q with a positive leading coefficient
-    g = gcd(*qs) if qs[-1] > 0 else -gcd(*qs)
-    mod = tuple(c // g for c in qs)
+    mod = tuple(_dense_primitive(qs)[1])
     m = max(layers)
     # H has d terms, and a layer t reads the first t of them
     hs = _taylor(qs, qden, mod, 1, min(m, d) + 1)
@@ -395,7 +393,8 @@ def _root_sum_terms(base, layers, vtype):
             first = first * inv0
         if t not in layers:
             continue
-        a, aden = _dense_ints(layers[t].as_polynomial(), 0)
+        aints, aden = layers[t].as_polynomial()._scaled_ints()
+        a = _dense(aints, 1, 0)
         if len(a) > d:
             raise InvalidInput("a layer numerator must have degree below "
                                "its pole polynomial's")
@@ -427,16 +426,9 @@ def _root_sum_terms(base, layers, vtype):
 def _primitive_in_a(cs):
     """``(g, p)`` with g*p the polynomial in A whose int coefficients,
     lowest first, are cs: p is integer-primitive with a positive leading
-    coefficient.  Up to degree 15, p's keys are the shared ints of
-    ``_A_KEYS``, so that the root sums an expression keeps hold no copies
-    of them."""
-    keys = _A_KEYS if len(cs) <= len(_A_KEYS) else [
-        k * _unit_key(1, 0) for k in range(len(cs))]
-    g = gcd(*cs)
-    if cs[max(k for k, c in enumerate(cs) if c)] < 0:
-        g = -g
-    return g, Polynomial._from_view(_AVARS, {keys[k]: c // g
-                                             for k, c in enumerate(cs) if c})
+    coefficient."""
+    g, cs = _dense_primitive(cs)
+    return g, Polynomial._from_view(_AVARS, _from_dense(cs))
 
 
 def _taylor(p, den, mod, start, stop):

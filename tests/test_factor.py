@@ -253,6 +253,14 @@ def dense(result):
     return int(cont), [([int(c) for c in f], int(m)) for f, m in factors]
 
 
+def factored(u):
+    """``_factor_dense`` on a list u in sympy's order, highest coefficient
+    first, with its factors put back in that order: the route takes and
+    gives lists lowest first."""
+    cont, factors = _factor_dense(u[::-1])
+    return dense((cont, [(f[::-1], m) for f, m in factors]))
+
+
 def known_irreducible(rng, degree):
     """A primitive irreducible dense list of the given degree over ZZ."""
     t = sympy.Symbol("t")
@@ -282,12 +290,13 @@ def random_dense_product(seed):
 @pytest.mark.parametrize("seed", range(80))
 def test_dense_route_matches_sympy_on_known_products(seed):
     u = random_dense_product(seed)
-    got = dense(_factor_dense(u))
+    got = factored(u)
     assert got == dense(dup_factor_list(u, ZZ))
     # _directions reads a linear factor a*y_j + b*y_l with a > 0
     assert all(f[0] > 0 for f, _ in got[1])
 
 
+# the cases below are written in sympy's order, highest coefficient first
 LEAD = prod(_PRIMES)
 # no prime of _PRIMES certifies these: reducible mod every prime, a
 # reducible squarefree piece, or a leading coefficient that every prime
@@ -320,7 +329,7 @@ def test_dense_route_on_hard_cases(u, monkeypatch):
     monkeypatch.setattr(factortools, "dup_zz_factor_sqf", counted)
     if u in AT_MOST_QUADRATIC:
         monkeypatch.setattr(sqfreetools, "dup_sqf_list", None)
-    assert dense(_factor_dense(u)) == expected
+    assert factored(u) == expected
     assert len(fallbacks) == (u in UNCERTIFIED)
 
 
@@ -342,11 +351,11 @@ def test_certified_factors_reach_no_sympy_factoring(u, monkeypatch):
         raise AssertionError(f"sympy factoring called on {g}")
 
     monkeypatch.setattr(factortools, "dup_zz_factor_sqf", refuse)
-    assert dense(_factor_dense(u)) == expected
+    assert factored(u) == expected
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_quartic_discriminant_matches_sympy(seed):
     rng = random.Random(f"discriminant-{seed}")
     g = [rng.choice((-7, -1, 1, 2, 9))] + [rng.randint(-30, 30) for _ in range(4)]
-    assert _quartic_discriminant(g) == dup_discriminant(g, ZZ)
+    assert _quartic_discriminant(g[::-1]) == dup_discriminant(g, ZZ)

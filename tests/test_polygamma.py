@@ -15,7 +15,8 @@ from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      RationalFunction, RootShift, conjugate_polygamma, delta,
                      generate, parse_expression, random_additive_rep,
                      signed_range_sum)
-from wzforms.rationals import _dense_coeffs, _dense_ints, _series_mul
+from wzforms.polys import _dense
+from wzforms.rationals import _dense_coeffs, _series_mul
 from wzforms.wzform import _AVARS, _primitive_in_a, _root_sum_terms, _RootField, _taylor
 
 V = ("x", "y", "z")
@@ -458,7 +459,8 @@ def _power_loop_root_sum_terms(base, layers, vtype):
     to the multiplicity, as t - 1 products of the whole series inverse,
     each truncated to m terms."""
     d = base.degree_in(0)
-    qs, qden = _dense_ints(base, 0)
+    qints, qden = base._scaled_ints()
+    qs = _dense(qints, 1, 0)
     g = gcd(*qs) if qs[-1] > 0 else -gcd(*qs)
     mod = tuple(c // g for c in qs)
     m = max(layers)
@@ -470,7 +472,8 @@ def _power_loop_root_sum_terms(base, layers, vtype):
         if t > 1:
             power = _series_mul(power, inv, m)
         if t in layers:
-            a, aden = _dense_ints(layers[t].as_polynomial(), 0)
+            aints, aden = layers[t].as_polynomial()._scaled_ints()
+            a = _dense(aints, 1, 0)
             local = _series_mul(_taylor(a, aden, mod, 0, t), power, t)
             for s in range(1, t + 1):
                 weights[s] = weights[s] + local[t - s]

@@ -406,6 +406,43 @@ def test_from_coeffs_in_sums_coefficients_that_involve_the_variable():
     assert Polynomial.from_coeffs_in({0: x, 1: -Polynomial.one(V)}, 0, V).is_zero
 
 
+@pytest.mark.parametrize("n, i", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_dense_reads_one_variable_and_refuses_another(n, i):
+    unit = polys._unit_key(n, i)
+    assert polys._dense({3 * unit: 5, 0: -1}, n, i) == [-1, 0, 0, 5]
+    for j in range(n):
+        if j != i:
+            # a higher power of x_i does not hide x_j, in any slot
+            assert polys._dense({3 * unit: 5, polys._unit_key(n, j): 1}, n, i) is None
+            assert polys._dense({unit + polys._unit_key(n, j): 1}, n, i) is None
+
+
+def test_dense_passes_fractions_through_at_length_degree_plus_one():
+    half = Fraction(1, 2)
+    got = polys._dense({4 * polys._unit_key(2, 1): half, polys._unit_key(2, 1): 3}, 2, 1)
+    assert got == [0, 3, 0, 0, half] and got[4] is half
+    assert polys._dense({}, 1, 0) == []
+
+
+def test_from_dense_round_trips_and_shares_keys_below_degree_16():
+    rng = random.Random(33)
+    for length in (1, 2, 5, 16, 17, 24):
+        cs = [rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
+              for _ in range(length - 1)] + [rng.randint(1, 9)]
+        assert polys._dense(polys._from_dense(cs), 1, 0) == cs
+    # the polynomials that conjugate_polygamma keeps hold these keys, so
+    # two of them share their key objects instead of each holding copies
+    first = sorted(polys._from_dense(list(range(1, 17))))
+    second = sorted(polys._from_dense([-1] * 16))
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_dense_primitive_signs_by_the_highest_nonzero_entry():
+    assert polys._dense_primitive([6, -4, 0, 0]) == (-2, [-3, 2, 0, 0])
+    assert polys._dense_primitive([0, -6, 9, 0]) == (3, [0, -2, 3, 0])
+    assert polys._dense_primitive([-5]) == (-5, [1])
+
+
 def test_variable_mismatch_rejected():
     w = Polynomial.variable("x", ("x", "y"))
     with pytest.raises(InvalidInput):
