@@ -43,8 +43,7 @@ def shift_equivalent(b, b2, i):
     cb2 = b2.coeffs_in(i)
     if cb[d] != cb2[d]:
         return None
-    zero = Polynomial.zero(b.vars)
-    diff = cb2.get(d - 1, zero) - cb.get(d - 1, zero)
+    diff = cb2[d - 1] - cb[d - 1]
     if diff.is_zero:
         m = 0
     else:

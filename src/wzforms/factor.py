@@ -70,12 +70,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InvalidInput
 from .polys import (_MASK, Polynomial, _dense, _dense_primitive, _from_dense, _from_sympy,
-                    _int_divexact, _int_eval_at, _int_gcd, _shift, _substitute, _to_sympy,
-                    _unit_key)
+                    _int_divexact, _int_eval_at, _int_gcd, _primitive_direction, _shift,
+                    _substitute, _to_sympy, _unit_key)
 
 _YVARS = ("y",)
 
@@ -230,8 +230,7 @@ def _directions(terms, vars):
             for form in forms:
                 w = [a * c for c in form]
                 w[l] = b * form[j]
-                g = gcd(*w)
-                w = [c // g for c in w]
+                w = _primitive_direction(w)
                 # at most d forms divide T restricted to the variables seen
                 if _int_divexact(part, {_unit_key(n, i): c for i, c in enumerate(w) if c},
                                  n) is not None:
@@ -241,10 +240,7 @@ def _directions(terms, vars):
     for w in forms:
         v = list(w)
         v[j] = w[j] - sum(s[l] * w[l] for l in others)
-        g = gcd(*v)
-        if next(c for c in v if c) < 0:
-            g = -g
-        found.append(tuple(c // g for c in v))
+        found.append(_primitive_direction(v))
     return found
 
 

@@ -12,7 +12,8 @@ from operator import or_
 
 from .errors import InvalidInput
 from .factor import _change_of_variables
-from .polys import _MASK, Polynomial, _dense, _from_dense, _shift, _substitute, _unit_key
+from .polys import (_MASK, Polynomial, _dense, _from_dense, _primitive_direction, _shift,
+                    _substitute, _unit_key)
 from .rationals import RationalFunction, _fraction_free_solve, _int_entries
 
 
@@ -96,10 +97,9 @@ def integer_linear_decompose(p):
             B = terms.get((d - 1) * _unit_key(n, pivot) + _unit_key(n, j), 0)
             ratios[j] = Fraction(B, d * A)
     scale = lcm(*(r.denominator for r in ratios))
-    ints = [int(r * scale) for r in ratios]
-    g = gcd(*ints)
-    v = tuple(e // g for e in ints)
-    # v[pivot] > 0, so P's leading coefficient A / v[pivot]**d has A's sign
+    # v's first nonzero entry is v[pivot] > 0, so P's leading coefficient
+    # A / v[pivot]**d has A's sign
+    v = _primitive_direction([int(r * scale) for r in ratios])
     if A < 0 and d % 2 == 1:
         v = tuple(-e for e in v)
     P = _univariate_along(p, v)

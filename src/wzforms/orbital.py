@@ -8,6 +8,7 @@ from .errors import InvalidInput
 from .factor import factor_polynomial
 from .polys import Polynomial, _check_index
 from .rationals import RationalFunction
+from .shifts import _unit_shift
 
 
 def _normalize_orbit_query(d, i):
@@ -56,7 +57,5 @@ def orbital_residue(f, d, j, i):
         rep_rf = RationalFunction(rep)
         for t, a in layers.items():
             combined = combined + a * rep_rf ** (j - t)
-        offsets = [0] * len(f.vars)
-        offsets[i] = m
-        return combined.shifted(tuple(offsets))
+        return _unit_shift(combined, i, m)
     return RationalFunction.zero(f.vars)

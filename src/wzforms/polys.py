@@ -36,7 +36,10 @@ Dense univariate lists.  Univariate algebra (factoring P in
 format: a list of coefficients, lowest degree first.  ``_dense`` reads it
 off a term map in one variable, ``_from_dense`` writes it back with shared
 keys below degree 16, and ``_dense_primitive`` divides out its content,
-signed so that the highest nonzero entry becomes positive.
+signed so that the highest nonzero entry becomes positive.  Over
+Q[other variables] the entries are Polynomials free of x_i, zero in the
+gaps (``[]`` is zero): :meth:`Polynomial.coeffs_in` reads this list and
+:meth:`Polynomial.from_coeffs_in` writes it, for :mod:`wzforms.rationals`.
 
 Shifts, :meth:`Polynomial.compose` and the changes of variables in
 :mod:`wzforms.factor` all run on one substitution kernel, ``_substitute``.
@@ -460,34 +463,36 @@ class Polynomial:
     # views and substitution
 
     def coeffs_in(self, i):
-        """Coefficients as a polynomial in the i-th variable: a map from
-        exponent of that variable to a Polynomial free of it."""
+        """Coefficients as a polynomial in the i-th variable: a dense list of
+        Polynomials free of it, lowest degree first, with zero polynomials in
+        the gaps; ``[]`` for zero."""
         ints, den = self._ints
         n = len(self.vars)
         sh, w = _shift(n, _check_index(i, n)), _unit_key(n, i)
-        out = {}
+        parts = []
         for k, c in ints.items():
             e = k >> sh & _MASK
-            out.setdefault(e, {})[k - e * w] = c
-        return {e: Polynomial._from_ints(self.vars, t, den) for e, t in out.items()}
+            while len(parts) <= e:
+                parts.append({})
+            parts[e][k - e * w] = c
+        return [Polynomial._from_ints(self.vars, t, den) for t in parts]
 
     @classmethod
     def from_coeffs_in(cls, coeffs, i, vars):
-        """Inverse of :meth:`coeffs_in`."""
+        """``sum(coeffs[e] * x_i**e)`` for a list of Polynomials in vars, as
+        :meth:`coeffs_in` gives, or with trailing zeros or x_i in entries."""
         vars = tuple(vars)
         n = len(vars)
         w = _unit_key(n, _check_index(i, n))
-        if any(not 0 <= e < EXPONENT_LIMIT for e in coeffs):
-            raise InvalidInput("exponents must be nonnegative and below 2**31")
         den = 1
-        for p in coeffs.values():
+        for p in coeffs:
             if p.vars != vars:
                 raise InvalidInput(f"variable mismatch: {p.vars} vs {vars}")
             d = p._ints[1]
             den = den * d // gcd(den, d)
         out = {}
         get = out.get
-        for e, p in coeffs.items():
+        for e, p in enumerate(coeffs):
             ints, d = p._ints
             m, off = den // d, e * w
             for k, c in ints.items():
@@ -787,6 +792,15 @@ def _dense_primitive(cs):
     if next(c for c in reversed(cs) if c) < 0:
         g = -g
     return g, [c // g for c in cs]
+
+
+def _primitive_direction(v):
+    """The integer direction v, not zero, divided by its gcd and signed so
+    that its first nonzero entry is positive, as a tuple."""
+    g = gcd(*v)
+    if next(c for c in v if c) < 0:
+        g = -g
+    return tuple(c // g for c in v)
 
 
 def _int_divexact(p, q, n):

@@ -376,8 +376,8 @@ def _partial_fraction_full(f, i):
     coefficient in x is l, gives ``l**k * num == q*D + r`` with deg r < deg D,
     so ``f == q/(l**k*c) + r/(l**k*c*D)``.  A constant l is divided out of D
     first, so that k == 0.  The polynomial part costs one gcd; the remainder
-    goes, as ``R = (coefficients of r, l**k*c)``, to the layers of each base
-    b of multiplicity m.  The fraction-free b-adic peel of
+    goes, as ``R = (r, l**k*c)`` with r a Polynomial, to the layers of each
+    base b of multiplicity m.  The fraction-free b-adic peel of
     :func:`_layers_by_inversion` serves a linear base, every base of a
     univariate f, and every base the line route below does not answer.  A
     base of degree d > 1 in x of a multivariate f first tries
@@ -403,24 +403,25 @@ def _partial_fraction_full(f, i):
             D = D * b ** m
         else:
             c = c * b ** m
-    Dd = _dense_coeffs(D, i)
+    Dd = D.coeffs_in(i)
     lc = Dd[-1]
     if lc.is_constant:
         # num == q*(D/lc) + r with k == 0: the polynomial part is q/(lc*c)
         Dd = [a * (1 / lc.constant_value()) for a in Dd]
-    q, r, k = _pseudo_divmod(_dense_coeffs(f.num, i), Dd)
+    q, r, k = _pseudo_divmod(f.num.coeffs_in(i), Dd)
     c = c * lc ** k
-    poly_part = RationalFunction(Polynomial.from_coeffs_in(dict(enumerate(q)), i, vars),
+    poly_part = RationalFunction(Polynomial.from_coeffs_in(q, i, vars),
                                  c * lc if lc.is_constant else c)
+    R = (Polynomial.from_coeffs_in(r, i, vars), c)
     groups = []
     for b, m in i_factors:
         U = D.divexact(b ** m)
         if b.degree_in(i) == 1:
-            layers = _layers_at_linear_pole((r, c), U, b, m, i)
+            layers = _layers_at_linear_pole(R, U, b, m, i)
         else:
-            layers = _layers_on_a_line((r, c), U, b, m, i) if len(vars) > 1 else None
+            layers = _layers_on_a_line(R, U, b, m, i) if len(vars) > 1 else None
             if layers is None:
-                layers = _layers_by_inversion((r, c), U, b, m, i)
+                layers = _layers_by_inversion(R, U, b, m, i)
         groups.append((b, m, layers))
     return poly_part, groups
 
@@ -429,7 +430,8 @@ def _layers_on_a_line(R, U, b, m, i):
     """The layers of :func:`_layers_by_inversion` at a base b = B(v . x) of
     degree d > 1 in x = x_i, guessed from one line and certified; None when
     b is not integer-linear, no line in the search is good, or the guess
-    fails its certificate.  R == P/c is given as there.
+    fails its certificate.  R == P/c is given as there, P a Polynomial,
+    and P is restricted to the line once.
 
     By the structure theorem the layers at such a base are, as a rule,
     alpha_t(v . x) for univariate alpha_t.  On the line where every other
@@ -459,8 +461,7 @@ def _layers_on_a_line(R, U, b, m, i):
         U_line = _on_line(U, point)
         if U_line.divexact(b_line) is not None:
             continue
-        line = _layers_by_inversion(([_on_line(a, point) for a in P], c_line),
-                                    U_line, b_line, m, i)
+        line = _layers_by_inversion((_on_line(P, point), c_line), U_line, b_line, m, i)
         break
     else:
         return None
@@ -475,8 +476,7 @@ def _layers_on_a_line(R, U, b, m, i):
     digits = layers.get(1, zero)
     for t in range(2, m + 1):
         digits = digits * b + layers.get(t, zero)
-    rest = Polynomial.from_coeffs_in(dict(enumerate(P)), i, vars) - c * U * digits
-    if rest.divexact(b ** m) is None:
+    if (P - c * U * digits).divexact(b ** m) is None:
         return None
     one = Polynomial.one(vars)
     return {t: RationalFunction._trusted(a, one) for t, a in layers.items()}
@@ -522,12 +522,12 @@ def _layers_by_inversion(R, U, b, m, i):
         R_{t-1} = (R_t - a_t*U)/b,
 
     the division being exact in Q[all variables] by Gauss's lemma, as b is
-    primitive in x.  R is given as ``(P, c)``: the coefficient list of a
-    polynomial P, lowest first, and a polynomial c free of x with R == P/c,
-    so the loop runs on polynomials, whatever the entries of w and det.  A
-    leading coefficient l of b that is not constant enters through
-    pseudo-remainders, whose powers of l are divided out once per layer.
-    No gcd runs until each layer is made canonical.
+    primitive in x.  R is given as ``(P, c)``: a Polynomial P, whose
+    coefficient list in x each layer reads once, and a polynomial c free of
+    x with R == P/c, so the loop runs on polynomials, whatever the entries
+    of w and det.  A leading coefficient l of b that is not constant enters
+    through pseudo-remainders, whose powers of l are divided out once per
+    layer.  No gcd runs until each layer is made canonical.
 
     A linear base (d == 1) needs no inversion: the matrix of multiplication
     by U is 1 x 1, its entry, the pseudo-remainder l**e*U mod b, is det,
@@ -540,7 +540,7 @@ def _layers_by_inversion(R, U, b, m, i):
     """
     P, c = R
     vars = b.vars
-    bd = _dense_coeffs(b, i)
+    bd = b.coeffs_in(i)
     if bd[-1].is_constant:
         # reducing modulo the monic associate needs no pseudo-remainders
         inv = 1 / bd[-1].constant_value()
@@ -550,17 +550,16 @@ def _layers_by_inversion(R, U, b, m, i):
     w, det = _cofactor_inverse(U, b, bd, i)
     layers = {}
     for t in range(m, 0, -1):
-        _, r, k = _pseudo_divmod(P, bd)
+        _, r, k = _pseudo_divmod(P.coeffs_in(i), bd)
         # r first: the product's zeros are then polynomials, and an int w
         # enters as scalars
         _, r, k2 = _pseudo_divmod(_series_mul(r, w, 2 * d - 1), bd)
-        a = Polynomial.from_coeffs_in(dict(enumerate(r)), i, vars)
+        a = Polynomial.from_coeffs_in(r, i, vars)
         scale = det * lc ** (k + k2) if k + k2 else det
         if not a.is_zero:
             layers[t] = RationalFunction(a, scale * c)
         if t > 1:
-            P = Polynomial.from_coeffs_in(dict(enumerate(P)), i, vars)
-            P = _dense_coeffs(_exact_quotient(P * scale - a * U, b), i)
+            P = _exact_quotient(P * scale - a * U, b)
             c = scale * c
     return layers
 
@@ -577,7 +576,7 @@ def _cofactor_inverse(U, b, bd, i):
     (ints, den), n = U._scaled_ints(), len(U.vars)
     u, bi = _dense(ints, n, i), _dense(b._scaled_ints()[0], n, i)
     if u is None or bi is None:
-        w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
+        w, det = _inverse_modulo(U.coeffs_in(i), bd)
     else:
         w, det = _inverse_modulo(u, _dense_primitive(bi)[1])
         if w is not None and den != 1:
@@ -725,13 +724,6 @@ def _layers_at_linear_pole(R, U, b, m, i):
     return _layers_by_inversion(R, U, b, m, i)
 
 
-def _dense_coeffs(p, i):
-    by_deg = p.coeffs_in(i)
-    top = max(by_deg) if by_deg else -1
-    zero = Polynomial.zero(p.vars)
-    return [by_deg.get(k, zero) for k in range(top + 1)]
-
-
 def partial_fraction(f, i):
     """Irreducible partial fraction decomposition of f in the i-th variable.
 
@@ -776,9 +768,12 @@ def poly_antidifference(p, i):
     if not isinstance(p, Polynomial):
         raise InvalidInput("poly_antidifference expects a Polynomial")
     _check_index(i, len(p.vars))
-    out = {}
-    for k, c in p.coeffs_in(i).items():
-        for j, frac in enumerate(_antidiff_basis(k)):
-            if frac:
-                out[j] = out[j] + c * frac if j in out else c * frac
+    cs = p.coeffs_in(i)
+    zero = Polynomial.zero(p.vars)
+    out = [zero] * (len(cs) + 1)
+    for k, c in enumerate(cs):
+        if c:
+            for j, frac in enumerate(_antidiff_basis(k)):
+                if frac:
+                    out[j] = c * frac if out[j] is zero else out[j] + c * frac
     return Polynomial.from_coeffs_in(out, i, p.vars)

@@ -19,7 +19,7 @@ from .errors import InvalidInput, NotAWZForm
 from .intlinear import IntegerLinearType, _univariate_along, integer_linear_decompose
 from .parser import _latex_fraction, latex_polynomial, latex_rational
 from .polys import (Polynomial, _check_index, _dense, _dense_primitive, _from_dense,
-                    _join_signed, _text)
+                    _join_signed, _primitive_direction, _text)
 from .rationals import (RationalFunction, _add_coprime, _add_dividing, _inverse_modulo,
                         _partial_fraction_full, _pseudo_divmod, _series_mul,
                         poly_antidifference, substitute_linear)
@@ -556,13 +556,9 @@ def random_additive_rep(seed, n=3, max_types=2, max_deg=2, coeff_bound=9):
             v = [rng.randint(-2, 2) for _ in range(n)]
             if not any(v):
                 continue
-            g = gcd(*v)
-            v = [e // g for e in v]
-            first = next(e for e in v if e)
-            if first < 0:
-                v = [-e for e in v]
-            if tuple(v) not in seen:
-                seen.add(tuple(v))
+            v = _primitive_direction(v)
+            if v not in seen:
+                seen.add(v)
                 break
         else:
             continue

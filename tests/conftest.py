@@ -1,4 +1,3 @@
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path

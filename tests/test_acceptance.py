@@ -13,8 +13,7 @@ from wzforms import (AdditiveRepresentation, IntegerLinearType, NotAWZForm,
                      Polynomial, RationalFunction, WZForm, apply_shift,
                      complete_unimodular, conjugate_polygamma, cyclic_apply,
                      decompose, delta, generate, is_wz_form, orbital_residue,
-                     parse_expression, partial_fraction, random_additive_rep,
-                     shift_equivalent)
+                     partial_fraction, random_additive_rep, shift_equivalent)
 from wzforms.abramov import abramov_reduce
 
 V = ("x", "y", "z")

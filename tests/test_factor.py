@@ -31,7 +31,7 @@ from sympy.polys.factortools import dup_factor_list
 from wzforms import Polynomial, parse_polynomial, polys
 from wzforms.factor import (_PRIMES, _directions, _factor_dense, _quartic_discriminant,
                             factor_polynomial)
-from wzforms.polys import _int_divexact, _unpacked
+from wzforms.polys import _unpacked
 
 VARS = ("x", "y", "z", "w")
 NOT_INTEGER_LINEAR = (

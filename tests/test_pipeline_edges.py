@@ -5,8 +5,7 @@ and concurrent use."""
 import concurrent.futures
 
 from wzforms import (AdditiveRepresentation, IntegerLinearType, Polynomial,
-                     RationalFunction, decompose, delta, generate,
-                     random_additive_rep)
+                     RationalFunction, decompose, generate, random_additive_rep)
 
 Zv = ("Z",)
 Z = Polynomial.variable("Z", Zv)

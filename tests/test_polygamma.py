@@ -16,7 +16,7 @@ from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      generate, parse_expression, random_additive_rep,
                      signed_range_sum)
 from wzforms.polys import _dense
-from wzforms.rationals import _dense_coeffs, _series_mul
+from wzforms.rationals import _series_mul
 from wzforms.wzform import _AVARS, _primitive_in_a, _root_sum_terms, _RootField, _taylor
 
 V = ("x", "y", "z")
@@ -296,11 +296,11 @@ def test_root_sums_of_cubic_and_quartic_poles_print_exactly():
 def _anp_root_sum_terms(base, layers, vtype):
     """Test oracle: the root-sum terms computed in sympy's ``ANP`` field
     Q[R]/(q), with Taylor coefficients by repeated synthetic division."""
-    mod = [QQ.convert(c.constant_value()) for c in reversed(_dense_coeffs(base, 0))]
+    mod = [QQ.convert(c.constant_value()) for c in reversed(base.coeffs_in(0))]
 
     def field(p):
         return [ANP([QQ.convert(c.constant_value())], mod, QQ)
-                for c in _dense_coeffs(p, 0)]
+                for c in p.coeffs_in(0)]
 
     R = ANP([QQ.one, QQ.zero], mod, QQ)
     m = max(layers)

@@ -399,11 +399,34 @@ def test_coeffs_roundtrip():
             assert back == p
 
 
+@pytest.mark.parametrize("n, i", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_coeffs_in_is_a_dense_list_with_zeros_in_the_gaps(n, i):
+    vs = V[:n]
+    zero = Polynomial.zero(vs)
+    assert zero.coeffs_in(i) == []
+    assert Polynomial.from_coeffs_in([], i, vs) == zero
+    xi = Polynomial.variable(vs[i], vs)
+    rest = Polynomial.one(vs) + sum((Polynomial.variable(v, vs) for v in vs if v != vs[i]),
+                                    zero)
+    # x_i**3*rest + 2 has gaps at x_i and x_i**2
+    assert (xi**3 * rest + 2).coeffs_in(i) == [2 * Polynomial.one(vs), zero, zero, rest]
+    rng = random.Random(6)
+    for _ in range(30):
+        p = random_polynomial(rng, vs, max_terms=4, max_deg=4)
+        cs = p.coeffs_in(i)
+        assert len(cs) == p.degree_in(i) + 1
+        assert all(c.degree_in(i) <= 0 for c in cs)
+        assert [c.is_zero for c in cs] == [all(e[i] != k for e in p.terms)
+                                           for k in range(len(cs))]
+        # trailing zeros add nothing
+        assert Polynomial.from_coeffs_in(cs + [zero, zero], i, vs) == p
+
+
 def test_from_coeffs_in_sums_coefficients_that_involve_the_variable():
     # sum of c_e * x**e, also when c_e itself involves x and terms cancel
-    coeffs = {0: x * y + 1, 1: -y, 2: Fraction(1, 2) * y}
+    coeffs = [x * y + 1, -y, Fraction(1, 2) * y]
     assert Polynomial.from_coeffs_in(coeffs, 0, V) == Fraction(1, 2) * x**2 * y + 1
-    assert Polynomial.from_coeffs_in({0: x, 1: -Polynomial.one(V)}, 0, V).is_zero
+    assert Polynomial.from_coeffs_in([x, -Polynomial.one(V)], 0, V).is_zero
 
 
 @pytest.mark.parametrize("n, i", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
@@ -753,4 +776,4 @@ def test_exponent_ceiling():
     with pytest.raises(InvalidInput, match="2\\*\\*31"):
         (x**2 + 1).compose({"x": half + y, "y": y, "z": z})
     with pytest.raises(InvalidInput, match="2\\*\\*31"):
-        Polynomial.from_coeffs_in({1: top}, 0, V)
+        Polynomial.from_coeffs_in([Polynomial.zero(V), top], 0, V)

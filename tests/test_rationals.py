@@ -13,8 +13,7 @@ from wzforms import (DivisionByZero, InvalidInput, Polynomial, RationalFunction,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
 from wzforms.rationals import (_add_coprime, _add_dividing, _cofactor_inverse,
-                               _dense_coeffs, _exact_quotient,
-                               _fraction_free_solve, _inverse_modulo,
+                               _exact_quotient, _fraction_free_solve, _inverse_modulo,
                                _layers_at_linear_pole, _layers_by_inversion,
                                _layers_on_a_line, _line_points, _on_line, _pseudo_divmod,
                                _series_mul)
@@ -175,9 +174,9 @@ def _pseudo_division_case(f, i, poly_part):
     x_i that is not constant."""
     coeffs = f.den.coeffs_in(i)
     c = f.den
-    for a in coeffs.values():
+    for a in coeffs:
         c = poly_gcd(c, a)
-    lead = coeffs[max(coeffs)].divexact(c)
+    lead = coeffs[-1].divexact(c)
     return not (poly_part.is_zero or c.is_constant or lead.is_constant)
 
 
@@ -279,10 +278,9 @@ def _taylor_layers(R, U, b, m, i):
     P, c = R
     bc = b.coeffs_in(i)
     c1 = RationalFunction(bc[1])
-    c0 = RationalFunction(bc[0]) if 0 in bc else RationalFunction.zero(b.vars)
-    rho = -(c0 / c1)
-    rser = _taylor_at([RationalFunction(a) for a in P], rho, m)
-    user = _taylor_at([RationalFunction(a) for a in _dense_coeffs(U, i)], rho, m)
+    rho = -(RationalFunction(bc[0]) / c1)
+    rser = _taylor_at([RationalFunction(a) for a in P.coeffs_in(i)], rho, m)
+    user = _taylor_at([RationalFunction(a) for a in U.coeffs_in(i)], rho, m)
     local = _series_mul(rser, series_inverse(user, m), m)
     c = RationalFunction(c)
     return {t: local[m - t] / (c * c1 ** (m - t))
@@ -308,8 +306,9 @@ def test_linear_pole_layers_match_the_taylor_route():
             U = U * q ** rng.randint(1, 2)
         # R == P/c with deg P < deg(b**m*U) in the variable and c free of it
         top = m + U.degree_in(i)
-        P = _dense_coeffs(random_polynomial(rng, V3, max_terms=6, max_deg=top + 1,
-                                            nonzero=True), i)[:top]
+        P = Polynomial.from_coeffs_in(
+            random_polynomial(rng, V3, max_terms=6, max_deg=top + 1,
+                              nonzero=True).coeffs_in(i)[:top], i, V3)
         c = rng.choice([Polynomial.one(V3), v + 2, 2 * w - 3, v * w + 1])
         layers = _layers_at_linear_pole((P, c), U, b, m, i)
         assert layers == _taylor_layers((P, c), U, b, m, i)
@@ -384,7 +383,7 @@ def _line_case(rng, kind):
     for t in range(1, m + 1):
         digits = digits * b + layers[t]
     W = random_polynomial(rng, vs, max_terms=2, max_deg=2)
-    P = _dense_coeffs(c * (U * digits + b ** m * W), i)
+    P = c * (U * digits + b ** m * W)
     want = {t: RationalFunction(a) for t, a in layers.items() if not a.is_zero}
     return (P, c), U, b, m, i, want
 
@@ -423,13 +422,13 @@ def test_line_route_gives_up_on_layers_across_the_direction():
     # the certificate fails and partial_fraction takes the peel's answer
     f = RationalFunction(y, (x + y) ** 2 + 1)
     b = (x + y) ** 2 + 1
-    R = (_dense_coeffs(y, 0), Polynomial.one(V))
+    R = (y, Polynomial.one(V))
     assert _layers_on_a_line(R, Polynomial.one(V), b, 1, 0) is None
     assert partial_fraction(f, 0) == (RationalFunction.zero(V),
                                       [(RationalFunction(y), b, 1)])
     # and x**2 + y**2 + 1 is not integer-linear at all
     g = RationalFunction(x, x**2 + y**2 + 1)
-    assert _layers_on_a_line((_dense_coeffs(x, 0), Polynomial.one(V)),
+    assert _layers_on_a_line((x, Polynomial.one(V)),
                              Polynomial.one(V), x**2 + y**2 + 1, 1, 0) is None
     assert partial_fraction(g, 0)[1] == [(RationalFunction(x), x**2 + y**2 + 1, 1)]
 
@@ -439,7 +438,7 @@ def test_line_route_finds_no_line_where_c_vanishes_on_the_grid(monkeypatch):
     # y in {-2..2}, so no line is peeled and the full peel answers
     b = (x + y) ** 2 + 1
     c = (y - 2) * (y - 1) * y * (y + 1) * (y + 2)
-    R, U = (_dense_coeffs(Polynomial.one(V), 0), c), Polynomial.one(V)
+    R, U = (Polynomial.one(V), c), Polynomial.one(V)
     assert all(_on_line(c, point).is_zero for point in _line_points(2, 0))
     with monkeypatch.context() as patch:
         peeled = []
@@ -472,7 +471,7 @@ def test_antidifference_inverts_difference():
             q = poly_antidifference(p, i)
             assert q.shift_var(i, 1) - q == p
             # zero constant term in the chosen variable
-            assert q.coeffs_in(i).get(0, Polynomial.zero(V)).is_zero
+            assert all(a.is_zero for a in q.coeffs_in(i)[:1])
             # the polynomial part of a partial fraction result, whose
             # denominator is free of x_i, antidifferenced as the library does
             f = RationalFunction(p * x * y + 1, y * x - 2 * y + 3)
@@ -873,27 +872,28 @@ def _polynomial_peel(R, U, b, m, i):
     """Test oracle: the peel of :func:`_layers_by_inversion` with the
     cofactor inverted on polynomial entries for every input."""
     P, c = R
+    P = P.coeffs_in(i)
     vars = b.vars
-    bd = _dense_coeffs(b, i)
+    bd = b.coeffs_in(i)
     if bd[-1].is_constant:
         inv = 1 / bd[-1].constant_value()
         bd = [a * inv for a in bd]
     lc = bd[-1]
     d = len(bd) - 1
-    w, det = _inverse_modulo(_dense_coeffs(U, i), bd)
+    w, det = _inverse_modulo(U.coeffs_in(i), bd)
     if w is None:
         raise InvalidInput("cofactor is not invertible modulo the base")
     layers = {}
     for t in range(m, 0, -1):
         _, r, k = _pseudo_divmod(P, bd)
         _, r, k2 = _pseudo_divmod(_series_mul(w, r, 2 * d - 1), bd)
-        a = Polynomial.from_coeffs_in(dict(enumerate(r)), i, vars)
+        a = Polynomial.from_coeffs_in(r, i, vars)
         scale = det * lc ** (k + k2) if k + k2 else det
         if not a.is_zero:
             layers[t] = RationalFunction(a, scale * c)
         if t > 1:
-            P = Polynomial.from_coeffs_in(dict(enumerate(P)), i, vars)
-            P = _dense_coeffs(_exact_quotient(P * scale - a * U, b), i)
+            P = Polynomial.from_coeffs_in(P, i, vars)
+            P = _exact_quotient(P * scale - a * U, b).coeffs_in(i)
             c = scale * c
     return layers
 
@@ -920,9 +920,9 @@ def test_cofactor_inverse_on_ints_is_the_polynomial_entry_inverse():
         if rng.random() < 0.15:
             shared = rng.choice([xi - 1, xi**2 + 1])
             b, U = b * shared, U * shared
-        bd = _dense_coeffs(b, i)
+        bd = b.coeffs_in(i)
         bd = [a * (1 / bd[-1].constant_value()) for a in bd]
-        want, want_det = _inverse_modulo(_dense_coeffs(U, i), bd)
+        want, want_det = _inverse_modulo(U.coeffs_in(i), bd)
         if want is None:
             with pytest.raises(InvalidInput, match="not invertible modulo the base"):
                 _cofactor_inverse(U, b, bd, i)
@@ -961,12 +961,14 @@ def test_peel_with_the_int_inverse_matches_the_polynomial_entry_peel():
         top = m * b.degree_in(i) + U.degree_in(i)
         others = [v for k, v in enumerate(xs) if k != i]
         if others and rng.random() < 0.5:
-            P = [random_polynomial(rng, vs, max_terms=2, max_deg=2).coeffs_in(i).get(
-                0, Polynomial.zero(vs)) for _ in range(top)]
+            # each entry the part of a random polynomial free of x_i
+            P = [next(iter(random_polynomial(rng, vs, max_terms=2, max_deg=2).coeffs_in(i)),
+                      Polynomial.zero(vs)) for _ in range(top)]
             c = rng.choice(others) + 2
         else:
             P = [Polynomial.constant(a, vs) for a in _fractions(rng, top)]
             c = Polynomial.constant(rng.randint(1, 9), vs)
+        P = Polynomial.from_coeffs_in(P, i, vs)
         layers = _layers_by_inversion((P, c), U, b, m, i)
         assert layers == _polynomial_peel((P, c), U, b, m, i)
         seen.add((n, m))
@@ -977,7 +979,7 @@ def test_peel_with_the_int_inverse_refuses_a_cofactor_sharing_the_base():
     for vs in (("x",), ("x", "y")):
         x1 = Polynomial.variable("x", vs)
         b = 2 * x1**2 + 1
-        P = [Polynomial.one(vs)] * 5
+        P = Polynomial.from_coeffs_in([Polynomial.one(vs)] * 5, 0, vs)
         with pytest.raises(InvalidInput, match="cofactor is not invertible modulo the base"):
             _layers_by_inversion((P, Polynomial.one(vs)), (x1 + 3) * b * Fraction(1, 2),
                                  b, 1, 0)

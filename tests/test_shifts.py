@@ -63,7 +63,7 @@ D2 = parse_polynomial("x + y", V2)
 INDEXED = {
     "degree_in": lambda i: P2.degree_in(i),
     "coeffs_in": lambda i: P2.coeffs_in(i),
-    "from_coeffs_in": lambda i: Polynomial.from_coeffs_in({1: P2}, i, V2),
+    "from_coeffs_in": lambda i: Polynomial.from_coeffs_in([Polynomial.zero(V2), P2], i, V2),
     "shift_var": lambda i: P2.shift_var(i, 1),
     "poly_antidifference": lambda i: poly_antidifference(P2, i),
     "partial_fraction": lambda i: partial_fraction(F2, i),
@@ -137,11 +137,8 @@ GUARDED = {
                                   "polynomial is not constant"),
     "Polynomial.leading": (lambda: Polynomial.zero(V2).leading(), InvalidInput,
                            "zero polynomial has no leading term"),
-    "from_coeffs_in exponent": (lambda: Polynomial.from_coeffs_in({-1: P2}, 0, V2),
-                                InvalidInput,
-                                "exponents must be nonnegative and below 2**31"),
     "from_coeffs_in variables": (
-        lambda: Polynomial.from_coeffs_in({1: Polynomial.one(V)}, 0, V2), InvalidInput,
+        lambda: Polynomial.from_coeffs_in([P2, Polynomial.one(V)], 0, V2), InvalidInput,
         "variable mismatch: ('x', 'y', 'z') vs ('x', 'y')"),
     "compose without images": (lambda: P2.compose({}), InvalidInput,
                                "cannot infer target variables"),

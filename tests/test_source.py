@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wzforms"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wzforms"
 
 
 def test_library_has_no_assert_statements():
@@ -10,4 +11,29 @@ def test_library_has_no_assert_statements():
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads; the names listed in its
+    ``__all__`` count as read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for path in paths
+             for name in sorted(_unused_imports(ast.parse(path.read_text(), str(path))))]
     assert found == []

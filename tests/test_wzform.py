@@ -5,9 +5,8 @@ from hashlib import sha256
 import pytest
 
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
-                     NotAWZForm, Polynomial, RationalFunction, WZForm,
-                     conjugate_polygamma, decompose, delta, generate,
-                     integer_linear_type_rf, is_exact, is_wz_form,
+                     NotAWZForm, Polynomial, RationalFunction, WZForm, decompose,
+                     delta, generate, integer_linear_type_rf, is_exact, is_wz_form,
                      random_additive_rep, signed_range_sum, wzform)
 
 V = ("x", "y", "z")
