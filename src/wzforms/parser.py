@@ -15,13 +15,15 @@ offset, and only ``"\n"`` starts a new line.
 Evaluation is eager, but a polynomial subexpression stays a Polynomial: the
 polynomial summands of one sum go into a single term map on the packed keys
 of :mod:`wzforms.polys`, products run on its kernel, and ``/`` by a nonzero
-constant scales.  A summand that is a monomial written with integer
-literals, declared names, names to a literal exponent and divisions by
-nonzero literals is read in one loop over the tokens, ``_Parser.summand``,
-as a coefficient and a packed key that each factor adds to; it goes into the
-term map without a Polynomial.  Every other summand, and every error with
-its position, comes from the recursive descent, which reads the summand
-afresh wherever the loop gives up.
+constant scales.  Text in the shape that ``RationalFunction.__str__``
+writes, a sum or a quotient ``(S)/(S)``, ``T/(S)``, ``(S)/N`` or ``T/N``
+of sums S, one signed term T and one power of one name N, is read first
+and without tokens by ``_read_printed``: one ``findall`` per sum into one
+term map on packed keys, and a quotient reduced once, by ``rf_reduce``.
+That reader never raises.  It gives None for any other text and for text
+with an undeclared name, a literal, exponent or key out of bounds, or a
+zero divisor, and the recursive descent then reads the whole text and
+raises each error with its position.
 A value is lifted to a canonical RationalFunction only at ``/`` by a
 non-constant divisor or at a negative power, so canonical reduction (and
 its gcd) happens once, at the lift, or when ``parse_expression`` returns.
@@ -47,7 +49,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, InvalidInput, ParseError
 from .polys import Polynomial, _layout, _render_terms, _unit_key
-from .rationals import RationalFunction
+from .rationals import RationalFunction, rf_reduce
 
 # Five parser frames per parenthesis level keep MAX_DEPTH well inside the
 # interpreter's default recursion limit of 1000.
@@ -93,7 +95,6 @@ class _Parser:
         self.vars = vars = tuple(vars)
         n = len(vars)
         self.monomials = {v: _unit_key(n, i) for i, v in enumerate(vars)}
-        self.guards = _layout(n)[0]
         self.depth = 0
 
     def fail(self, message, tok):
@@ -124,25 +125,20 @@ class _Parser:
         rational = None
         negate = False
         while True:
-            read = self.summand()
-            if read is not None:
-                pairs = (read,)
-            else:
-                value = self.term()
-                if isinstance(value, Polynomial):
-                    ints, den = value._scaled_ints()
-                    pairs = ((c if den == 1 else Fraction(c, den), k) for k, c in ints.items())
-                else:
+            value = self.term()
+            if isinstance(value, Polynomial):
+                ints, den = value._scaled_ints()
+                for k, c in ints.items():
+                    c = c if den == 1 else Fraction(c, den)
+                    old = terms.get(k)
                     if negate:
-                        value = -value
-                    rational = value if rational is None else rational + value
-                    pairs = ()
-            for c, k in pairs:
-                old = terms.get(k)
+                        terms[k] = -c if old is None else old - c
+                    else:
+                        terms[k] = c if old is None else old + c
+            else:
                 if negate:
-                    terms[k] = -c if old is None else old - c
-                else:
-                    terms[k] = c if old is None else old + c
+                    value = -value
+                rational = value if rational is None else rational + value
             tok = self.tokens[self.at]
             if tok[0] not in ("+", "-"):
                 break
@@ -152,63 +148,6 @@ class _Parser:
         if rational is None:
             return poly
         return rational + _lift(poly) if poly else rational
-
-    def summand(self):
-        """The summand at ``at`` as (coefficient, packed key), read in one
-        loop when it is a product of integer literals, declared names and
-        names raised to a literal exponent of at most MAX_EXPONENT, with
-        divisions by nonzero literals, and ends at ``+``, ``-``, ``)`` or
-        the end of input.  Anything else, a key whose guard bit a factor
-        sets included, gives None with ``at`` unchanged, and ``term`` reads
-        the summand with all of its checks: this loop never raises."""
-        tokens, monomials, guards = self.tokens, self.monomials, self.guards
-        i = self.at
-        coefficient, key = 1, 0
-        while True:
-            kind, word, _ = tokens[i]
-            i += 1
-            if kind == "int":
-                if len(word) > MAX_LITERAL_DIGITS:
-                    return None
-                coefficient *= int(word)
-            elif kind == "name":
-                unit = monomials.get(word)
-                if unit is None:
-                    return None
-                if tokens[i][0] == "^":
-                    kind, word, _ = tokens[i + 1]
-                    if kind != "int" or len(word) > MAX_LITERAL_DIGITS:
-                        return None
-                    k = int(word)
-                    if k > MAX_EXPONENT:
-                        return None
-                    unit *= k
-                    i += 2
-                # a field grows by at most MAX_EXPONENT per factor, so it
-                # cannot carry past its guard bit between two checks
-                key += unit
-                if key & guards:
-                    return None
-            else:
-                return None
-            op = tokens[i][0]
-            while op == "/":
-                kind, word, _ = tokens[i + 1]
-                if kind != "int" or len(word) > MAX_LITERAL_DIGITS:
-                    return None
-                d = int(word)
-                if not d:
-                    return None
-                coefficient = Fraction(coefficient, d)
-                i += 2
-                op = tokens[i][0]
-            if op != "*":
-                break
-            i += 1
-        if op not in ("+", "-", ")", "end"):
-            return None
-        self.at = i
-        return coefficient, key
 
     def term(self):
         value = self.factor()
@@ -391,6 +330,93 @@ def _lift(value):
     return value
 
 
+# The reader of printed text.  _TERM reads one term of a sum with the
+# separator before it, which only the first term goes without, and a
+# character that starts no term alone as "bad", so that the terms of a text
+# cover it exactly.  _PRINTED splits a quotient; a sum holds no parentheses.
+_POWER = r"[^\W\d]\w*(?:\^\d+)?"
+_MONOMIAL = rf"{_POWER}(?:\*{_POWER})*"
+_TERM = re.compile(rf"(^-?|(?<=.) [-+] )"
+                   rf"(?:(\d+)(?:/(\d+))?(?:\*({_MONOMIAL}))?|({_MONOMIAL}))|(.)", re.S)
+_PRINTED = re.compile(rf"\s*(?:\(([^()]*)\)(?=/)|([^()]*?))"
+                      rf"(?:/(?:\(([^()]*)\)|({_POWER})))?\s*")
+
+
+def _read_printed(text, vars):
+    """The value of text written as ``RationalFunction.__str__`` writes,
+    from one ``findall`` per sum, with no tokens.  None for any other text,
+    and for text with an undeclared name, a literal of more than
+    MAX_LITERAL_DIGITS digits, an exponent above MAX_EXPONENT, a key whose
+    guard bit a factor sets, a zero literal divisor or a zero denominator,
+    which the recursive descent refuses with its own error.  It never
+    raises."""
+    m = _PRINTED.fullmatch(text)
+    if m is None:
+        return None
+    num_sum, num_term, den_sum, den_power = m.groups()
+    den_text = den_sum if den_power is None else den_power
+    # the numerator of a quotient outside parentheses is a single term
+    if den_text is not None and num_term is not None and " " in num_term:
+        return None
+    n = len(vars)
+    units = {v: _unit_key(n, i) for i, v in enumerate(vars)}
+    guards = _layout(n)[0]
+    keys = {"": 0}
+    num = _read_sum(num_term if num_sum is None else num_sum, units, guards, keys)
+    if num is None:
+        return None
+    num = Polynomial._from_values(vars, num)
+    if den_text is None:
+        return _lift(num)
+    den = _read_sum(den_text, units, guards, keys)
+    if not den:  # refused, or a zero denominator
+        return None
+    return rf_reduce(num, Polynomial._from_values(vars, den))
+
+
+def _read_sum(text, units, guards, keys):
+    """The term map, packed key to nonzero int or Fraction, of a sum in the
+    shape ``polys._render_terms`` writes over the names of ``units`` (name
+    to the key of one more power), or None.  ``keys`` holds the key of every
+    monomial text read so far, "" for 1."""
+    terms = {}
+    found = _TERM.findall(text)
+    for sign, c, d, scaled, bare, bad in found:
+        if bad or len(c) > MAX_LITERAL_DIGITS or len(d) > MAX_LITERAL_DIGITS:
+            return None
+        coefficient = int(c) if c else 1
+        if d:
+            d = int(d)
+            if not d:
+                return None
+            coefficient = Fraction(coefficient, d)
+        if "-" in sign:
+            coefficient = -coefficient
+        monomial = scaled or bare
+        key = keys.get(monomial)
+        if key is None:
+            key = 0
+            for power in monomial.split("*"):
+                name, _, k = power.partition("^")
+                unit = units.get(name)
+                if unit is None or len(k) > MAX_LITERAL_DIGITS:
+                    return None
+                if k:
+                    k = int(k)
+                    if k > MAX_EXPONENT:
+                        return None
+                    unit *= k
+                # a field grows by at most MAX_EXPONENT per factor, so it
+                # cannot carry past its guard bit between two checks
+                key += unit
+                if key & guards:
+                    return None
+            keys[monomial] = key
+        old = terms.get(key)
+        terms[key] = coefficient if old is None else old + coefficient
+    return {k: c for k, c in terms.items() if c} if found else None
+
+
 def variable_names(vars):
     """The declared variables as a tuple, when each is a string that the
     parser reads as exactly one name token and no two are alike; otherwise
@@ -414,7 +440,9 @@ def parse_expression(text, vars):
     """Parse infix text into a canonical RationalFunction over the declared
     variables, which :func:`variable_names` checks.  Raises ParseError with
     position info, InvalidInput, or DivisionByZero."""
-    return _Parser(text, variable_names(vars)).parse()
+    vars = variable_names(vars)
+    value = _read_printed(text, vars)
+    return _Parser(text, vars).parse() if value is None else value
 
 
 def parse_polynomial(text, vars):

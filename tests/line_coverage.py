@@ -3,8 +3,10 @@
 Run as ``python tests/line_coverage.py`` from anywhere.  It runs the tier-1
 suite in this process under a ``sys.settrace`` line tracer, so the CLI cases
 count, then prints each file's unreached statements and the total.  It uses
-the standard library only and exits 0 whatever the count: it is a report,
-not a gate.  Extra arguments go to pytest (``-x``, ``-k name``, ...).
+the standard library only and exits 0 whatever the count, unless it is run
+as a gate: with ``--max-unreached N`` it exits 1 when pytest fails or more
+than N statements are unreached.  Other arguments go to pytest (``-x``,
+``-k name``, ...).
 
 A statement is an AST ``stmt`` other than a ``def``, a ``class``, an
 import, ``global``, ``nonlocal`` or a docstring; those make no line event
@@ -14,6 +16,7 @@ when any of its lines makes a line event; a compound one (``if``, ``for``,
 reached.
 """
 
+import argparse
 import ast
 import sys
 import threading
@@ -84,6 +87,11 @@ def unreached(path, executed):
 def main(argv):
     import pytest  # imported before tracing starts: only src/ is traced
 
+    options = argparse.ArgumentParser(allow_abbrev=False)
+    options.add_argument("--max-unreached", type=int, default=None)
+    known, argv = options.parse_known_args(argv)
+    limit = known.max_unreached
+
     prefix = str(PACKAGE) + "/"
     executed = {}
 
@@ -119,6 +127,8 @@ def main(argv):
                   + ", ".join(map(str, missed)))
     print(f"pytest exit {int(status)}; {total_missed} of {total} statements "
           f"in src/wzforms unreached")
+    if limit is not None and (status != 0 or total_missed > limit):
+        return 1
     return 0
 
 

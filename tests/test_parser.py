@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ from sympy.parsing.sympy_parser import parse_expr
 
 from conftest import random_rational
 from wzforms import (DivisionByZero, InvalidInput, ParseError, Polynomial,
-                     RationalFunction, generate, parse_expression, parse_polynomial,
-                     random_additive_rep)
-from wzforms.cli import run_command
-from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, _position, _tokens,
-                            latex_polynomial, latex_rational, variable_names)
-from wzforms.polys import _pack
+                     RationalFunction, decompose, generate, parse_expression,
+                     parse_polynomial, random_additive_rep)
+from wzforms import parser as parser_module
+from wzforms.cli import rep_from_json, rep_to_json, run_command
+from wzforms.parser import (MAX_DEPTH, MAX_EXPONENT, _Parser, _position, _read_printed,
+                            _read_sum, _tokens, latex_polynomial, latex_rational,
+                            variable_names)
+from wzforms.polys import _layout, _pack
 
 V = ("x", "y", "z")
 
@@ -262,7 +265,7 @@ def test_exponent_limits_and_towers():
 
 
 # ---------------------------------------------------------------------- #
-# the summand loop against the recursive path
+# the reader of printed text against the recursive descent
 
 
 def _parsed(text, vars):
@@ -276,30 +279,31 @@ def _parsed(text, vars):
 
 def _check_against_recursive_path(monkeypatch, texts, vars=V):
     """Assert that every text parses to the same value, or fails with the
-    same error at the same position, with the summand loop and with the loop
-    made to refuse every summand, so that the recursive path reads them all;
-    return how many summands the loop read."""
-    loop = _Parser.summand
+    same error at the same position, with the reader of printed text and
+    with the reader made to refuse every text, so that the recursive descent
+    reads them all; return how many texts the reader read."""
+    reader = parser_module._read_printed
     read = 0
 
-    def counted(self):
+    def counted(text, vars):
         nonlocal read
-        result = loop(self)
+        result = reader(text, vars)
         read += result is not None
         return result
 
     with monkeypatch.context() as m:
-        m.setattr(_Parser, "summand", counted)
+        m.setattr(parser_module, "_read_printed", counted)
         new = [_parsed(text, vars) for text in texts]
     with monkeypatch.context() as m:
-        m.setattr(_Parser, "summand", lambda self: None)
+        m.setattr(parser_module, "_read_printed", lambda text, vars: None)
         old = [_parsed(text, vars) for text in texts]
     for text, a, b in zip(texts, new, old):
         assert a == b, repr(text)
     return read
 
 
-# each is refused by the summand loop and read by the recursive path
+# texts near the printed shape; the recursive descent reads or refuses
+# each of them where the reader refuses it
 _BAIL_OUTS = (
     "(x + y)*z", "-x*y", "2^3*x", "x^2^2", "x^2^-1", "x^-2*y", "x^(2)*y",
     "x^-(1001)", "x^1001", "y^1001*x", "2*x^0001001", "x^" + "0" * 4301 + "1",
@@ -308,19 +312,40 @@ _BAIL_OUTS = (
     "*x", "x)", "x*²", "0^0", "x^y",
 )
 
+# (text, whether the reader reads it): a denominator outside parentheses is
+# one power of one name, so 2/x*y*z is 2*y*z/x, not 2/(x*y*z)
+_TRAPS = (
+    ("2/x*y*z", False), ("x/y^2*z", False), ("(x + 1)/y*z", False),
+    ("(x)/(y)/(z)", False), ("2/3/x", True), ("-7/2/(y^2 + y)", True),
+    ("x*2", False), ("2x", False), ("x^2y", False), ("x^2^3", False),
+    ("2*x^2*(y + 1)", False), ("x - -y", False), ("x/0", False),
+    ("(x)/(0)", False), ("x + 1/y", False), ("-x/y^2", True),
+    ("(x - y)/x^3", True), ("3/2*x*y^2/(z + 1)", True), ("(x + 1)", False),
+    ("", False), ("  -x*y + 1/2\n", True), ("x +\n1", False), ("( + x)/y", False),
+    ("x/( - y)", False),
+)
+
+
+def test_reader_traps(monkeypatch):
+    for text, read in _TRAPS:
+        assert (_read_printed(text, V) is not None) == read, repr(text)
+    assert _check_against_recursive_path(monkeypatch, [text for text, _ in _TRAPS]) == \
+        sum(read for _, read in _TRAPS)
+
 
 def test_summand_loop_matches_the_recursive_path_on_bail_outs(monkeypatch):
     texts = []
-    for b in _BAIL_OUTS:
+    for b in _BAIL_OUTS + tuple(text for text, _ in _TRAPS):
         texts += [b, f"x*y + {b}", f"x*y - 2/3*z + {b} + 1", f"(x*y + {b})", f"x*y +\n  {b}"]
-    _check_against_recursive_path(monkeypatch, texts)
+    # only -x*y, x/y, x/(2) and the six traps it reads, each alone
+    assert _check_against_recursive_path(monkeypatch, texts) == 9
     with pytest.raises(ParseError) as err:
         parse_expression("x*y + 2/3*x^1001", V)
     assert str(err.value) == "exponent exceeds 1000 in magnitude (line 1, column 13)"
 
 
 def test_summand_loop_matches_the_recursive_path_on_hostile_input(monkeypatch):
-    _check_against_recursive_path(monkeypatch, [text for text, _, _ in HOSTILE])
+    assert _check_against_recursive_path(monkeypatch, [text for text, _, _ in HOSTILE]) == 0
 
 
 def test_summand_loop_matches_the_recursive_path_on_criterion_5_tuples(monkeypatch):
@@ -334,18 +359,19 @@ def test_summand_loop_matches_the_recursive_path_on_criterion_5_tuples(monkeypat
     for vars in {vars for _, vars in texts}:
         read += _check_against_recursive_path(
             monkeypatch, [text for text, v in texts if v == vars], vars)
-    assert read > 1000
+    assert read == len(texts)
 
 
 def test_summand_loop_matches_the_recursive_path_on_random_expressions(monkeypatch):
     rng = random.Random(2024)
     texts = [_random_text(rng, rng.randint(1, 5))[0] for _ in range(300)]
-    assert _check_against_recursive_path(monkeypatch, texts) > 100
+    # measured: mostly a name, a literal, or a short product or quotient
+    assert _check_against_recursive_path(monkeypatch, texts) == 104
 
 
 def test_summand_loop_matches_the_recursive_path_on_random_summands(monkeypatch):
-    # products of literals, names and powers, mostly what the loop reads,
-    # with undeclared names, zero divisors and out-of-range exponents mixed in
+    # products of literals, names and powers, with undeclared names, zero
+    # divisors and out-of-range exponents mixed in
     factors = ("0", "1", "2", "7", "12", "x", "y", "z", "w", "x^0", "y^2", "z^1000",
                "x^1001", "x^-1", "(y)", "-z", "2^2")
     rng = random.Random(20)
@@ -364,37 +390,87 @@ def test_summand_loop_matches_the_recursive_path_on_random_summands(monkeypatch)
         for s in summands[1:]:
             text += rng.choice((" + ", " - ")) + s
         texts.append(text)
-    assert _check_against_recursive_path(monkeypatch, texts) > 1000
+    # measured: the rest holds a refused factor or a "/" the printer never writes
+    assert _check_against_recursive_path(monkeypatch, texts) == 129
+
+
+def test_reader_matches_the_recursive_path_one_edit_from_printed_text(monkeypatch):
+    # every text one deleted, inserted or replaced piece away from a printed
+    # one of each shape: the texts the reader must refuse sit next to the
+    # ones it reads
+    pieces = ("x", "w", "0", "2", "/", "*", "^", " ", " + ", " - ", "-", "(", ")", "\n",
+              "x^2", "1001")
+    texts = []
+    for text in ("x^2*y - 1/2*z + 4", "(x^2 - 2/3*y*z + 1)/(x*y + 3)", "-7/2/(y^2 + y)",
+                 "(x - y)/x^3", "3/2*x*y^2/z"):
+        for i in range(len(text) + 1):
+            texts.append(text[:i] + text[i + 1:])
+            texts += [text[:i] + piece + text[i + skip:] for piece in pieces for skip in (0, 1)]
+    assert _check_against_recursive_path(monkeypatch, texts) == 314
 
 
 def test_summand_loop_stops_at_the_kernel_ceiling():
     # as in test_single_term_product_stops_at_the_kernel_ceiling, a factor
     # starts near the ceiling: the name w is made to stand for x^(2^31 - 1).
-    # The loop must refuse exactly the products that _Parser.times refuses;
+    # The reader must refuse exactly the products that _Parser.times refuses;
     # three factors of w would carry out of x's field past its guard bit
-    # unless the loop checks the bit after each factor.
+    # unless the reader checks the bit after each factor.
     vars = ("x", "y", "w")
+    units = {"x": _pack((1, 0, 0)), "y": _pack((0, 1, 0)), "w": _pack((2**31 - 1, 0, 0))}
     top = Polynomial(vars, {(2**31 - 1, 0, 0): 1})
-    for text in ("w", "w*y", "y^1000*w*3", "w*x^0", "w/2*y", "w*x", "x*w", "w*w", "w*w*w"):
-        parser = _Parser(text, vars)
-        parser.monomials["w"] = _pack((2**31 - 1, 0, 0))
+    parser = _Parser("x", vars)
+    for text in ("w", "w*y", "3*y^1000*w", "w*x^0", "1/2*w*y", "w*x", "x*w", "w*w", "w*w*w"):
+        coefficient, _, monomial = text.partition("*") if text[0].isdigit() else ("1", "", text)
         value = Polynomial.one(vars)
         try:
-            for part in text.split("*"):
-                part, _, divisor = part.partition("/")
-                name, _, exponent = part.partition("^")
+            for power in monomial.split("*"):
+                name, _, exponent = power.partition("^")
                 factor = top if name == "w" else parse_polynomial(name, vars)
                 value = parser.times(value, factor ** int(exponent or 1), parser.tokens[0])
-                value = value * Fraction(1, int(divisor or 1))
         except ParseError as exc:
             assert "2147483648" in str(exc)
             expected = None
         else:
             ints, den = value._scaled_ints()
             (key, c), = ints.items()
-            expected = (Fraction(c, den), key)
-        assert parser.summand() == expected, text
-        assert parser.at == (0 if expected is None else len(parser.tokens) - 1)
+            expected = {key: Fraction(coefficient) * Fraction(c, den)}
+        assert _read_sum(text, units, _layout(3)[0], {"": 0}) == expected, text
+
+
+# ---------------------------------------------------------------------- #
+# every printed output takes the reader
+
+
+def test_every_printed_output_takes_the_reader(monkeypatch):
+    """Components of the criterion-5 tuples and of 100 tuples in four
+    variables, the exact parts and each r of their decompositions, and each
+    representation through JSON: the reader reads every printed value back
+    as itself, and as the recursive descent does."""
+    values = []
+    reps = [random_additive_rep(seed, n=2 + seed % 3, max_types=3, max_deg=3,
+                                coeff_bound=9) for seed in range(200)]
+    reps += [random_additive_rep(seed, n=4, max_types=3, max_deg=3, coeff_bound=9)
+             for seed in range(100)]
+    for rep in reps:
+        form = generate(rep)
+        values += [(f, form.vars) for f in form.components]
+        back = decompose(form)
+        values.append((back.exact_part, back.vars))
+        values += [(r, ("Z",)) for _, r in back.parts]
+        for piece in (rep, back):
+            with monkeypatch.context() as m:
+                m.setattr(parser_module, "_read_printed", _reader_only)
+                assert rep_from_json(json.loads(json.dumps(rep_to_json(piece)))) == piece
+    for value, vars in values:
+        text = str(value)
+        assert _read_printed(text, vars) == value == parser_module._Parser(text, vars).parse(), \
+            text
+
+
+def _reader_only(text, vars):
+    value = _read_printed(text, vars)
+    assert value is not None, text
+    return value
 
 
 # ---------------------------------------------------------------------- #
