@@ -23,7 +23,8 @@ term map on packed keys, and a quotient reduced once, by ``rf_reduce``.
 That reader never raises.  It gives None for any other text and for text
 with an undeclared name, a literal, exponent or key out of bounds, or a
 zero divisor, and the recursive descent then reads the whole text and
-raises each error with its position.
+raises each error with its position.  Stripped before its ``fullmatch``,
+text costs it linear time, long runs of whitespace included.
 A value is lifted to a canonical RationalFunction only at ``/`` by a
 non-constant divisor or at a negative power, so canonical reduction (and
 its gcd) happens once, at the lift, or when ``parse_expression`` returns.
@@ -338,8 +339,8 @@ _POWER = r"[^\W\d]\w*(?:\^\d+)?"
 _MONOMIAL = rf"{_POWER}(?:\*{_POWER})*"
 _TERM = re.compile(rf"(^-?|(?<=.) [-+] )"
                    rf"(?:(\d+)(?:/(\d+))?(?:\*({_MONOMIAL}))?|({_MONOMIAL}))|(.)", re.S)
-_PRINTED = re.compile(rf"\s*(?:\(([^()]*)\)(?=/)|([^()]*?))"
-                      rf"(?:/(?:\(([^()]*)\)|({_POWER})))?\s*")
+_PRINTED = re.compile(rf"(?:\(([^()]*)\)(?=/)|([^()]*?))"
+                      rf"(?:/(?:\(([^()]*)\)|({_POWER})))?")
 
 
 def _read_printed(text, vars):
@@ -350,7 +351,8 @@ def _read_printed(text, vars):
     guard bit a factor sets, a zero literal divisor or a zero denominator,
     which the recursive descent refuses with its own error.  It never
     raises."""
-    m = _PRINTED.fullmatch(text)
+    # a \s* around the lazy group would be cubic on blank lines then ")"
+    m = _PRINTED.fullmatch(text.strip())
     if m is None:
         return None
     num_sum, num_term, den_sum, den_power = m.groups()

@@ -218,6 +218,11 @@ HOSTILE = (
     # unbounded, the first asks for x^1000000000
     ("((x^1000)^1000)^1000", 1, 10),
     ("(x^2)^501", 1, 6),
+    # long runs of whitespace must cost linear time in the printed-text
+    # reader as well as in the tokenizer, also when the match fails
+    (" " * 20000 + ")", 1, 20001),
+    ("\n" * 20000 + ")", 20001, 1),
+    ("x" + " " * 200000 + "y", 1, 200002),
 )
 
 
