@@ -69,7 +69,6 @@ loads sympy; the first call that reaches it pays the import.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .errors import InvalidInput
@@ -290,7 +289,6 @@ def _along(u, v):
     return _substitute(_from_dense(u), [{_unit_key(n, k): a for k, a in enumerate(v) if a}], n)
 
 
-@lru_cache(maxsize=8192)
 def factor_polynomial(p):
     """Factor a nonzero Polynomial over Q.
 

@@ -9,9 +9,7 @@ returns canonical values, so structural equality is mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import comb
 
 from .errors import DivisionByZero, InvalidInput
 from .factor import factor_polynomial
@@ -745,35 +743,22 @@ def partial_fraction(f, i):
 # discrete antidifference of polynomials
 
 
-@lru_cache(maxsize=None)
-def _antidiff_basis(k):
-    """Coefficients of the unique Q with Q(x+1) - Q(x) = x**k and zero
-    constant term, as a tuple indexed by power."""
-    if k == 0:
-        return (Fraction(0), Fraction(1))
-    coeffs = [Fraction(0)] * (k + 2)
-    coeffs[k + 1] = Fraction(1)
-    for j in range(k):
-        qj = _antidiff_basis(j)
-        c = Fraction(comb(k + 1, j))
-        for idx, val in enumerate(qj):
-            coeffs[idx] -= c * val
-    inv = Fraction(1, k + 1)
-    return tuple(c * inv for c in coeffs)
-
-
 def poly_antidifference(p, i):
     """The polynomial q with ``q(x_i + 1) - q(x_i) == p`` and zero constant
     term with respect to the i-th variable."""
     if not isinstance(p, Polynomial):
         raise InvalidInput("poly_antidifference expects a Polynomial")
     _check_index(i, len(p.vars))
-    cs = p.coeffs_in(i)
-    zero = Polynomial.zero(p.vars)
-    out = [zero] * (len(cs) + 1)
-    for k, c in enumerate(cs):
-        if c:
-            for j, frac in enumerate(_antidiff_basis(k)):
-                if frac:
-                    out[j] = c * frac if out[j] is zero else out[j] + c * frac
-    return Polynomial.from_coeffs_in(out, i, p.vars)
+    # x_i**l in q(x_i + 1) - q(x_i) has coefficient sum_{j > l} C(j, l) q_j:
+    # solve from the top, each q_j taking C(j, l) q_j off every lower
+    # equation l, with C(j, l) stepped down from C(j, j - 1) = j
+    rhs = p.coeffs_in(i)
+    q = [Polynomial.zero(p.vars)] * (len(rhs) + 1)
+    for j in range(len(rhs), 0, -1):
+        if rhs[j - 1]:
+            q[j] = qj = rhs[j - 1] * Fraction(1, j)
+            c = j
+            for l in range(j - 2, -1, -1):
+                c = c * (l + 1) // (j - l)
+                rhs[l] -= c * qj
+    return Polynomial.from_coeffs_in(q, i, p.vars)

@@ -293,8 +293,8 @@ def test_operands_keep_their_terms_and_integer_view(monkeypatch):
         lambda: a.shifted((1, -2, 3)), lambda: b.shift_var(1, Fraction(1, 2)),
         lambda: a.eval_at({"x": 2, "y": Fraction(1, 3), "z": -1}),
         lambda: b.eval_at({"x": 5, "y": 7, "z": 11}),
-        lambda: factor_polynomial.__wrapped__(a),
-        lambda: factor_polynomial.__wrapped__(b),
+        lambda: factor_polynomial(a),
+        lambda: factor_polynomial(b),
         lambda: (a.content(), a.primitive(), b.content(), b.primitive()),
     )
     for p in (a, b, c):

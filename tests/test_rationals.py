@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -463,18 +463,62 @@ def test_antidifference_examples():
     assert poly_antidifference(y3 * z3, 0) == x3 * y3 * z3
 
 
+def _antidiff_basis(k_max):
+    """Oracle: for each k <= k_max, the coefficients (indexed by power) of
+    the Q_k with Q_k(x+1) - Q_k(x) = x**k and zero constant term, each built
+    from every lower one through (x+1)**(k+1) - x**(k+1) = sum C(k+1, j) x**j."""
+    bases = []
+    for k in range(k_max + 1):
+        coeffs = [Fraction(0)] * (k + 2)
+        coeffs[k + 1] = Fraction(1)
+        for j in range(k):
+            c = comb(k + 1, j)
+            for idx, val in enumerate(bases[j]):
+                coeffs[idx] -= c * val
+        bases.append([c / (k + 1) for c in coeffs])
+    return bases
+
+
+def test_antidifference_matches_the_basis_recursion():
+    V3 = ("x", "y", "z")
+    bases = _antidiff_basis(60)
+    for i in range(3):
+        for k, basis in enumerate(bases):
+            # x_i**k times a monomial in the other variables
+            rest = [k % 3, k % 2, (k + 1) % 4]
+            rest[i] = 0
+            scale = Fraction(-3, 7) if k % 2 else Fraction(5)
+
+            def times_rest(e, c):
+                return {tuple(e if v == i else rest[v] for v in range(3)): c * scale}
+            p = Polynomial(V3, times_rest(k, 1))
+            expected = {}
+            for e, c in enumerate(basis):
+                if c:
+                    expected.update(times_rest(e, c))
+            assert poly_antidifference(p, i) == Polynomial(V3, expected), (i, k)
+
+
 def test_antidifference_inverts_difference():
+    V3 = ("x", "y", "z")
+    x3, y3, z3 = (Polynomial.variable(v, V3) for v in V3)
     rng = random.Random(19)
-    for _ in range(60):
-        p = random_polynomial(rng, V, max_terms=3, max_deg=4)
-        for i in range(2):
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(0, 12)):
+                e[rng.randrange(3)] += 1
+            terms[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        p = Polynomial(V3, terms)
+        for i in range(3):
             q = poly_antidifference(p, i)
             assert q.shift_var(i, 1) - q == p
             # zero constant term in the chosen variable
             assert all(a.is_zero for a in q.coeffs_in(i)[:1])
             # the polynomial part of a partial fraction result, whose
             # denominator is free of x_i, antidifferenced as the library does
-            f = RationalFunction(p * x * y + 1, y * x - 2 * y + 3)
+            f = RationalFunction(p * x3 * y3 * z3 + 1, y3 * x3 - 2 * z3 + 3)
             poly_part, _ = partial_fraction(f, i)
             summed = RationalFunction(poly_antidifference(poly_part.num, i),
                                       poly_part.den)
