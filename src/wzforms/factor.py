@@ -45,8 +45,13 @@ multivariate factoring (Wang's algorithm with Hensel lifting):
    That is a proof, not a probable answer: a factorization over Z reduces
    mod p to one with the same degrees, because p divides neither leading
    coefficient, so a cubic with a factor over Z has a linear one and so a
-   root mod p, and a reducible quartic stays reducible mod p.  Only the
-   pieces that no prime settles go to sympy's Zassenhaus factoring.
+   root mod p, and a reducible quartic stays reducible mod p.  Poles come
+   in shift orbits, so a piece g that no prime settles, or of degree 5 or
+   more, is often a product with its own unit shift, such as
+   q(Z)*q(Z + 1): it is split at h = gcd(g(Z), g(Z - 1)), which is q(Z)
+   there, with the kernel's one integer gcd and one substitution, and h
+   and g/h are split in turn.  Only the pieces that neither settles go to
+   sympy's Zassenhaus factoring.
 
 Every step is exact, so no factor is missed.  All factors are re-normalized
 to this package's canonical form (integer-primitive, positive graded-lex
@@ -129,7 +134,14 @@ def _factor_dense(u):
 
 def _split(g):
     """The irreducible (factor, multiplicity) pairs of a primitive g with a
-    positive leading coefficient that is squarefree or of degree <= 2."""
+    positive leading coefficient that is squarefree or of degree <= 2.
+
+    A squarefree piece of degree >= 3 that no prime proves irreducible is
+    split at h = gcd(g(Z), g(Z - 1)) before Zassenhaus: poles come in
+    shift orbits, so pieces such as q(Z)*q(Z + 1) are common, and there
+    h = q(Z).  Then h and g/h are split in turn.  The primes go first, so
+    that an irreducible cubic or quartic, the common pole of a univariate
+    part, pays no gcd."""
     d = len(g) - 1
     if d <= 1:
         return [(g, 1)] if d else []
@@ -145,10 +157,20 @@ def _split(g):
                 (_dense_primitive([b + s, 2 * a])[1], 1)]
     if d <= 4 and _certified(g):
         return [(g, 1)]
+    terms = _from_dense(g)
+    h = _int_gcd(terms, _substitute(terms, [{_unit_key(1, 0): 1, 0: -1}], 1), _YVARS)
+    if max(h):
+        # h and g/h are primitive with positive leading coefficients, by
+        # Gauss's lemma, and squarefree as divisors of g
+        h = _dense_primitive(_dense(h, 1, 0))[1]
+        rest = _int_divexact(terms, _from_dense(h), 1)
+        if rest is None:
+            raise ArithmeticError("a shift gcd does not divide its piece")
+        return _split(h) + _split(_dense(rest, 1, 0))
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_factor_sqf
-    return [(_dense_primitive([int(c) for c in reversed(h)])[1], 1)
-            for h in dup_zz_factor_sqf(list(map(ZZ, reversed(g))), ZZ)[1]]
+    return [(_dense_primitive([int(c) for c in reversed(fac)])[1], 1)
+            for fac in dup_zz_factor_sqf(list(map(ZZ, reversed(g))), ZZ)[1]]
 
 
 def _certified(g):

@@ -376,16 +376,21 @@ def _partial_fraction_full(f, i):
     first, so that k == 0.  The polynomial part costs one gcd; the remainder
     goes, as ``R = (r, l**k*c)`` with r a Polynomial, to the layers of each
     base b of multiplicity m.  The fraction-free b-adic peel of
-    :func:`_layers_by_inversion` serves a linear base, every base of a
-    univariate f, and every base the line route below does not answer.  A
-    base of degree d > 1 in x of a multivariate f first tries
+    :func:`_layers_by_inversion` serves every base of a univariate f, a
+    simple linear base (m == 1, d == 1), and every base the line route
+    below does not answer.  Any other base of a multivariate f, of degree
+    d > 1 in x or of multiplicity m > 1, first tries
     :func:`_layers_on_a_line`: when b = P(v . x) is integer-linear, the peel
     runs on one line where the other variables are small integers, the
     layers found there are lifted along v, and one exact division by b**m
     certifies them; it gives up, and the peel answers, when b is not
-    integer-linear, no good line is found or the certificate fails.  The
-    peel's layers are computed on polynomials; its cofactor is inverted on
-    ints when U and b involve no variable but x (:func:`_cofactor_inverse`).
+    integer-linear, no good line is found or the certificate fails.  At a
+    multi-layer base each full layer multiplies P by det, a polynomial
+    in the other variables, so the line saves most there; at a simple
+    linear base the full peel is a 1 x 1 step and costs less than the
+    line's search, lift and certificate.  The peel's layers are computed
+    on polynomials; its cofactor is inverted on ints when U and b involve
+    no variable but x (:func:`_cofactor_inverse`).
     """
     vars = f.vars
     if f.is_zero:
@@ -414,22 +419,25 @@ def _partial_fraction_full(f, i):
     groups = []
     for b, m in i_factors:
         U = D.divexact(b ** m)
-        if b.degree_in(i) == 1:
-            layers = _layers_at_linear_pole(R, U, b, m, i)
-        else:
-            layers = _layers_on_a_line(R, U, b, m, i) if len(vars) > 1 else None
-            if layers is None:
-                layers = _layers_by_inversion(R, U, b, m, i)
+        linear = b.degree_in(i) == 1
+        layers = None
+        if len(vars) > 1 and (m > 1 or not linear):
+            layers = _layers_on_a_line(R, U, b, m, i)
+        if layers is None:
+            peel = _layers_at_linear_pole if linear else _layers_by_inversion
+            layers = peel(R, U, b, m, i)
         groups.append((b, m, layers))
     return poly_part, groups
 
 
 def _layers_on_a_line(R, U, b, m, i):
     """The layers of :func:`_layers_by_inversion` at a base b = B(v . x) of
-    degree d > 1 in x = x_i, guessed from one line and certified; None when
-    b is not integer-linear, no line in the search is good, or the guess
-    fails its certificate.  R == P/c is given as there, P a Polynomial,
-    and P is restricted to the line once.
+    degree d >= 1 in x = x_i, guessed from one line and certified; None
+    when b is not integer-linear, no line in the search is good, or the
+    guess fails its certificate.  :func:`_partial_fraction_full` sends it
+    every base of a multivariate f but a simple linear one, whose full peel
+    is cheaper.  R == P/c is given as there, P a Polynomial, and P is
+    restricted to the line once.
 
     By the structure theorem the layers at such a base are, as a rule,
     alpha_t(v . x) for univariate alpha_t.  On the line where every other
@@ -531,7 +539,8 @@ def _layers_by_inversion(R, U, b, m, i):
     by U is 1 x 1, its entry, the pseudo-remainder l**e*U mod b, is det,
     and w == l**e.  So every base, linear or not, can take this one route.
     At a multivariate base of degree d > 1 the d x d solve over Q(other
-    variables) builds determinants that mostly cancel, so
+    variables) builds determinants that mostly cancel, and at any base of
+    multiplicity m > 1 each layer scales P by det, so
     :func:`_layers_on_a_line` runs it on one line, with constant entries,
     and certifies the lifted layers; this full peel answers whenever that
     route gives up.

@@ -12,8 +12,9 @@ top part as a multivariate polynomial.
 
 The univariate route that both use, with its certificates of
 irreducibility, is checked against sympy's ``dup_factor_list`` on seeded
-products of known irreducible polynomials and on inputs that no prime
-certifies.
+products of known irreducible polynomials, on inputs that no prime
+certifies, and on products of a polynomial with its own unit shifts, which
+split before Zassenhaus.
 """
 
 import random
@@ -22,16 +23,17 @@ from math import gcd, prod
 
 import pytest
 import sympy
-from sympy.polys.densearith import dup_mul
+from sympy.polys.densearith import dup_add_ground, dup_mul
+from sympy.polys.densetools import dup_shift
 from sympy.polys.domains import ZZ
 from sympy.polys import factortools, sqfreetools
 from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.factortools import dup_factor_list
 
-from wzforms import Polynomial, parse_polynomial, polys
+from wzforms import Polynomial, factor, parse_polynomial, polys
 from wzforms.factor import (_PRIMES, _directions, _factor_dense, _quartic_discriminant,
                             factor_polynomial)
-from wzforms.polys import _unpacked
+from wzforms.polys import _unit_key, _unpacked
 
 VARS = ("x", "y", "z", "w")
 NOT_INTEGER_LINEAR = (
@@ -349,6 +351,93 @@ def test_certified_factors_reach_no_sympy_factoring(u, monkeypatch):
 
     monkeypatch.setattr(factortools, "dup_zz_factor_sqf", refuse)
     assert factored(u) == expected
+
+
+def zassenhaus_calls(u, monkeypatch):
+    """``factored(u)`` and the lists that reach sympy's Zassenhaus
+    factoring on the way."""
+    calls = []
+    sympy_sqf = factortools.dup_zz_factor_sqf
+
+    def counted(g, K):
+        calls.append(list(g))
+        return sympy_sqf(g, K)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(factortools, "dup_zz_factor_sqf", counted)
+        got = factored(u)
+    return got, calls
+
+
+def shifted_product(q, shifts):
+    """q(Z + s) multiplied over the shifts, highest coefficient first."""
+    u = [ZZ(1)]
+    for s in shifts:
+        u = dup_mul(u, dup_shift(q, ZZ(s), ZZ), ZZ)
+    return u
+
+
+def shift_case(seed):
+    """(q, u): an irreducible q of degree 1-3 and u = q(Z)*q(Z + 1), or
+    q(Z)*q(Z + 1)*q(Z + 2), times a content."""
+    rng = random.Random(f"shift-{seed}")
+    q = known_irreducible(rng, 1 + seed % 3)
+    u = shifted_product(q, range(2 + seed // 3 % 2))
+    content = rng.choice((1, -2, 3))
+    return q, [content * c for c in u]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_products_with_a_unit_shift_split_before_zassenhaus(seed, monkeypatch):
+    q, u = shift_case(seed)
+    expected = dense(dup_factor_list(u, ZZ))
+    got, calls = zassenhaus_calls(u, monkeypatch)
+    assert got == expected
+    # every piece is a shift of q, so only an uncertified cubic q may
+    # reach Zassenhaus, once per shift
+    if len(q) <= 3:
+        assert calls == []
+    else:
+        assert all(len(g) == 4 for g in calls)
+
+
+# (2Z + 1)(2Z + 3)(12Z^2 + 12Z + 1)(12Z^2 + 36Z + 25): the degree-6 block of
+# a criterion-5 round trip, h(Z)*h(Z + 1) with h = (2Z + 1)(12Z^2 + 12Z + 1)
+CORPUS_SHIFT_PIECE = dup_mul(dup_mul([2, 1], [2, 3], ZZ),
+                             dup_mul([12, 12, 1], [12, 36, 25], ZZ), ZZ)
+SHIFT_NEAR_MISSES = [
+    shifted_product([1, 0, 3], (0, 2)),                 # q(Z)*q(Z + 2)
+    shifted_product([2, 1, 0, 5], (0, 2)),
+    dup_add_ground(shifted_product([1, 0, 3], (0, 1)), ZZ(1), ZZ),
+    dup_add_ground(shifted_product([2, -1, 1], (0, 1)), ZZ(1), ZZ),
+    dup_add_ground(shifted_product([1, 1, 0, 5], (0, 1)), ZZ(1), ZZ),
+]
+
+
+def test_corpus_shift_piece_splits_into_its_halves(monkeypatch):
+    expected = dense(dup_factor_list(CORPUS_SHIFT_PIECE, ZZ))
+    got, calls = zassenhaus_calls(CORPUS_SHIFT_PIECE, monkeypatch)
+    assert got == expected
+    assert [f for f, _ in got[1]] == [[2, 1], [2, 3], [12, 12, 1], [12, 36, 25]]
+    # the two cubic halves have a rational root, so no prime certifies
+    # them, and they are not products with their own shifts: they alone
+    # still reach Zassenhaus, where the whole sextic did
+    assert sorted(calls) == [[24, 36, 14, 1], [24, 108, 158, 75]]
+
+
+@pytest.mark.parametrize("u", SHIFT_NEAR_MISSES)
+def test_near_shift_products_match_sympy(u, monkeypatch):
+    expected = dense(dup_factor_list(u, ZZ))
+    got, _ = zassenhaus_calls(u, monkeypatch)
+    assert got == expected
+
+
+def test_shift_gcd_that_does_not_divide_raises(monkeypatch):
+    # the split divides by the gcd exactly; a wrong gcd, here Z + 5, must
+    # raise rather than give factors, also under python -O
+    monkeypatch.setattr(factor, "_int_gcd", lambda p, q, vars: {_unit_key(1, 0): 1, 0: 5})
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        factored(shifted_product([1, 0, 3], (0, 1)))
 
 
 @pytest.mark.parametrize("seed", range(20))

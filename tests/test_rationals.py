@@ -12,6 +12,7 @@ from wzforms import (DivisionByZero, InvalidInput, Polynomial, RationalFunction,
                      UnimodularCompletion, complete_unimodular, delta,
                      partial_fraction, poly_antidifference, poly_gcd,
                      rf_reduce, substitute_linear)
+from wzforms import rationals
 from wzforms.rationals import (_add_coprime, _add_dividing, _cofactor_inverse,
                                _exact_quotient, _fraction_free_solve, _inverse_modulo,
                                _layers_at_linear_pole, _layers_by_inversion,
@@ -336,13 +337,14 @@ def _direction(rng, n, i):
             return v
 
 
-def _line_case(rng, kind):
+def _line_case(rng, kind, linear=False):
     """(R, U, b, m, i, layers): R/U over b**m with known layers a_t, for
     a base b = P(v . x) or, for kind "not integer-linear", x_i**2 + x_j**2 + 1.
     The layers are alpha_t(v . x) except for kind "across", where x_j is
     added to each.  Kind "trap" puts into U a P(v' . x + k) that equals
     b = P(v . x + k) on the line through the origin, and kind "c at origin"
-    gives c a factor x_j.
+    gives c a factor x_j.  With ``linear``, P is Z, the multiplicity is 2
+    or 3 and the base that is not integer-linear is x_i + x_j**2 + 1.
     """
     n = rng.randint(2, 4)
     vs = ("x", "y", "z", "w")[:n]
@@ -351,18 +353,19 @@ def _line_case(rng, kind):
     j = rng.choice([k for k in range(n) if k != i])
     v = _direction(rng, n, i)
     form = Polynomial.linear_form(v, vs)
-    coeffs = rng.choice(_IRREDUCIBLE)
+    coeffs = [0, 1] if linear else rng.choice(_IRREDUCIBLE)
     d = len(coeffs) - 1
     k = rng.randint(-2, 2)
     b = _along(coeffs, form + k).primitive()
     if kind == "not integer-linear":
-        b = xs[i] ** 2 + xs[j] ** 2 + 1
-        d = 2
-    m = rng.randint(1, 3)
+        b = xs[i] + xs[j] ** 2 + 1 if linear else xs[i] ** 2 + xs[j] ** 2 + 1
+        d = b.degree_in(i)
+    m = rng.randint(2, 3) if linear else rng.randint(1, 3)
     U = Polynomial.one(vs)
     for _ in range(rng.randint(0, 1)):
-        U = U * rng.choice([xs[j] + 2 * xs[i] - 1, xs[i] ** 2 + xs[j] + 3,
-                            xs[i] - xs[j] ** 2])
+        # the cofactor must be prime to b, which may be linear
+        U = U * rng.choice([q for q in (xs[j] + 2 * xs[i] - 1, xs[i] ** 2 + xs[j] + 3,
+                                        xs[i] - xs[j] ** 2) if q.primitive() != b])
     if kind == "trap":
         w = list(v)
         w[j] += rng.choice([-1, 1])
@@ -389,32 +392,68 @@ def _line_case(rng, kind):
 
 
 def test_line_route_matches_the_peel():
-    # seeded bases of degree 2-4 in 2-4 variables, multiplicity 1-3: the
-    # line route answers exactly when the layers follow v and b is
-    # integer-linear, and then agrees with the peel
-    rng = random.Random(16)
-    seen, moved = set(), 0
-    for kind in ("along", "across", "not integer-linear", "trap", "c at origin"):
-        for _ in range(8):
-            R, U, b, m, i, want = _line_case(rng, kind)
-            peel = _layers_by_inversion(R, U, b, m, i)
-            assert peel == want
-            got = _layers_on_a_line(R, U, b, m, i)
-            if kind in ("across", "not integer-linear"):
-                assert got is None
-                continue
-            assert got == peel
-            seen.add((b.degree_in(i), len(b.vars), m))
-            # the search passed over the line through the origin
-            origin = next(_line_points(len(b.vars), i))
-            U0, b0 = _on_line(U, origin), _on_line(b, origin)
-            bad = _on_line(R[1], origin).is_zero or U0.divexact(b0) is not None
-            moved += bad
-            assert bad == (kind != "along")
-    assert {d for d, _, _ in seen} == {2, 3, 4}
-    assert {n for _, n, _ in seen} == {2, 3, 4}
-    assert {m for _, _, m in seen} == {1, 2, 3}
-    assert moved == 16
+    # seeded bases of degree 2-4, multiplicity 1-3, or linear bases of
+    # multiplicity 2-3, in 2-4 variables: the line route answers exactly
+    # when the layers follow v and b is integer-linear, and then agrees
+    # with the peel; at a linear base both agree with the Taylor route
+    for linear in (False, True):
+        rng = random.Random(17 if linear else 16)
+        seen, moved = set(), 0
+        for kind in ("along", "across", "not integer-linear", "trap", "c at origin"):
+            for _ in range(8):
+                R, U, b, m, i, want = _line_case(rng, kind, linear)
+                peel = _layers_by_inversion(R, U, b, m, i)
+                assert peel == want
+                if linear:
+                    assert peel == _taylor_layers(R, U, b, m, i)
+                got = _layers_on_a_line(R, U, b, m, i)
+                if kind in ("across", "not integer-linear"):
+                    assert got is None
+                    continue
+                assert got == peel
+                seen.add((b.degree_in(i), len(b.vars), m))
+                # the search passed over the line through the origin
+                origin = next(_line_points(len(b.vars), i))
+                U0, b0 = _on_line(U, origin), _on_line(b, origin)
+                bad = _on_line(R[1], origin).is_zero or U0.divexact(b0) is not None
+                moved += bad
+                assert bad == (kind != "along")
+        assert {d for d, _, _ in seen} == ({1} if linear else {2, 3, 4})
+        assert {n for _, n, _ in seen} == {2, 3, 4}
+        assert {m for _, _, m in seen} == ({2, 3} if linear else {1, 2, 3})
+        assert moved == 16
+
+
+def test_partial_fraction_peels_multi_layer_bases_on_a_line(monkeypatch):
+    # in x: a linear base of multiplicity 3 and a quadratic one of
+    # multiplicity 2, both with layers along their direction, take the line
+    # route; only the simple linear base 2x - y + 3 is peeled on full data,
+    # through _layers_at_linear_pole
+    V3 = ("x", "y", "z")
+    x3, y3, z3 = (Polynomial.variable(name, V3) for name in V3)
+    one = Polynomial.one(V3)
+    b1, b2, b3 = x3 + 2 * y3 - z3 + 1, (x3 + y3) ** 2 + 1, 2 * x3 - y3 + 3
+    want = [(RationalFunction(3 * one), b1, 3), (RationalFunction(one), b1, 1),
+            (RationalFunction(x3 + y3 - 2), b2, 2), (RationalFunction(5 * one), b3, 1)]
+    f = sum((a / RationalFunction(b) ** t for a, b, t in want), RationalFunction.zero(V3))
+    full, linear_poles = [], []
+    peel, forward = rationals._layers_by_inversion, rationals._layers_at_linear_pole
+
+    def spied_peel(R, U, b, m, i):
+        if b.variables_present() != [i]:
+            full.append((b, m))
+        return peel(R, U, b, m, i)
+
+    def spied_forward(R, U, b, m, i):
+        linear_poles.append((b, m))
+        return forward(R, U, b, m, i)
+
+    monkeypatch.setattr(rationals, "_layers_by_inversion", spied_peel)
+    monkeypatch.setattr(rationals, "_layers_at_linear_pole", spied_forward)
+    poly_part, parts = partial_fraction(f, 0)
+    assert poly_part.is_zero
+    assert sorted(parts, key=str) == sorted(want, key=str)
+    assert full == linear_poles == [(b3, 1)]
 
 
 def test_line_route_gives_up_on_layers_across_the_direction():

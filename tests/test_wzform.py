@@ -330,7 +330,9 @@ def test_decompose_prints_exactly_on_inversion_seeds(seed):
 
 # (seed, variables) -> (sha256 of each generated component's str, str of its
 # decomposition): the slow criterion-5 tail seeds 104 and 178, whose
-# residual updates are the largest sums, and a four-variable seed
+# residual updates are the largest sums, a four-variable seed, and seeds
+# 43, 94, 130 and 142, whose linear poles of multiplicity 2 and 3 are
+# peeled on a line
 TAIL_ROUND_TRIPS = {
     (104, 4): (
         ("fd60880ea1fb9ef2c10b2507cd197d70bccab02b3fb16f4a8b30b7b4a7938b33",
@@ -361,6 +363,34 @@ TAIL_ROUND_TRIPS = {
         " + 9/2*z^2*w + 9/16*x^2 + 63/16*x*z - 9/8*x*w + 45/8*z^2 - 9/4*z*w"
         " - 9/8*x - 9/4*z - 1)/(x - z + 2*w + 2); uniform = {(1,0,2,0):"
         " -27/8*Z/(4*Z^2 + 3), (0,1,0,0): -4/7/Z^2})"),
+    # multi-layer linear poles of a multivariate component, peeled on a line
+    (43, 3): (
+        ("562a481d7fd9d7f1c5006f3cfea2a1d82c86962177bd0d49838b79c2347c8d37",
+         "7ae9227cdce3fe7e6a42f2655eb42b347c99e8fe06f75359a9da63f01eb75caf",
+         "23a02251ba4e7acc6103800e90c14fa9acad2755eb9a3274ac4e048f1bc30948"),
+        "(exact = -1/(2*x + z + 2); uniform = {(2,0,-1): (3*Z - 1)/Z^3,"
+        " (2,1,2): 4/(3*Z + 4)})"),
+    (94, 3): (
+        ("87a2fc102478864fbe97813e8cf1c28014ec4e247ead70cb823f53e2a72527f6",
+         "b889a09dd60cdf93a6baa884e7a5cb8452419a875d88c1c5a56ea5516b7e5d6e",
+         "659b56d3baf65530075cefedbebbbe3724d2f8c21fc24198f3980f3c4086c851"),
+        "(exact = 8*y^2; uniform = {(1,0,-2): -7/3/Z^2, (1,2,2): 7/6/Z^3,"
+        " (1,-2,-2): 2/(7*Z + 2)})"),
+    (130, 3): (
+        ("7760747d6b6860382855004be4589ac67f431bffb9847ae456789e4038c231ff",
+         "844d629926038b42fab159cef5076fee6759e892c743c73261c5fe91ff62c95f",
+         "56e528d72cabd073fccba74de91c55364d4ac70e58efc34f87150711ec69c9cd"),
+        "(exact = (5/6*x*y - 5/6*x*z - 5/3*y*z + 5/3*z^2 - 5/2*y + 5/2*z - 9)"
+        "/(x - 2*z - 3); uniform = {(1,1,1): 7/9/Z^2, (2,0,1): 6*Z/(6*Z^2 - 7),"
+        " (0,1,-1): -3/2/Z})"),
+    (142, 3): (
+        ("7792480ed31d451483b6d9be71d1e8a552096cd51144db2576ba2c26bfafa1ad",
+         "43fc1ce7609378bab3f40a165458fbcb8697e6ed93869fd8e92adeb5620f8383",
+         "cc2543bd1576af3380bbc63edbd828df458c28665222f6e27f404b5f77eb8f0f"),
+        "(exact = (1/16*x^3 + 1/4*x^2*z - 3/16*x*y^2 + 1/4*x*y*z + 1/4*x*z^2"
+        " + 1/8*y^3 - 1/2*y^2*z + 1/2*y*z^2 - 33/16*x^2 - 193/16*x*y - 1/8*x*z"
+        " - 127/8*y^2 - 1/4*y*z - 7)/(x + 2*y); uniform = {(1,1,-1): -9/4/Z^3,"
+        " (1,-1,2): -1/8*Z/(4*Z^2 + 1)})"),
 }
 
 
