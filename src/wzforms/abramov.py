@@ -101,6 +101,9 @@ def _reduce_structured(f, i):
     representative, and
     ``f == delta_i(summed) + sum(layers[t]/rep**t)`` exactly.
     """
+    if not isinstance(f, RationalFunction):
+        raise InvalidInput("abramov_reduce expects a RationalFunction")
+    _check_index(i, len(f.vars))
     vars = f.vars
     poly_part, groups = _partial_fraction_full(f, i)
     summed = RationalFunction(poly_antidifference(poly_part.num, i), poly_part.den)
@@ -129,9 +132,6 @@ def abramov_reduce(f, i):
     """Write f as an exact difference in the i-th variable plus a minimal
     remainder: the remainder has no polynomial part and its denominator
     factors are pairwise shift-inequivalent in that variable."""
-    if not isinstance(f, RationalFunction):
-        raise InvalidInput("abramov_reduce expects a RationalFunction")
-    _check_index(i, len(f.vars))
     summed, terms = _reduce_structured(f, i)
     remainder = RationalFunction.zero(f.vars)
     for rep, _, layers in terms:
@@ -142,9 +142,12 @@ def abramov_reduce(f, i):
 
 
 def is_summable(f, i):
-    """The rational g with ``delta_i(g) == f`` when one exists, else None."""
-    result = abramov_reduce(f, i)
-    return result.summed_part if result.remainder.is_zero else None
+    """The rational g with ``delta_i(g) == f`` when one exists, else None.
+    The remainder is zero exactly when the reduction leaves no term: its
+    terms are the partial fractions of distinct irreducible bases, each
+    with a nonzero layer, so they cannot cancel."""
+    summed, terms = _reduce_structured(f, i)
+    return None if terms else summed
 
 
 def solve_step_difference(rhs, step):
@@ -163,8 +166,7 @@ def solve_step_difference(rhs, step):
         raise InvalidInput("rhs must be a univariate RationalFunction")
     (name,) = rhs.vars
     z = Polynomial.variable(name, rhs.vars)
-    scaled = substitute_linear(rhs, {name: z * step})
-    result = abramov_reduce(scaled, 0)
-    if not result.remainder.is_zero:
+    summed, terms = _reduce_structured(substitute_linear(rhs, {name: z * step}), 0)
+    if terms:
         return None
-    return substitute_linear(result.summed_part, {name: z * Fraction(1, step)})
+    return substitute_linear(summed, {name: z * Fraction(1, step)})

@@ -45,9 +45,14 @@ multivariate factoring (Wang's algorithm with Hensel lifting):
    That is a proof, not a probable answer: a factorization over Z reduces
    mod p to one with the same degrees, because p divides neither leading
    coefficient, so a cubic with a factor over Z has a linear one and so a
-   root mod p, and a reducible quartic stays reducible mod p.  Poles come
-   in shift orbits, so a piece g that no prime settles, or of degree 5 or
-   more, is often a product with its own unit shift, such as
+   root mod p, and a reducible quartic stays reducible mod p.  A quartic
+   with no root mod p is reducible there only as a product of two
+   quadratics, so no factoring mod p is needed: at an odd p such a product
+   has a square discriminant (Stickelberger), so a nonresidue one proves
+   the quartic irreducible, and at p = 2 the only such product is
+   (x^2 + x + 1)^2, as x^2 + x + 1 is the only irreducible quadratic.
+   Poles come in shift orbits, so a piece g that no prime settles, or of
+   degree 5 or more, is often a product with its own unit shift, such as
    q(Z)*q(Z + 1): it is split at h = gcd(g(Z), g(Z - 1)), which is q(Z)
    there, with the kernel's one integer gcd and one substitution, and h
    and g/h are split in turn.  Only the pieces that neither settles go to
@@ -62,13 +67,13 @@ and the residual reaches sympy through the kernel's conversions,
 fallback.
 
 sympy is imported where it is called, not when this module loads: the
-univariate route works on lists of Python ints, and each of its three
-sympy calls (``dup_sqf_list``, ``dup_zz_factor_sqf``, ``gf_irreducible_p``)
-converts to sympy's ZZ, highest coefficient first, at the call and back to
-int, lowest first, on return, so an install with gmpy2 still hands sympy
-its own integers.  Elsewhere sympy's order appears only in the sort key
-that keeps its order of factors.  A process that factors nothing never
-loads sympy; the first call that reaches it pays the import.
+univariate route works on lists of Python ints, and each of its two sympy
+calls (``dup_sqf_list`` and ``dup_zz_factor_sqf``) converts to sympy's ZZ,
+highest coefficient first, at the call and back to int, lowest first, on
+return, so an install with gmpy2 still hands sympy its own integers.
+Elsewhere sympy's order appears only in the sort key that keeps its order
+of factors.  A process that factors nothing never loads sympy; the first
+call that reaches it pays the import.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def _factor_dense(u):
     content, with the sign of the leading coefficient, and the irreducible
     (factor, multiplicity) pairs in sympy's order, each factor primitive
     with a positive leading coefficient (module docstring, step 4).
-    Sympy's highest-first lists appear only at its three calls and in the
+    Sympy's highest-first lists appear only at its two calls and in the
     sort key."""
     k = next(e for e, c in enumerate(u) if c)
     cont, f = _dense_primitive(u[k:])
@@ -176,7 +181,8 @@ def _split(g):
 def _certified(g):
     """Whether some p in _PRIMES that does not divide the leading
     coefficient proves the squarefree cubic or quartic g irreducible: g has
-    no root mod p, and a quartic is also irreducible mod p."""
+    no root mod p, and a quartic is also irreducible mod p, which its
+    discriminant or its residues decide with no sympy call (step 4)."""
     if len(g) == 5:
         disc = _quartic_discriminant(g)
     for p in _PRIMES:
@@ -187,17 +193,12 @@ def _certified(g):
                 values = [(v * x + c) % p for x, v in enumerate(values)]
             if not all(values):
                 continue
-            # a quartic with no root mod an odd p is a product of two
-            # quadratics there when disc is a nonzero square mod p
-            # (Stickelberger), and has a repeated factor when p divides
-            # disc, so only a nonresidue is worth the test; p = 2 always is
-            if len(g) == 4:
+            # a quartic with no root is irreducible mod p unless disc is a
+            # square mod an odd p (Stickelberger; 0 when p divides it) or
+            # it is (x^2 + x + 1)^2 mod 2
+            if len(g) == 4 or (r != [1, 0, 1, 0, 1] if p == 2
+                               else pow(disc, (p - 1) // 2, p) == p - 1):
                 return True
-            if pow(disc, (p - 1) // 2, p) == p - 1:
-                from sympy.polys.domains import ZZ
-                from sympy.polys.galoistools import gf_irreducible_p
-                if gf_irreducible_p(list(map(ZZ, reversed(r))), p, ZZ):
-                    return True
     return False
 
 

@@ -936,7 +936,7 @@ def poly_gcd(p, q):
     return _gcd_cached(p, q)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=256)
 def _gcd_cached(p, q):
     pp = p.primitive()
     qq = q.primitive()

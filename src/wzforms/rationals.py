@@ -27,7 +27,7 @@ def _int_entries(entries, what):
 
 
 class RationalFunction:
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if not isinstance(num, Polynomial):
@@ -37,7 +37,6 @@ class RationalFunction:
         reduced = rf_reduce(num, den)
         object.__setattr__(self, "num", reduced.num)
         object.__setattr__(self, "den", reduced.den)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -48,7 +47,6 @@ class RationalFunction:
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
-        object.__setattr__(obj, "_hash", None)
         return obj
 
     @classmethod
@@ -212,9 +210,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.num, self.den)))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero

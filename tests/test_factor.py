@@ -26,13 +26,13 @@ import sympy
 from sympy.polys.densearith import dup_add_ground, dup_mul
 from sympy.polys.densetools import dup_shift
 from sympy.polys.domains import ZZ
-from sympy.polys import factortools, sqfreetools
+from sympy.polys import factortools, galoistools, sqfreetools
 from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.factortools import dup_factor_list
 
 from wzforms import Polynomial, factor, parse_polynomial, polys
-from wzforms.factor import (_PRIMES, _directions, _factor_dense, _quartic_discriminant,
-                            factor_polynomial)
+from wzforms.factor import (_PRIMES, _certified, _directions, _factor_dense,
+                            _quartic_discriminant, factor_polynomial)
 from wzforms.polys import _unit_key, _unpacked
 
 VARS = ("x", "y", "z", "w")
@@ -304,6 +304,7 @@ UNCERTIFIED = [
     [1, 0, 0, 0, 1],                      # x^4 + 1
     [1, 0, -10, 0, 1],                    # x^4 - 10x^2 + 1
     [1, 0, -5, 0, 6],                     # (x^2 - 2)(x^2 - 3)
+    [1, 0, 3, 0, 1],                      # (x^2 + x + 1)^2 mod 2
     [LEAD, 0, 1, 1],
     [LEAD, 0, 0, 1, 1],
     [-3 * LEAD, 0, 0, -3, -3],
@@ -335,6 +336,9 @@ def test_dense_route_on_hard_cases(u, monkeypatch):
 CERTIFIED = [
     [1, 0, 0, 2],                         # x^3 + 2: no root mod 7
     [1, 0, 0, 1, 1],                      # x^4 + x + 1: irreducible mod 2
+    # (x^2 + x + 1)(x^2 - x + 1): no root mod 2, but (x^2 + x + 1)^2 there,
+    # and uncertified; the shift gcd splits it
+    [1, 0, 1, 0, 1],
     [2, -1, -5, -7, 4],
     [-4, 0, 6, -2, -10, 0],               # -2x(2x^4 - 3x^2 + x + 5)
     dup_mul(dup_mul([1, 0, 0, 2], [1, 0, 0, 2], ZZ), [1, 0, 0, 1, 1], ZZ),
@@ -346,10 +350,11 @@ CERTIFIED = [
 def test_certified_factors_reach_no_sympy_factoring(u, monkeypatch):
     expected = dense(dup_factor_list(u, ZZ))
 
-    def refuse(g, K):
+    def refuse(g, *args):
         raise AssertionError(f"sympy factoring called on {g}")
 
     monkeypatch.setattr(factortools, "dup_zz_factor_sqf", refuse)
+    monkeypatch.setattr(galoistools, "gf_irreducible_p", refuse)
     assert factored(u) == expected
 
 
@@ -445,3 +450,30 @@ def test_quartic_discriminant_matches_sympy(seed):
     rng = random.Random(f"discriminant-{seed}")
     g = [rng.choice((-7, -1, 1, 2, 9))] + [rng.randint(-30, 30) for _ in range(4)]
     assert _quartic_discriminant(g[::-1]) == dup_discriminant(g, ZZ)
+
+
+def irreducible_mod_some_prime(g):
+    """The oracle for ``_certified``: whether sympy's test finds the list
+    g, lowest coefficient first, irreducible mod some p of _PRIMES that
+    does not divide its leading coefficient."""
+    return any(g[-1] % p and galoistools.gf_irreducible_p(
+        [ZZ(c % p) for c in reversed(g)], p, ZZ) for p in _PRIMES)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certified_matches_irreducibility_mod_each_prime(seed):
+    # small coefficients, so that every residue list mod 2 occurs, the
+    # reducible x^4 + x^2 + 1 included
+    rng = random.Random(f"certified-{seed}")
+    decisions = []
+    while len(decisions) < 50:
+        u = [rng.choice((-6, -2, -1, 1, 3, 4))] + [rng.randint(-9, 9)
+                                                   for _ in range(rng.choice((3, 4)))]
+        if not dup_discriminant(u, ZZ):
+            continue
+        g = u[::-1]
+        decisions.append(_certified(g))
+        assert decisions[-1] == irreducible_mod_some_prime(g)
+        if decisions[-1]:
+            assert len(dup_factor_list(u, ZZ)[1]) == 1
+    assert True in decisions and False in decisions

@@ -7,7 +7,7 @@ import pytest
 from wzforms import (AdditiveRepresentation, IntegerLinearType, InvalidInput,
                      NotAWZForm, Polynomial, RationalFunction, WZForm, decompose,
                      delta, generate, integer_linear_type_rf, is_exact, is_wz_form,
-                     random_additive_rep, signed_range_sum, wzform)
+                     polys, random_additive_rep, signed_range_sum, wzform)
 
 V = ("x", "y", "z")
 x = Polynomial.variable("x", V)
@@ -407,6 +407,41 @@ def test_round_trip_prints_exactly_on_tail_seeds(seed, n):
 def test_round_trip_b_on_fixtures():
     for form in (range_sum_triple(), corrected_product_triple()):
         assert generate(decompose(form)).components == form.components
+
+
+def widest_gcd_reuse(rep, monkeypatch):
+    """The largest number of distinct argument pairs that one round trip
+    of rep passes to ``polys._gcd_cached`` between two uses of one pair.
+    A least-recently-used memo keeps a pair while fewer distinct pairs
+    than its size come between, so one of more entries than this loses
+    no hit of the round trip."""
+    calls = []
+    cached = polys._gcd_cached
+
+    def spy(p, q):
+        calls.append((p, q))
+        return cached(p, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polys, "_gcd_cached", spy)
+        first = generate(rep)
+        assert generate(decompose(first)).components == first.components
+    last, widest = {}, 0
+    for t, pair in enumerate(calls):
+        if pair in last:
+            widest = max(widest, len(set(calls[last[pair] + 1:t])))
+        last[pair] = t
+    return widest
+
+
+def test_gcd_memo_keeps_every_reuse_within_a_round_trip(monkeypatch):
+    # the criterion-5 corpus and its first 100 seeds in four variables:
+    # their widest reuse is 29 and 24 distinct pairs
+    corpus = {(seed, 2 + seed % 3) for seed in range(200)} | {(seed, 4) for seed in range(100)}
+    widest = max(widest_gcd_reuse(random_additive_rep(seed, n=n, max_types=3, max_deg=3,
+                                                      coeff_bound=9), monkeypatch)
+                 for seed, n in sorted(corpus))
+    assert 0 < widest < polys._gcd_cached.cache_info().maxsize
 
 
 def residual_rep(seed):
